@@ -8,7 +8,6 @@ from .oracle import (
     lis_length,
     loss,
     optimal_transitions,
-    out_of_order,
     reachable_constituents,
 )
 from .transitions import (
@@ -32,7 +31,6 @@ from .trees import (
     ConstituentTree,
     constituent_set,
     enumerate_trees,
-    gold_nt_order,
     gold_sequence,
     load_corpus,
     parse_bracketed,

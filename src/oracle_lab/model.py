@@ -133,6 +133,8 @@ class Model:
             if not labels_line.startswith("labels: "):
                 raise ValueError(f"{path}: missing labels header")
             labels = tuple(labels_line[len("labels: ") :].split())
+            if not labels:
+                raise ValueError(f"{path}: empty label set")
             weights = {}
             for lineno, line in enumerate(fh, start=3):
                 line = line.rstrip("\n")

@@ -3,16 +3,21 @@ set of loss-preserving transitions.
 
 The loss of a configuration is the minimum Hamming distance, over all
 terminal configurations reachable from it, between the built constituent
-multiset and the gold one.  It is computed in closed form per strategy and
+multiset and the gold one.  It is computed exactly per strategy and
 reported as four addends: gold constituents that can no longer be built,
 wrong constituents already built, open non-terminals that cannot match any
 buildable gold span, and open non-terminals that are individually fine but
 stacked in an order that forfeits one gold constituent each.
+
+For in-order each open NT is judged on its own, in closed form.  For
+top-down the open NTs interact through the nesting of their target spans,
+so the total is the wrong constituents already built plus the cheapest
+assignment of the open NTs to gold targets or junk, found by a memoised
+recursion over the stack (`_top_down_analysis`).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -28,30 +33,23 @@ from .transitions import (
     is_terminal,
     legal_transitions,
 )
-from .trees import constituent_set, gold_nt_order
+from .trees import constituent_set
 
 
 class GoldReference:
-    """Gold constituent multiset plus the ordered gold non-terminals for one
-    tree under one strategy."""
+    """Gold constituent multiset for one tree under one strategy."""
 
-    def __init__(self, strategy, n, constituents, nt_order):
+    def __init__(self, strategy, n, constituents):
         self.strategy = strategy
         self.n = n
         self.constituents = tuple(constituents)
-        self.nt_order = tuple(nt_order)
         self.count = Counter(c.key for c in self.constituents)
         self.size = len(self.constituents)
-        self.ranks = {}
-        for node in self.nt_order:
-            self.ranks.setdefault((node.label, node.j), []).append(node.rank)
         self.labels = tuple(sorted({c.label for c in self.constituents}))
 
     @classmethod
     def from_tree(cls, tree, strategy):
-        return cls(
-            strategy, tree.n, constituent_set(tree), gold_nt_order(tree, strategy)
-        )
+        return cls(strategy, tree.n, constituent_set(tree))
 
 
 @dataclass(frozen=True)
@@ -105,24 +103,6 @@ def _rem_and_sunk(config: Configuration, gold: GoldReference):
     return rem, sunk
 
 
-def out_of_order(config: Configuration, gold: GoldReference) -> int:
-    """Stack open NTs that match gold (label, j) nodes, mapped greedily to
-    the lowest unused gold rank, minus the longest increasing rank
-    subsequence."""
-    _check_strategies(config, gold)
-    used = set()
-    q = []
-    for e in config.stack:
-        if not isinstance(e, OpenNT):
-            continue
-        for rank in gold.ranks.get((e.label, e.index), ()):
-            if rank not in used:
-                used.add(rank)
-                q.append(rank)
-                break
-    return len(q) - lis_length(q)
-
-
 def _slot_lefts(stack):
     """In-order helpers: left end of the item directly below each open NT
     (bottom to top), and the left end of the top item when it is completed."""
@@ -137,86 +117,117 @@ def _slot_lefts(stack):
 
 
 def _top_down_analysis(config, gold, rem):
-    """Minimum future loss for top-down, by searching assignments of open
-    NTs to gold target spans.
+    """Minimum future loss for top-down, by a memoised recursion over the
+    open NTs from the bottom of the stack to the top.
 
-    Open NTs are matched to gold spans with the same label and left index.
-    The bottom NT must close the whole sentence; any other target must end
-    inside [E, n] where E is the earliest point a reduce can still produce,
-    and targets must nest going up the stack.  Unmatched NTs close as junk
-    (one loss each) on spans that never cross a kept gold span.  Gold spans
-    left of i survive only as such targets; spans starting exactly at i can
-    still be opened fresh, limited by the consecutive-NT headroom and capped
-    at the tightest matched target end; spans starting right of i are free.
+    Each open NT closes either on a gold target span with its label and left
+    index, or as junk (one loss) on a span that never crosses a kept gold
+    span.  The bottom NT's target must cover the whole sentence; any other
+    target must end inside [E, n], where E is the earliest point a reduce
+    can still produce, and target ends never increase going up the stack.
+    Gold spans left of i survive only as such targets.  Spans starting
+    exactly at i can still be opened fresh, limited by the consecutive-NT
+    headroom, but only those ending at or before rho, the innermost target
+    end past i; the rest are lost.  Spans starting right of i are free.
+
+    Pre-pass: an open NT with no target span at all is junk whatever the
+    others do.  It is counted up front, as a false open, and left out of
+    the search.  The search gives each remaining open, bottom to top,
+    either junk (one loss, counted as out of order) or a target end.  Its
+    state at the next open is (open position, nesting bound, rho,
+    plateau): the bound is the last target end, and the plateau is the
+    labels matched at the bound with the next open's left index, so a gold
+    span occurring several times is never matched more often than it
+    remains.  A match left of i saves that span's loss.  A match at i
+    undercut by a later smaller end saves the loss of a span past rho,
+    credited at that moment; the matches at i at the final rho are taken
+    off the fresh pushes instead.
+
+    Options are tried junk first, then target ends ascending, and an option
+    replaces the best so far only if it is strictly cheaper.  Among
+    assignments of equal loss the first in that order wins, which fixes the
+    split between unreachable spans and out-of-order junk.
     """
-    i, n, cap = config.i, config.n, config.max_consecutive_nt
+    i, n = config.i, config.n
     stack = config.stack
-    sigmas = [e for e in stack if isinstance(e, OpenNT)]
-    K = len(sigmas)
     top_completed = bool(stack) and isinstance(stack[-1], Completed)
     E = i if top_completed else i + 1
+    avail = max(0, config.max_consecutive_nt - config.nt_run)
 
-    A_total = sum(cnt for (_, l, _), cnt in rem.items() if l < i)
+    ends = {}  # (label, l) -> ends of remaining gold spans, for l <= i
+    at_i = {}  # r -> remaining gold spans (l == i, r)
+    left_of_i = 0
+    for (lab, l, r), cnt in rem.items():
+        if l > i or not cnt:
+            continue
+        if l < i:
+            left_of_i += cnt
+        else:
+            at_i[r] = at_i.get(r, 0) + cnt
+        ends.setdefault((lab, l), []).append(r)
+    pending = sum(at_i.values())
 
-    cands = []
-    for t, s in enumerate(sigmas):
-        opts = set()
-        for (lab, l, r), cnt in rem.items():
-            if cnt > 0 and lab == s.label and l == s.index:
-                if t == 0:
-                    if r == n:
-                        opts.add(r)
-                elif E <= r <= n:
-                    opts.add(r)
-        cands.append(sorted(opts))
-    structural_junk = sum(1 for o in cands if not o)
+    searched = []  # (label, left index, target ends ascending)
+    far = {n + 1: 0}  # rho -> spans at i ending past it; n + 1 means none
+    opens = 0
+    for s in stack:
+        if type(s) is not OpenNT:
+            continue
+        opens += 1
+        rs = ends.get((s.label, s.index))
+        if rs is None:
+            continue
+        if opens == 1:  # the bottom NT closes the whole sentence
+            opts = [n] if n in rs else None
+        else:
+            rs.sort()
+            opts = rs[bisect_left(rs, E):]
+        if not opts:
+            continue
+        searched.append((s.label, s.index, opts))
+        for r in opts:
+            if r > i and r not in far:
+                far[r] = sum(c for e, c in at_i.items() if e > r)
+    forced_junk = opens - len(searched)
+    K = len(searched)
 
-    avail = max(0, cap - config.nt_run)
-    best = [math.inf, 0, 0]  # cost, junk, future unreachable
+    memo = {}
 
-    def settle(junk, matched_a, rho):
-        lost_far = pushes = 0
-        for (_, l, r), cnt in rem.items():
-            if l == i and cnt > 0:
-                if r > rho:
-                    lost_far += cnt
-                else:
-                    pushes += cnt
-        c_loss = lost_far + max(0, pushes - avail)
-        missed = A_total - matched_a
-        cost = junk + missed + c_loss
-        if cost < best[0]:
-            best[0] = cost
-            best[1] = junk
-            best[2] = missed + c_loss
-
-    def dfs(t, bound, junk, matched_a, rho):
-        if junk >= best[0]:
-            return
+    def best(t, bound, rho, pl, used):
+        """(cost, junk) of the first cheapest assignment of opens t.., with
+        cost relative to losing every remaining span left of i."""
         if t == K:
-            settle(junk, matched_a, rho)
-            return
-        s = sigmas[t]
-        dfs(t + 1, bound, junk + 1, matched_a, rho)
-        for r in cands[t]:
+            pushes = pending - far[rho] - (len(used) if pl == i else 0)
+            return far[rho] + max(0, pushes - avail), 0
+        lab, idx, opts = searched[t]
+        if pl != idx:
+            used = ()
+        key = (t, bound, rho, used)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        cost, junk = best(t + 1, bound, rho, idx, used)
+        res = (cost + 1, junk + 1)
+        for r in opts:
             if r > bound:
-                continue
-            key = (s.label, s.index, r)
-            if rem[key] <= 0:
-                continue
-            rem[key] -= 1
-            dfs(
-                t + 1,
-                r,
-                junk,
-                matched_a + (1 if s.index < i else 0),
-                min(rho, r) if r >= i + 1 else rho,
-            )
-            rem[key] += 1
+                break
+            if r == bound:
+                if used.count(lab) >= rem[(lab, idx, r)]:
+                    continue
+                nxt = tuple(sorted(used + (lab,)))
+                credit = 0
+            else:
+                nxt = (lab,)
+                credit = len(used) if idx == i else 0
+            cost, junk = best(t + 1, r, r if r > i else rho, idx, nxt)
+            cost -= credit + (idx < i)
+            if cost < res[0]:
+                res = (cost, junk)
+        memo[key] = res
+        return res
 
-    dfs(0, n, 0, 0, math.inf)
-    cost, junk, unreachable = best
-    return unreachable, structural_junk, junk - structural_junk
+    cost, junk = best(0, n, n + 1, None, ())
+    return left_of_i + cost - junk, forced_junk, junk
 
 
 def _in_order_analysis(config, gold, rem):

@@ -37,16 +37,6 @@ class Internal:
 
 
 @dataclass(frozen=True)
-class NonTerminalNode:
-    """A gold non-terminal as (label, j) plus its position in the gold
-    derivation, which disambiguates duplicates."""
-
-    label: str
-    j: int
-    rank: int
-
-
-@dataclass(frozen=True)
 class ConstituentTree:
     tokens: tuple
     root: object  # Leaf | Internal
@@ -246,35 +236,6 @@ def constituents_with_arity(tree: ConstituentTree):
 
     walk(tree.root, 0)
     return out
-
-
-def gold_nt_order(tree: ConstituentTree, strategy):
-    """Gold non-terminals in derivation order.
-
-    top-down: preorder, j = left end of the span.
-    in-order: node emitted after its first child subtree, j = end of that
-    first child (the buffer position when the NT is pushed).
-    """
-    order = []
-
-    def walk(node, l):
-        if isinstance(node, Leaf):
-            return l + 1
-        if strategy == TOP_DOWN:
-            order.append((node.label, l))
-            r = l
-            for c in node.children:
-                r = walk(c, r)
-            return r
-        m = walk(node.children[0], l)
-        order.append((node.label, m))
-        r = m
-        for c in node.children[1:]:
-            r = walk(c, r)
-        return r
-
-    walk(tree.root, 0)
-    return [NonTerminalNode(lab, j, rank) for rank, (lab, j) in enumerate(order)]
 
 
 def gold_sequence(tree: ConstituentTree, strategy):

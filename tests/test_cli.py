@@ -188,6 +188,15 @@ def test_parse_strategy_must_match_the_model(tmp_path, capsys):
     assert "does not match model" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_model_with_no_labels(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("oracle-lab-model v1 top-down\nlabels: \n", encoding="utf-8")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w0 w1\n", encoding="utf-8")
+    assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
+    assert f"{model}: empty label set" in capsys.readouterr().err
+
+
 def parse_scripts_table(text):
     """The ``[project.scripts]`` table of a pyproject.toml, without tomllib.
 

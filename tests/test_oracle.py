@@ -7,22 +7,30 @@ from hypothesis import strategies as st
 from conftest import trees
 from oracle_lab.oracle import (
     GoldReference,
+    LossBreakdown,
     lis_length,
     loss,
     optimal_transitions,
-    out_of_order,
     reachable_constituents,
 )
 from oracle_lab.transitions import (
     IN_ORDER,
     TOP_DOWN,
+    Completed,
+    OpenNT,
     apply,
     initial_config,
     is_terminal,
     legal_transitions,
     parse_transition,
 )
-from oracle_lab.trees import gold_sequence, parse_bracketed
+from oracle_lab.trees import (
+    TreeError,
+    check_derivable,
+    gold_sequence,
+    parse_bracketed,
+    random_tree,
+)
 from oracle_lab.verify import SearchBounds, brute_force_loss
 
 
@@ -72,13 +80,11 @@ def test_out_of_order_counts_inversions():
     t = parse_bracketed("(R (X (Y w0 w1) w2) w3)")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     c = replay(t, TOP_DOWN, "NT_R NT_Y NT_X")
-    assert out_of_order(c, gold) == 1
     lb = loss(c, gold)
     bounds = SearchBounds(label_alphabet=("R", "X", "Y"))
     assert lb.total == brute_force_loss(c, gold, bounds)
     # gold-ordered variant has no inversion
     c2 = replay(t, TOP_DOWN, "NT_R NT_X NT_Y")
-    assert out_of_order(c2, gold) == 0
     assert loss(c2, gold).total == 0
 
 
@@ -114,6 +120,92 @@ def _walk_configs(t, strategy, seed, steps=25):
         c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
         out.append(c)
     return out
+
+
+TD_LABELS = ("X", "Y")
+TD_CAP = 3
+TD_BOUNDS = SearchBounds(label_alphabet=TD_LABELS)
+
+
+def _derivable_trees(seed, count, max_tokens=5):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = random_tree(rng.randint(1, max_tokens), list(TD_LABELS), rng.randrange(1 << 30))
+        try:
+            check_derivable(t, cap=TD_CAP)
+        except TreeError:
+            continue
+        out.append(t)
+    return out
+
+
+def test_top_down_loss_with_opens_stacked_to_the_cap():
+    rng = random.Random(7)
+    stacked = 0
+    for t in _derivable_trees(7, 40):
+        gold = GoldReference.from_tree(t, TOP_DOWN)
+        c = initial_config(t.tokens, TOP_DOWN, max_consecutive_nt=TD_CAP)
+        seq = gold_sequence(t, TOP_DOWN)
+        for g_t in seq[: rng.randrange(len(seq))]:
+            c = apply(c, g_t)
+        while True:
+            pushes = [m for m in legal_transitions(c, TD_LABELS) if m.kind == "nt"]
+            if not pushes:
+                break
+            c = apply(c, rng.choice(pushes))
+        at_i = [e for e in c.stack if isinstance(e, OpenNT) and e.index == c.i]
+        stacked += len(at_i) >= 2
+        assert loss(c, gold).total == brute_force_loss(c, gold, TD_BOUNDS), c
+    assert stacked >= 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(X (X (X w0 w1 w2)))",
+        "(X (X w0 w1) (X (X w2 w3)))",
+        "(X (X w0 (X (X w1 w2))) w3)",
+        "(Y (X (X w0 w1)) (X (X w2)) w3)",
+    ],
+)
+def test_top_down_loss_with_repeated_gold_spans(text):
+    t = parse_bracketed(text)
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    assert max(gold.count.values()) >= 2
+    for seed in range(12):
+        for c in _walk_configs(t, TOP_DOWN, seed, steps=40):
+            assert loss(c, gold).total == brute_force_loss(c, gold, TD_BOUNDS), c
+
+
+def test_top_down_loss_when_targets_may_end_at_i():
+    """With a completed item on top, an open NT below it can still close
+    right here, on a gold span ending at i."""
+    checked = ends_at_i = 0
+    for k, t in enumerate(_derivable_trees(3, 60)):
+        gold = GoldReference.from_tree(t, TOP_DOWN)
+        for c in _walk_configs(t, TOP_DOWN, k, steps=40):
+            if is_terminal(c) or not c.stack or not isinstance(c.stack[-1], Completed):
+                continue
+            opens = [e for e in c.stack[1:] if isinstance(e, OpenNT)]
+            if not opens:
+                continue
+            checked += 1
+            ends_at_i += any(gold.count.get((e.label, e.index, c.i)) for e in opens)
+            assert loss(c, gold).total == brute_force_loss(c, gold, TD_BOUNDS), c
+    assert checked >= 100 and ends_at_i >= 10
+
+
+def test_top_down_tie_goes_to_the_first_assignment():
+    """Matching NT_Y to Y(1,3) loses X(1,4); closing it as junk costs the
+    same.  Junk is tried first, so the tie keeps the junk split."""
+    t = parse_bracketed("(X w0 (X (Y w1 w2) w3))")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    c = replay(t, TOP_DOWN, "NT_Y SH NT_Y")
+    assert loss(c, gold) == LossBreakdown(
+        unreachable=1, false_constituents=0, false_open_nts=1, out_of_order=1, total=3
+    )
+    assert brute_force_loss(c, gold, TD_BOUNDS) == 3
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),

@@ -13,7 +13,6 @@ from oracle_lab.trees import (
     constituent_set,
     constituents_with_arity,
     enumerate_trees,
-    gold_nt_order,
     gold_sequence,
     load_corpus,
     max_nt_run,
@@ -108,25 +107,6 @@ def test_gold_sequence_matches_worked_example(example_tree):
     io = [str(t) for t in gold_sequence(example_tree, IN_ORDER)]
     assert td == EXAMPLE_TOP_DOWN
     assert io == EXAMPLE_IN_ORDER
-
-
-def test_gold_nt_order(example_tree):
-    td = [(n.label, n.j, n.rank) for n in gold_nt_order(example_tree, TOP_DOWN)]
-    assert td == [
-        ("S", 0, 0),
-        ("NP", 0, 1),
-        ("VP", 2, 2),
-        ("ADVP", 3, 3),
-        ("ADJP", 4, 4),
-    ]
-    io = [(n.label, n.j, n.rank) for n in gold_nt_order(example_tree, IN_ORDER)]
-    assert io == [
-        ("NP", 1, 0),
-        ("S", 2, 1),
-        ("VP", 3, 2),
-        ("ADVP", 4, 3),
-        ("ADJP", 5, 4),
-    ]
 
 
 def _census(n, n_labels):
