@@ -39,6 +39,6 @@ from .trees import (
     serialize,
     synthetic_corpus,
 )
-from .verify import ConformanceReport, SearchBounds, brute_force_loss, check_config, sweep
+from .verify import ConformanceReport, SearchBounds, brute_force_loss, sweep
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .transitions import (
 from .trees import (
     ConstituentTree,
     Internal,
-    Leaf,
     constituent_set,
+    forest_from_built,
     gold_sequence,
     max_nt_run,
 )
@@ -101,10 +101,6 @@ class Model:
     weights: dict
     label_alphabet: tuple
     strategy: str
-    averaged: bool = True
-
-    def score(self, config, transition):
-        return _score(self.weights, features(config), transition)
 
     def predict(self, config):
         moves = legal_transitions(config, self.label_alphabet)
@@ -236,7 +232,6 @@ def train(
         weights=learner.averaged(),
         label_alphabet=alphabet,
         strategy=strategy,
-        averaged=True,
     )
 
 
@@ -295,11 +290,10 @@ def parse_with_info(model: Model, tokens):
         c = apply(c, model.predict(c))
         steps += 1
     info = {"steps": steps, "fallback": False, "wrap_label": None}
+    forest = forest_from_built(c.tokens, c.built)
     if is_terminal(c):
-        return ConstituentTree.from_root(c.stack[0].node), info
+        return ConstituentTree(c.tokens, forest[0]), info
     wrap = model.label_alphabet[0]
-    children = [item.node for item in c.stack if isinstance(item, Completed)]
-    children += [Leaf(w) for w in c.tokens[c.i :]]
     info["fallback"] = True
     info["wrap_label"] = wrap
-    return ConstituentTree.from_root(Internal(wrap, tuple(children))), info
+    return ConstituentTree(c.tokens, Internal(wrap, tuple(forest))), info

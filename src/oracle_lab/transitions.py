@@ -94,13 +94,14 @@ class Constituent:
 
 @dataclass(frozen=True, slots=True)
 class Completed:
-    """Stack element holding a finished subtree: a shifted word or a reduced
-    constituent.  node is the subtree it corresponds to."""
+    """Stack element for a finished item over tokens [l, r): a shifted word
+    or a reduced constituent.  The subtree itself is not kept; the
+    configuration's built constituents are the parse's only record, and
+    trees.forest_from_built rebuilds the nodes from them."""
 
     symbol: str  # the word itself, or the constituent label
     l: int
     r: int
-    node: object = None
     is_word: bool = False
 
     def summary(self):
@@ -272,18 +273,6 @@ def legal_transitions(config: Configuration, label_alphabet):
     return out
 
 
-# Node constructors from trees, bound on first use; trees imports this
-# module at load time, so a top-level import would be circular.
-_Internal = _Leaf = None
-
-
-def _load_node_types():
-    global _Internal, _Leaf
-    from .trees import Internal, Leaf
-
-    _Internal, _Leaf = Internal, Leaf
-
-
 def apply(config: Configuration, t: Transition) -> Configuration:
     fin, red, shift, nt_ok = _move_flags(config)
     kind = t.kind
@@ -305,14 +294,11 @@ def apply(config: Configuration, t: Transition) -> Configuration:
 def _construct(config: Configuration, t: Transition) -> Configuration:
     """apply() minus the legality check, for callers that have already
     filtered through legal_transitions."""
-    if _Leaf is None:
-        _load_node_types()
     kind = t.kind
     hist = (config.history + (t,))[-2:]
     if kind == "shift":
         i = config.i
-        word = config.tokens[i]
-        item = Completed(word, i, i + 1, _Leaf(word), is_word=True)
+        item = Completed(config.tokens[i], i, i + 1, is_word=True)
         return Configuration(
             config.strategy,
             config.tokens,
@@ -355,22 +341,22 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
     k = len(stack) - 1
     while type(stack[k]) is not OpenNT:
         k -= 1
-    open_nt = stack[k]
-    children = list(stack[k + 1 :])
+    label = stack[k].label
+    # the first child: below the open NT in-order, above it top-down
     if config.strategy == IN_ORDER:
-        children.insert(0, stack[k - 1])
         rest = stack[: k - 1]
+        l = stack[k - 1].l
     else:
         rest = stack[:k]
-    l = children[0].l
-    r = children[-1].r
-    node = _Internal(open_nt.label, tuple(c.node for c in children))
+        l = stack[k + 1].l
+    # an in-order unary wrap has the open NT itself on top
+    r = stack[-1].r if k < len(stack) - 1 else stack[k - 1].r
     occ = 0
     for c in config.built:
-        if c.label == open_nt.label and c.l == l and c.r == r:
+        if c.label == label and c.l == l and c.r == r:
             occ += 1
-    made = Constituent(open_nt.label, l, r, occ)
-    item = Completed(open_nt.label, l, r, node)
+    made = Constituent(label, l, r, occ)
+    item = Completed(label, l, r)
     return Configuration(
         config.strategy,
         config.tokens,

@@ -43,40 +43,60 @@ class ConstituentTree:
 
     @classmethod
     def from_root(cls, root):
-        words = []
-        _collect_words(root, words)
-        return cls(tuple(words), root)
+        return cls(tuple(n.word for n, _ in _events(root) if type(n) is Leaf), root)
 
     @property
     def n(self):
         return len(self.tokens)
 
 
-def _collect_words(node, out):
-    if isinstance(node, Leaf):
-        out.append(node.word)
-    else:
-        for c in node.children:
-            _collect_words(c, out)
+_LEAVE = object()  # on the walk's stack, above the node to leave
+
+
+def _events(root):
+    """Depth-first walk without recursion: yields (node, leaving) pairs.
+    A leaf, or any node that is not an Internal, gives one (node, False);
+    an Internal gives (node, False) before its children and (node, True)
+    after them."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if node is _LEAVE:
+            yield todo.pop(), True
+        else:
+            yield node, False
+            if type(node) is Internal:
+                todo.append(node)
+                todo.append(_LEAVE)
+                todo.extend(node.children[::-1])
+
+
+def _rebuild(root, leaf, internal):
+    """Bottom-up copy of a tree: leaf(old leaf) and internal(old node, new
+    children) make the new nodes."""
+    made = [[]]
+    for node, leaving in _events(root):
+        if type(node) is not Internal:
+            made[-1].append(leaf(node))
+        elif not leaving:
+            made.append([])
+        else:
+            children = tuple(made.pop())
+            made[-1].append(internal(node, children))
+    return made[0][0]
 
 
 def validate_tree(tree: ConstituentTree):
     """Raise TreeError if the leaves do not spell the token sequence or some
     internal node is childless."""
     words = []
-
-    def walk(node):
+    for node, _ in _events(tree.root):
         if isinstance(node, Leaf):
             words.append(node.word)
-            return
-        if not isinstance(node, Internal):
+        elif not isinstance(node, Internal):
             raise TreeError(f"bad node type {type(node).__name__}")
-        if not node.children:
+        elif not node.children:
             raise TreeError(f"internal node {node.label!r} has no children")
-        for c in node.children:
-            walk(c)
-
-    walk(tree.root)
     if tuple(words) != tuple(tree.tokens):
         raise TreeError("leaf words do not match the token sequence")
     return tree
@@ -102,81 +122,57 @@ def parse_bracketed(text: str) -> ConstituentTree:
     words keep those wrappers as ordinary single-token constituents.
     """
     toks = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    pos = 0
 
     def fail(msg, at):
         raise TreeError(f"{msg} at offset {at}")
 
-    def parse_node():
-        nonlocal pos
-        tok, at = toks[pos]
-        if tok != "(":
-            fail(f"expected '(' but found {tok!r}", at)
-        pos += 1
-        if pos >= len(toks):
-            fail("unclosed parenthesis", at)
-        label, lab_at = toks[pos]
-        if label in "()":
-            fail("empty or missing label", lab_at)
-        pos += 1
-        children = []
-        while pos < len(toks):
-            tok, tok_at = toks[pos]
-            if tok == ")":
-                pos += 1
-                if not children:
-                    fail(f"node {label!r} has no children", at)
-                return (label, children)
-            if tok == "(":
-                children.append(parse_node())
-            else:
-                children.append(_unescape(tok))
-                pos += 1
-        fail("unclosed parenthesis", at)
-
     if not toks:
         raise TreeError("empty input")
-    root_raw = parse_node()
+    tok, at = toks[0]
+    if tok != "(":
+        fail(f"expected '(' but found {tok!r}", at)
+    words = []
+    unary_words = True  # every word so far is the only child of its parent
+    frames = []  # open nodes: (label, offset of their '(', children so far)
+    pos = 0
+    while True:
+        tok, at = toks[pos]
+        pos += 1
+        if tok == "(":
+            if pos >= len(toks):
+                fail("unclosed parenthesis", at)
+            label, lab_at = toks[pos]
+            if label in "()":
+                fail("empty or missing label", lab_at)
+            pos += 1
+            frames.append((label, at, []))
+        elif tok == ")":
+            label, start, children = frames.pop()
+            if not children:
+                fail(f"node {label!r} has no children", start)
+            if len(children) > 1 and any(type(c) is Leaf for c in children):
+                unary_words = False
+            node = Internal(label, tuple(children))
+            if not frames:
+                break
+            frames[-1][2].append(node)
+        else:
+            words.append(_unescape(tok))
+            frames[-1][2].append(Leaf(words[-1]))
+        if pos >= len(toks):
+            fail("unclosed parenthesis", frames[-1][1])
     if pos != len(toks):
         fail("trailing material after the tree", toks[pos][1])
 
-    words = []
+    if len(words) >= 2 and unary_words:
+        node = _rebuild(node, lambda leaf: leaf, _fold_preterminal)
+    return ConstituentTree(tuple(words), node)
 
-    def count_words(raw):
-        if isinstance(raw, str):
-            words.append(raw)
-        else:
-            for c in raw[1]:
-                count_words(c)
 
-    count_words(root_raw)
-
-    def word_parents_unary(raw):
-        # true iff every word is the single child of its parent node
-        if isinstance(raw, str):
-            return True
-        label, children = raw
-        for c in children:
-            if isinstance(c, str) and len(children) != 1:
-                return False
-            if not isinstance(c, str) and not word_parents_unary(c):
-                return False
-        return True
-
-    fold = len(words) >= 2 and word_parents_unary(root_raw)
-
-    def build(raw):
-        if isinstance(raw, str):
-            return Leaf(raw)
-        label, children = raw
-        if fold and len(children) == 1 and isinstance(children[0], str):
-            return Leaf(children[0], pos=label)
-        return Internal(label, tuple(build(c) for c in children))
-
-    root = build(root_raw)
-    if isinstance(root, Leaf):
-        raise TreeError("tree reduced to a bare word")
-    return ConstituentTree(tuple(words), root)
+def _fold_preterminal(node, children):
+    if len(node.children) == 1 and type(node.children[0]) is Leaf:
+        return Leaf(node.children[0].word, pos=node.label)
+    return Internal(node.label, children)
 
 
 def serialize(tree: ConstituentTree) -> str:
@@ -184,83 +180,93 @@ def serialize(tree: ConstituentTree) -> str:
     as (pos word); round-trips for trees produced by parse_bracketed or the
     generators (folding is all-or-nothing, so hand-built trees mixing
     annotated and bare leaves will not survive a round trip)."""
-
-    def s(node):
-        if isinstance(node, Leaf):
+    out = []
+    sep = ""
+    for node, leaving in _events(tree.root):
+        if leaving:
+            out.append(")")
+        elif type(node) is Leaf:
             w = _escape(node.word)
-            return f"({node.pos} {w})" if node.pos is not None else w
-        inner = " ".join(s(c) for c in node.children)
-        return f"({node.label} {inner})"
+            out.append(f"{sep}({node.pos} {w})" if node.pos is not None else sep + w)
+        else:
+            out.append(f"{sep}({node.label}")
+        sep = " "
+    return "".join(out)
 
-    return s(tree.root)
+
+def _numbered_spans(tree: ConstituentTree):
+    """(Constituent, node) pairs, numbered as constituent_set numbers them."""
+    counts = {}
+    lefts = []  # left ends of the entered, not yet left, internal nodes
+    k = 0  # words passed so far
+    for node, leaving in _events(tree.root):
+        if type(node) is Leaf:
+            k += 1
+        elif not leaving:
+            lefts.append(k)
+        else:
+            key = (node.label, lefts.pop(), k)
+            occ = counts.get(key, 0)
+            counts[key] = occ + 1
+            yield Constituent(*key, occ), node
 
 
 def constituent_set(tree: ConstituentTree):
     """All internal nodes as Constituents, in postorder.  Duplicate
     (label, l, r) triples get occ 0, 1, ... from the innermost out."""
-    out = []
-    counts = {}
-
-    def walk(node, l):
-        if isinstance(node, Leaf):
-            return l + 1
-        r = l
-        for c in node.children:
-            r = walk(c, r)
-        key = (node.label, l, r)
-        occ = counts.get(key, 0)
-        counts[key] = occ + 1
-        out.append(Constituent(node.label, l, r, occ))
-        return r
-
-    walk(tree.root, 0)
-    return out
+    return [c for c, _ in _numbered_spans(tree)]
 
 
 def constituents_with_arity(tree: ConstituentTree):
     """(Constituent, child count) pairs, postorder, for the arity scorer."""
-    out = []
-    counts = {}
-
-    def walk(node, l):
-        if isinstance(node, Leaf):
-            return l + 1
-        r = l
-        for c in node.children:
-            r = walk(c, r)
-        key = (node.label, l, r)
-        occ = counts.get(key, 0)
-        counts[key] = occ + 1
-        out.append((Constituent(node.label, l, r, occ), len(node.children)))
-        return r
-
-    walk(tree.root, 0)
-    return out
+    return [(c, len(node.children)) for c, node in _numbered_spans(tree)]
 
 
 def gold_sequence(tree: ConstituentTree, strategy):
     """The canonical derivation of the tree under the given strategy."""
+    in_order = strategy == IN_ORDER
     seq = []
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            seq.append(SHIFT)
-            return
-        if strategy == TOP_DOWN:
-            seq.append(nt(node.label))
-            for c in node.children:
-                walk(c)
-        else:
-            walk(node.children[0])
-            seq.append(nt(node.label))
-            for c in node.children[1:]:
-                walk(c)
-        seq.append(REDUCE)
-
-    walk(tree.root)
-    if strategy == IN_ORDER:
+    # in-order: per entered node, its NT until its first child is complete
+    waiting = []
+    for node, leaving in _events(tree.root):
+        if type(node) is Internal and not leaving:
+            (waiting if in_order else seq).append(nt(node.label))
+            continue
+        if leaving and in_order:
+            waiting.pop()
+        seq.append(REDUCE if leaving else SHIFT)
+        if waiting and waiting[-1] is not None:
+            seq.append(waiting[-1])
+            waiting[-1] = None
+    if in_order:
         seq.append(FINISH)
     return seq
+
+
+def forest_from_built(tokens, built):
+    """The top-level nodes of a parse, left to right, rebuilt from its
+    tokens and the constituents its reduces built.
+
+    built is replayed in build order; each constituent wraps the run of
+    top-level items over its span, so a chain of constituents over one span
+    nests in the order it was built.  A terminal configuration gives
+    [root]; any other gives one node per completed stack item followed by a
+    Leaf per unshifted word.
+    """
+    items = {k: (k + 1, Leaf(w)) for k, w in enumerate(tokens)}  # l -> (r, node)
+    for c in built:
+        children = []
+        k = c.l
+        while k < c.r:
+            k, node = items.pop(k)
+            children.append(node)
+        items[c.l] = (c.r, Internal(c.label, tuple(children)))
+    forest = []
+    k = 0
+    while k < len(tokens):
+        k, node = items[k]
+        forest.append(node)
+    return forest
 
 
 def max_nt_run(seq):
@@ -332,10 +338,12 @@ def random_tree(n: int, labels, seed: int) -> ConstituentTree:
     raise TreeError(f"could not generate a derivable tree for n={n}, seed={seed}")
 
 
-def _rename_leaves(node, mapper):
-    if isinstance(node, Leaf):
-        return Leaf(mapper(node.word), node.pos)
-    return Internal(node.label, tuple(_rename_leaves(c, mapper) for c in node.children))
+def _rename_leaves(root, mapper):
+    return _rebuild(
+        root,
+        lambda leaf: Leaf(mapper(leaf.word), leaf.pos),
+        lambda node, children: Internal(node.label, children),
+    )
 
 
 def synthetic_corpus(

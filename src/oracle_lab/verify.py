@@ -235,10 +235,6 @@ def brute_force_loss(
     return sunk0 + best
 
 
-def check_config(config, gold, bounds, cache=None) -> bool:
-    return loss(config, gold).total == brute_force_loss(config, gold, bounds, cache)
-
-
 def _gold_prefix_configs(tree, strategy, bounds):
     c = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
     out = [c]

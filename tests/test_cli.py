@@ -118,6 +118,36 @@ def test_check_rejects_deep_chains(tmp_path, capsys):
     assert "consecutive NT transitions" in err
 
 
+def test_deep_trees_do_not_crash(tmp_path, capsys):
+    depth = 1100  # past Python's default recursion limit
+    left = "(X w0 w1)"  # (X (X ... (X w0 w1) w2) ...): in-order NT run of 1
+    for k in range(2, depth + 1):
+        left = f"(X {left} w{k})"
+    right = f"(X w{depth - 1} w{depth})"  # (X w0 (X w1 ...)): top-down NT run of 1
+    for k in range(depth - 2, -1, -1):
+        right = f"(X w{k} {right})"
+    left_path, right_path = tmp_path / "left.txt", tmp_path / "right.txt"
+    left_path.write_text(left + "\n", encoding="utf-8")
+    right_path.write_text(right + "\n", encoding="utf-8")
+
+    assert main(["eval", str(left_path), str(left_path), "--tsv"]) == 0
+    overall = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert overall[:4] == ["overall", "100.00", "100.00", "100.00"]
+
+    assert main(["oracle-trace", "--strategy", "in-order", str(left_path)]) == 0
+    rows = trace_rows(capsys.readouterr().out)
+    assert len(rows) == 3 * depth + 2
+    assert all(r[4] == "0" for r in rows)
+
+    # the top-down derivation opens all 1100 NTs in a row, over the cap of 8
+    assert main(["oracle-trace", "--strategy", "top-down", str(left_path)]) == 2
+    assert "consecutive non-terminal cap" in capsys.readouterr().err
+
+    # the tree code copes; the top-down loss's memoised recursion does not
+    assert main(["oracle-trace", "--strategy", "top-down", str(right_path)]) == 2
+    assert capsys.readouterr().err == "oracle-lab: input nested too deeply\n"
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["oracle-trace", "--strategy", "top-down", missing]) == 2

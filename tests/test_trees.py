@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -5,14 +6,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN, trees
-from oracle_lab.transitions import IN_ORDER, TOP_DOWN
+from oracle_lab.transitions import (
+    IN_ORDER,
+    TOP_DOWN,
+    Completed,
+    apply,
+    initial_config,
+    is_terminal,
+)
 from oracle_lab.trees import (
     ConstituentTree,
+    Internal,
+    Leaf,
     TreeError,
     check_derivable,
     constituent_set,
     constituents_with_arity,
     enumerate_trees,
+    forest_from_built,
     gold_sequence,
     load_corpus,
     max_nt_run,
@@ -227,3 +238,64 @@ def test_gold_sequence_shape(t):
 def test_from_root_collects_tokens(example_tree):
     rebuilt = ConstituentTree.from_root(example_tree.root)
     assert rebuilt.tokens == example_tree.tokens
+
+
+def _wrap_in_chains(node, rng):
+    # puts 0-2 unary wraps over each internal node: same-span chains
+    if isinstance(node, Leaf):
+        return node
+    node = Internal(node.label, tuple(_wrap_in_chains(c, rng) for c in node.children))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        node = Internal(rng.choice("XY"), (node,))
+    return node
+
+
+def _chained_trees():
+    out = [
+        parse_bracketed(text)
+        for text in (
+            "(X w0)",
+            "(X (Y w0))",
+            "(X (X (X w0)))",
+            "(X (X (Y w0 w1)))",
+            "(S (A (A w0 w1)) (B (C (D w2))) w3)",
+        )
+    ]
+    rng = random.Random("chains")
+    for seed in range(80):
+        base = random_tree(rng.randint(1, 5), ["X", "Y"], seed)
+        tree = ConstituentTree(base.tokens, _wrap_in_chains(base.root, rng))
+        try:
+            out.append(check_derivable(tree))
+        except TreeError:
+            pass
+    return out
+
+
+def _span_symbols(forest):
+    k = 0
+    for node in forest:
+        width = len(ConstituentTree.from_root(node).tokens)
+        yield (node.label if isinstance(node, Internal) else node.word, k, k + width)
+        k += width
+
+
+def test_forest_from_built_follows_the_stack_and_ends_at_the_tree():
+    chains = 0
+    for tree in _chained_trees():
+        keys = [c.key for c in constituent_set(tree)]
+        chains += any(a[1:] == b[1:] for a, b in zip(keys, keys[1:]))
+        for strategy in (TOP_DOWN, IN_ORDER):
+            c = initial_config(tree.tokens, strategy)
+            for t in [None] + gold_sequence(tree, strategy):
+                if t is not None:
+                    c = apply(c, t)
+                forest = forest_from_built(c.tokens, c.built)
+                done = [e for e in c.stack if isinstance(e, Completed)]
+                assert list(_span_symbols(forest[: len(done)])) == [
+                    (e.symbol, e.l, e.r) for e in done
+                ]
+                assert forest[len(done) :] == [Leaf(w) for w in c.tokens[c.i :]]
+            assert is_terminal(c)
+            assert forest == [tree.root]
+    assert chains > 20

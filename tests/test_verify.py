@@ -22,7 +22,6 @@ from oracle_lab.verify import (
     _class_key,
     _exhaustive_graph,
     brute_force_loss,
-    check_config,
     default_alphabet,
     sweep,
 )
@@ -149,7 +148,7 @@ def test_brute_force_pop_budget(monkeypatch):
 def test_check_config_on_a_gold_prefix(example_tree):
     gold = GoldReference.from_tree(example_tree, TOP_DOWN)
     c = replay(example_tree, TOP_DOWN, "NT_S NT_NP SH SH RE")
-    assert check_config(c, gold, SearchBounds())
+    assert loss(c, gold).total == brute_force_loss(c, gold, SearchBounds())
 
 
 def test_brute_force_agrees_with_plain_reference_search():
