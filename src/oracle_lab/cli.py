@@ -16,14 +16,15 @@ from .oracle import GoldReference, loss
 from .transitions import (
     DEFAULT_NT_CAP,
     STRATEGIES,
+    TOP_DOWN,
     apply,
     initial_config,
 )
 from .trees import (
     TreeError,
+    check_derivable,
     gold_sequence,
     load_corpus,
-    max_nt_run,
     parse_bracketed,
     random_tree,
     save_corpus,
@@ -100,12 +101,11 @@ def cmd_check(args):
                 f"tree {idx}: {len(tree.tokens)} tokens exceeds"
                 f" --max-tokens {bounds.max_tokens}"
             )
-        run = max_nt_run(gold_sequence(tree, args.strategy))
-        if run > bounds.max_consecutive_nt:
-            raise ValueError(
-                f"tree {idx}: needs {run} consecutive NT transitions,"
-                f" over the cap of {bounds.max_consecutive_nt}"
-            )
+        if args.strategy == TOP_DOWN:
+            try:
+                check_derivable(tree, bounds.max_consecutive_nt)
+            except TreeError as e:
+                raise TreeError(f"tree {idx}: {e}") from None
     report = sweep(
         trees,
         args.strategy,

@@ -15,6 +15,7 @@ from .oracle import GoldReference, loss, optimal_transitions
 from .transitions import (
     Completed,
     DEFAULT_NT_CAP,
+    TOP_DOWN,
     apply,
     initial_config,
     is_terminal,
@@ -25,17 +26,16 @@ from .transitions import (
 from .trees import (
     ConstituentTree,
     Internal,
+    TreeError,
+    check_derivable,
     constituent_set,
     forest_from_built,
     gold_sequence,
-    max_nt_run,
 )
 
 FeatureVector = Counter
 
 MODEL_FORMAT = "oracle-lab-model v1"
-
-TRAIN_MODES = ("auto", "static", "dynamic")
 
 
 def _step_cap(n, nt_cap):
@@ -178,32 +178,26 @@ def train(
     policy: ExplorationPolicy,
     epochs: int = 10,
     seed: int = 0,
-    mode: str = "auto",
     audit=None,
 ) -> Model:
     """Train a greedy parser on gold trees.
 
-    Static mode follows the gold sequence; dynamic mode consults the oracle
-    at every visited configuration, updates toward its best-scoring optimal
-    transition, and explores the model's own mistake with probability
-    p_explore.  mode="auto" picks static iff p_explore == 0.  audit, if
-    given, is called with (sentence, step, config, target, loss_delta) at
-    every update opportunity.
+    With p_explore == 0 training is static: it follows the gold sequence.
+    Otherwise it is dynamic: it consults the oracle at every visited
+    configuration, updates toward its best-scoring optimal transition, and
+    explores the model's own mistake with probability p_explore.  audit,
+    if given, is called with (sentence, step, config, target, loss_delta)
+    at every dynamic update opportunity.
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    if mode not in TRAIN_MODES:
-        raise ValueError(f"mode must be one of {TRAIN_MODES}")
-    if mode == "auto":
-        mode = "static" if policy.p_explore == 0 else "dynamic"
     nt_cap = DEFAULT_NT_CAP
-    for idx, tree in enumerate(corpus):
-        run = max_nt_run(gold_sequence(tree, strategy))
-        if run > nt_cap:
-            raise ValueError(
-                f"tree {idx}: unary chain needs {run} consecutive NT"
-                f" transitions, over the cap of {nt_cap}"
-            )
+    if strategy == TOP_DOWN:
+        for idx, tree in enumerate(corpus):
+            try:
+                check_derivable(tree, nt_cap)
+            except TreeError as e:
+                raise TreeError(f"tree {idx}: {e}") from None
     alphabet = tuple(sorted({c.label for t in corpus for c in constituent_set(t)}))
     learner = _Learner()
     coin = random.Random(f"{policy.seed}|explore")
@@ -213,7 +207,7 @@ def train(
         random.Random(f"{seed}|shuffle|{epoch}").shuffle(order)
         for s_idx in order:
             tree = corpus[s_idx]
-            if mode == "static":
+            if policy.p_explore == 0:
                 _static_pass(tree, strategy, alphabet, learner, nt_cap)
             else:
                 _dynamic_pass(

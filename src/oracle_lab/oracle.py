@@ -1,5 +1,5 @@
-"""Dynamic oracles: constituent reachability, the decomposed loss, and the
-set of loss-preserving transitions.
+"""Dynamic oracles: the exact decomposed loss and the set of
+loss-preserving transitions.
 
 The loss of a configuration is the minimum Hamming distance, over all
 terminal configurations reachable from it, between the built constituent
@@ -13,7 +13,11 @@ For in-order each open NT is judged on its own, in closed form.  For
 top-down the open NTs interact through the nesting of their target spans,
 so the total is the wrong constituents already built plus the cheapest
 assignment of the open NTs to gold targets or junk, found by a memoised
-recursion over the stack (`_top_down_analysis`).
+recursion over the stack (`_top_down_analysis`).  Both are exact under
+any consecutive-NT cap, whether or not the cap can derive the gold tree.
+This loss is the only model of the future here: legality comes from
+`transitions`, and `optimal_transitions` keeps the legal moves that leave
+it unchanged.
 """
 
 from __future__ import annotations
@@ -23,11 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .transitions import (
-    IN_ORDER,
     TOP_DOWN,
     Completed,
     Configuration,
-    Constituent,
     OpenNT,
     apply,
     is_terminal,
@@ -46,6 +48,10 @@ class GoldReference:
         self.count = Counter(c.key for c in self.constituents)
         self.size = len(self.constituents)
         self.labels = tuple(sorted({c.label for c in self.constituents}))
+        # (gold spans starting at l, l) for every left end l, most first;
+        # top-down opens the spans at l back to back (_top_down_analysis)
+        starts = Counter(c.l for c in self.constituents)
+        self.starts = sorted(((k, l) for l, k in starts.items()), reverse=True)
 
     @classmethod
     def from_tree(cls, tree, strategy):
@@ -67,18 +73,6 @@ class LossBreakdown:
             self.false_open_nts,
             self.out_of_order,
         )
-
-
-def lis_length(ranks) -> int:
-    """Length of the longest strictly increasing subsequence, patience style."""
-    tails = []
-    for x in ranks:
-        k = bisect_left(tails, x)
-        if k == len(tails):
-            tails.append(x)
-        else:
-            tails[k] = x
-    return len(tails)
 
 
 def _check_strategies(config, gold):
@@ -103,19 +97,6 @@ def _rem_and_sunk(config: Configuration, gold: GoldReference):
     return rem, sunk
 
 
-def _slot_lefts(stack):
-    """In-order helpers: left end of the item directly below each open NT
-    (bottom to top), and the left end of the top item when it is completed."""
-    slots = []
-    for k, e in enumerate(stack):
-        if isinstance(e, OpenNT):
-            slots.append((stack[k - 1].l, e.label))
-    beta = None
-    if stack and isinstance(stack[-1], Completed):
-        beta = stack[-1].l
-    return slots, beta
-
-
 def _top_down_analysis(config, gold, rem):
     """Minimum future loss for top-down, by a memoised recursion over the
     open NTs from the bottom of the stack to the top.
@@ -128,7 +109,10 @@ def _top_down_analysis(config, gold, rem):
     Gold spans left of i survive only as such targets.  Spans starting
     exactly at i can still be opened fresh, limited by the consecutive-NT
     headroom, but only those ending at or before rho, the innermost target
-    end past i; the rest are lost.  Spans starting right of i are free.
+    end past i; the rest are lost.  Spans starting at some l right of i
+    are all opened back to back at l, after the shift that reaches it and
+    any reduces, so at most max_consecutive_nt of them can be built; the
+    surplus is lost.
 
     Pre-pass: an open NT with no target span at all is junk whatever the
     others do.  It is counted up front, as a false open, and left out of
@@ -227,7 +211,15 @@ def _top_down_analysis(config, gold, rem):
         return res
 
     cost, junk = best(0, n, n + 1, None, ())
-    return left_of_i + cost - junk, forced_junk, junk
+    # nothing built starts right of i, so all gold spans there remain
+    cap = config.max_consecutive_nt
+    capped = 0
+    for k, l in gold.starts:
+        if k <= cap:
+            break
+        if l > i:
+            capped += k - cap
+    return left_of_i + capped + cost - junk, forced_junk, junk
 
 
 def _in_order_analysis(config, gold, rem):
@@ -240,9 +232,19 @@ def _in_order_analysis(config, gold, rem):
     its label is the innermost gold at its slot, one loss otherwise.  Gold
     spans starting at the top item's left end are free via wraps, spans at
     or right of i are untouched, and everything else is unbuildable.
+
+    The consecutive-NT cap never binds: an NT needs a completed item on
+    top and leaves an open one, so two NTs are never consecutive and
+    nt_run never exceeds 1.
     """
     i = config.i
-    slots, beta = _slot_lefts(config.stack)
+    stack = config.stack
+    # the left end of the item directly below each open NT, bottom to top
+    slots = [
+        (stack[k - 1].l, e.label) for k, e in enumerate(stack) if type(e) is OpenNT
+    ]
+    # the top item's left end, when it is completed
+    beta = stack[-1].l if stack and type(stack[-1]) is Completed else None
     pools = {b: [] for b, _ in slots}
     lost = 0
     for (lab, l, r), cnt in rem.items():
@@ -271,18 +273,8 @@ def _in_order_analysis(config, gold, rem):
     return lost, fa, ooo
 
 
-def loss(
-    config: Configuration,
-    gold: GoldReference,
-    *,
-    count_out_of_order: bool = True,
-    count_false_open_nts: bool = True,
-) -> LossBreakdown:
-    """Minimum achievable Hamming loss from this configuration, decomposed.
-
-    The two count_* switches exist only to let the conformance suite prove
-    it can detect a broken oracle; leave them on.
-    """
+def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
+    """Minimum achievable Hamming loss from this configuration, decomposed."""
     _check_strategies(config, gold)
     rem, sunk = _rem_and_sunk(config, gold)
     if is_terminal(config) or config.finished:
@@ -291,69 +283,13 @@ def loss(
         unreachable, fa, ooo = _top_down_analysis(config, gold, rem)
     else:
         unreachable, fa, ooo = _in_order_analysis(config, gold, rem)
-    total = unreachable + sunk
-    if count_false_open_nts:
-        total += fa
-    if count_out_of_order:
-        total += ooo
     return LossBreakdown(
         unreachable=unreachable,
         false_constituents=sunk,
         false_open_nts=fa,
         out_of_order=ooo,
-        total=total,
+        total=unreachable + sunk + fa + ooo,
     )
-
-
-def reachable_constituents(config: Configuration, gold: GoldReference):
-    """Gold constituents that some completion of this configuration still
-    contains, taken one at a time (a pair may be jointly unbuildable even
-    though each member is reachable on its own).  Already built gold
-    constituents count as reachable."""
-    _check_strategies(config, gold)
-    built = Counter(c.key for c in config.built)
-    rem = gold.count - built
-    i, n = config.i, config.n
-
-    if config.strategy == TOP_DOWN:
-        stack = config.stack
-        sigmas = [e for e in stack if isinstance(e, OpenNT)]
-        top_completed = bool(stack) and isinstance(stack[-1], Completed)
-        E = i if top_completed else i + 1
-        push_ok = i < n and config.nt_run < config.max_consecutive_nt
-
-        def window_ok(t, r):
-            return r == n if t == 0 else E <= r <= n
-
-        def ok(lab, l, r):
-            if l > i:
-                return True
-            if l == i:
-                if push_ok:
-                    return True
-            return any(
-                s.label == lab and s.index == l and window_ok(t, r)
-                for t, s in enumerate(sigmas)
-            )
-
-    else:
-        slots, beta = _slot_lefts(config.stack)
-        slot_lefts = {b for b, _ in slots}
-
-        def ok(lab, l, r):
-            if l >= i:
-                return True
-            return (l in slot_lefts or l == beta) and r >= i
-
-    finished_dead = config.finished or is_terminal(config)
-    out = []
-    for c in gold.constituents:
-        have = min(built[c.key], gold.count[c.key])
-        if c.occ < have:
-            out.append(c)  # already built
-        elif not finished_dead and rem[c.key] > 0 and ok(*c.key):
-            out.append(c)
-    return out
 
 
 def optimal_transitions(config: Configuration, gold: GoldReference, label_alphabet=None):

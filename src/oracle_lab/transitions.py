@@ -171,10 +171,14 @@ def is_terminal(config: Configuration) -> bool:
 
 
 def _move_flags(config: Configuration):
-    """(finish, reduce, shift, nt) legality in one pass over the stack.
-    NT legality never depends on the label."""
-    if config.finished or is_terminal(config):
-        return False, False, False, False
+    """Why each of (finish, reduce, shift, nt) is illegal, in _KIND_ORDER's
+    order: None for a legal move, else the name of the failed side
+    condition.  One pass over the stack; NT legality never depends on the
+    label."""
+    if is_terminal(config):
+        return ("configuration is terminal",) * 4
+    if config.finished:
+        return ("finish flag already set",) * 4
     stack = config.stack
     top = stack[-1] if stack else None
     opens = 0
@@ -184,73 +188,53 @@ def _move_flags(config: Configuration):
     top_done = type(top) is Completed
     i = config.i
     n = config.n
-    room = config.nt_run < config.max_consecutive_nt
+    nt_ok = None
+    if config.nt_run >= config.max_consecutive_nt:
+        nt_ok = "consecutive non-terminal cap reached"
     if config.strategy == TOP_DOWN:
-        shift = i < n and opens > 0
-        nt_ok = i < n and room
-        red = opens > 0 and top_done and not (opens == 1 and i < n)
-        fin = False
+        if i >= n:
+            shift = "buffer exhausted"
+            nt_ok = "non-terminal opened on an empty buffer can never close"
+        elif opens:
+            shift = None
+        else:
+            shift = "no open non-terminal to attach the word to"
+        if not opens:
+            red = "no open non-terminal"
+        elif not top_done:
+            red = "nothing above the open non-terminal to reduce"
+        elif opens == 1 and i < n:
+            red = "closing the last open non-terminal would strand buffer words"
+        else:
+            red = None
+        fin = "finish is not part of the top-down system"
     else:
-        shift = i < n and (not stack or opens > 0)
-        nt_ok = top_done and room
-        red = opens > 0
-        fin = (
-            i == n
-            and len(stack) == 1
-            and top_done
-            and not top.is_word
-            and top.l == 0
-            and top.r == n
-        )
+        if i >= n:
+            shift = "buffer exhausted"
+        elif stack and not opens:
+            shift = "a second unattachable item would strand the parse"
+        else:
+            shift = None
+        if not top_done:
+            nt_ok = "no completed item below to serve as first child"
+        red = None if opens else "no open non-terminal"
+        if i < n:
+            fin = "buffer not empty"
+        elif len(stack) != 1 or not top_done or top.is_word:
+            fin = "stack is not a single completed constituent"
+        elif top.l != 0 or top.r != n:
+            fin = "constituent does not span the sentence"
+        else:
+            fin = None
     return fin, red, shift, nt_ok
 
 
 def _illegal_reason(config: Configuration, t: Transition):
     """None if t is legal, else the name of the failed side condition."""
-    if is_terminal(config):
-        return "configuration is terminal"
-    if config.finished:
-        return "finish flag already set"
-    fin, red, shift, nt_ok = _move_flags(config)
-    stack = config.stack
-    top = stack[-1] if stack else None
-    td = config.strategy == TOP_DOWN
-
-    if t.kind == "shift":
-        if shift:
-            return None
-        if config.i >= config.n:
-            return "buffer exhausted"
-        if td:
-            return "no open non-terminal to attach the word to"
-        return "a second unattachable item would strand the parse"
-    if t.kind == "nt":
-        if nt_ok:
-            return None
-        if td and config.i >= config.n:
-            return "non-terminal opened on an empty buffer can never close"
-        if not td and not isinstance(top, Completed):
-            return "no completed item below to serve as first child"
-        return "consecutive non-terminal cap reached"
-    if t.kind == "reduce":
-        if red:
-            return None
-        if not any(isinstance(e, OpenNT) for e in stack):
-            return "no open non-terminal"
-        if not isinstance(top, Completed):
-            return "nothing above the open non-terminal to reduce"
-        return "closing the last open non-terminal would strand buffer words"
-    if t.kind == "finish":
-        if fin:
-            return None
-        if td:
-            return "finish is not part of the top-down system"
-        if config.i < config.n:
-            return "buffer not empty"
-        if len(stack) != 1 or not isinstance(top, Completed) or top.is_word:
-            return "stack is not a single completed constituent"
-        return "constituent does not span the sentence"
-    return f"unknown transition kind {t.kind!r}"
+    k = _KIND_ORDER.get(t.kind)
+    if k is None:
+        return f"unknown transition kind {t.kind!r}"
+    return _move_flags(config)[k]
 
 
 def legal(config: Configuration, t: Transition) -> bool:
@@ -262,31 +246,20 @@ def legal_transitions(config: Configuration, label_alphabet):
     fixed tie-break order."""
     fin, red, shift, nt_ok = _move_flags(config)
     out = []
-    if fin:
+    if fin is None:
         out.append(FINISH)
-    if red:
+    if red is None:
         out.append(REDUCE)
-    if shift:
+    if shift is None:
         out.append(SHIFT)
-    if nt_ok:
+    if nt_ok is None:
         out.extend(nt(lab) for lab in sorted(label_alphabet))
     return out
 
 
 def apply(config: Configuration, t: Transition) -> Configuration:
-    fin, red, shift, nt_ok = _move_flags(config)
-    kind = t.kind
-    if kind == "shift":
-        ok = shift
-    elif kind == "nt":
-        ok = nt_ok
-    elif kind == "reduce":
-        ok = red
-    elif kind == "finish":
-        ok = fin
-    else:
-        ok = False
-    if not ok:
+    k = _KIND_ORDER.get(t.kind)
+    if k is None or _move_flags(config)[k] is not None:
         raise ValueError(f"illegal transition {t}: {_illegal_reason(config, t)}")
     return _construct(config, t)
 

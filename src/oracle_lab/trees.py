@@ -278,15 +278,15 @@ def max_nt_run(seq):
 
 
 def check_derivable(tree: ConstituentTree, cap=DEFAULT_NT_CAP):
-    """Reject trees whose gold derivation would exceed the consecutive-NT
-    cap under either strategy."""
-    for strategy in (TOP_DOWN, IN_ORDER):
-        run = max_nt_run(gold_sequence(tree, strategy))
-        if run > cap:
-            raise TreeError(
-                f"tree needs {run} consecutive non-terminal transitions"
-                f" ({strategy}), cap is {cap}"
-            )
+    """Reject trees whose top-down gold derivation would exceed the
+    consecutive-NT cap.  An in-order derivation never has two NTs in a
+    row, so the cap only binds top-down."""
+    run = max_nt_run(gold_sequence(tree, TOP_DOWN))
+    if run > cap:
+        raise TreeError(
+            f"top-down derivation needs {run} consecutive NT transitions,"
+            f" over the cap of {cap}"
+        )
     return tree
 
 

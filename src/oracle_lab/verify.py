@@ -37,15 +37,16 @@ WALK_POLICIES = ("gold-prefix", "random-walk", "exhaustive")
 class SearchBounds:
     max_tokens: int = 6
     max_consecutive_nt: int = 3
-    max_steps: int | None = None
     label_alphabet: tuple | None = None
 
     def __post_init__(self):
-        if self.max_steps is None:
-            # enough for any derivation plus a junk detour or two
-            self.max_steps = 10 * self.max_tokens + 20
-        if self.max_tokens < 1 or self.max_consecutive_nt < 1 or self.max_steps < 1:
+        if self.max_tokens < 1 or self.max_consecutive_nt < 1:
             raise ValueError("bounds must be positive")
+
+    @property
+    def max_steps(self):
+        # enough for any derivation plus a junk detour or two
+        return 10 * self.max_tokens + 20
 
 
 @dataclass
@@ -133,22 +134,15 @@ def _future_bound(config, rem):
     return h
 
 
-def brute_force_loss(
-    config,
-    gold: GoldReference,
-    bounds: SearchBounds,
-    cache=None,
-    *,
-    lower_bound=True,
-):
+def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=None):
     """Minimum Hamming loss over all terminal configurations reachable from
     config, found by best-first search over parser states.  States are
     keyed by the class of _class_key: stack shape with junk labels
     collapsed, buffer position and the multiset of gold constituents
     still missing; wrong constituents already built are a sunk cost added
     at the end.  The search itself never consults the closed-form loss;
-    with lower_bound it orders states by the mechanical bound of
-    _future_bound, which only prunes, never decides.
+    it orders states by the mechanical bound of _future_bound, which only
+    prunes, never decides.
 
     Raises RuntimeError if no terminal configuration is reachable, which
     would mean the legality guards admit dead states.
@@ -173,13 +167,12 @@ def brute_force_loss(
     if cache is not None and start_key in cache:
         return sunk0 + cache[start_key]
 
-    bound = _future_bound if lower_bound else (lambda c, rem: 0)
     # what was built so far never constrains the future, so drop it from
     # the searched states to keep them small
     start = replace(config, built=(), history=())
     dist = {start_key: 0}
     tie = 0
-    heap = [(bound(start, rem0), 0, 0, start_key, start, rem0)]
+    heap = [(_future_bound(start, rem0), 0, 0, start_key, start, rem0)]
     best = math.inf
     pops = 0
     while heap:
@@ -223,7 +216,7 @@ def brute_force_loss(
                 dist[k2] = nd
                 tie += 1
                 heapq.heappush(
-                    heap, (nd + bound(c2, rem2), tie, nd, k2, c2, rem2)
+                    heap, (nd + _future_bound(c2, rem2), tie, nd, k2, c2, rem2)
                 )
     if math.isinf(best):
         raise RuntimeError(
@@ -402,7 +395,12 @@ def sweep(
     seed: int = 0,
     walks: int = 5,
 ) -> ConformanceReport:
-    """Check formula loss against brute force on every visited configuration."""
+    """Check formula loss against brute force on every visited configuration.
+
+    The trees need not be derivable under bounds.max_consecutive_nt: the
+    loss is exact under any cap, and a gold span the cap cannot build is
+    lost on both sides.  Only the gold-prefix policy replays the gold
+    derivation, so only it needs a derivable tree."""
     if walk_policy not in WALK_POLICIES:
         raise ValueError(f"unknown policy {walk_policy!r}")
     bounds = bounds or SearchBounds()
@@ -411,12 +409,7 @@ def sweep(
     for idx, tree in enumerate(corpus):
         gold = GoldReference.from_tree(tree, strategy)
         alphabet = bounds.label_alphabet or default_alphabet(gold)
-        local = SearchBounds(
-            max_tokens=bounds.max_tokens,
-            max_consecutive_nt=bounds.max_consecutive_nt,
-            max_steps=bounds.max_steps,
-            label_alphabet=alphabet,
-        )
+        local = replace(bounds, label_alphabet=alphabet)
         if walk_policy == "exhaustive":
             reps, sunk_of, edges, term = _exhaustive_graph(
                 tree, gold, strategy, local, alphabet

@@ -141,18 +141,18 @@ def test_zero_weights_are_not_saved(tmp_path):
 def test_train_rejects_bad_input():
     with pytest.raises(ValueError, match="empty training corpus"):
         train([], TOP_DOWN, ExplorationPolicy())
-    corpus = synthetic_corpus(2, ["X"], seed=0)
-    with pytest.raises(ValueError, match="mode must be one of"):
-        train(corpus, TOP_DOWN, ExplorationPolicy(), mode="offline")
 
 
 def test_train_rejects_underivable_trees():
     chain = parse_bracketed("(A (B (C (D (E (F (G (H (J (X w0 w1))))))))))")
     with pytest.raises(
         ValueError,
-        match="unary chain needs 10 consecutive NT transitions, over the cap of 8",
+        match="tree 0: top-down derivation needs 10 consecutive NT transitions,"
+        " over the cap of 8",
     ):
         train([chain], TOP_DOWN, ExplorationPolicy(), epochs=1)
+    # in-order never opens two NTs in a row, so the cap does not bind
+    train([chain], IN_ORDER, ExplorationPolicy(), epochs=1)
 
 
 def test_training_is_deterministic():
@@ -161,13 +161,6 @@ def test_training_is_deterministic():
     b = train(corpus, IN_ORDER, ExplorationPolicy(p_explore=0.2, seed=4), epochs=2)
     assert a.weights == b.weights
     assert a.label_alphabet == b.label_alphabet == ("X", "Y")
-
-
-def test_auto_mode_is_static_without_exploration():
-    corpus = synthetic_corpus(6, ["X", "Y"], seed=2)
-    a = train(corpus, TOP_DOWN, ExplorationPolicy(p_explore=0.0), epochs=2, mode="auto")
-    b = train(corpus, TOP_DOWN, ExplorationPolicy(p_explore=0.0), epochs=2, mode="static")
-    assert a.weights == b.weights
 
 
 def test_dynamic_updates_never_target_loss_increasing_moves():

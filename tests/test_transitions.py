@@ -203,6 +203,8 @@ def test_random_walks_never_strand(t, seed, strategy):
         c = apply(c, rng.choice(moves))
         assert 0 <= c.i <= c.n
         assert c.nt_run <= c.max_consecutive_nt
+        if strategy == IN_ORDER:
+            assert c.nt_run <= 1  # an in-order NT needs a completed item on top
     if is_terminal(c):
         assert legal_transitions(c, ["X", "Y"]) == []
 

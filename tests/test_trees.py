@@ -211,7 +211,11 @@ def test_check_derivable_rejects_deep_chains():
     text = "(A (B (C (D w0 w1))))"
     t = parse_bracketed(text)
     assert max_nt_run(gold_sequence(t, TOP_DOWN)) == 4
-    with pytest.raises(TreeError, match="consecutive non-terminal"):
+    with pytest.raises(
+        TreeError,
+        match="top-down derivation needs 4 consecutive NT transitions,"
+        " over the cap of 3",
+    ):
         check_derivable(t, cap=3)
     assert check_derivable(t, cap=4) is t
 

@@ -176,18 +176,6 @@ def test_brute_force_agrees_with_plain_reference_search():
     assert checked > 200
 
 
-def test_lower_bound_is_only_a_speedup():
-    for strategy in (TOP_DOWN, IN_ORDER):
-        tree = random_tree(3, ["X", "Y"], 3)
-        gold = GoldReference.from_tree(tree, strategy)
-        bounds = SearchBounds(label_alphabet=("X", "Y"))
-        for seed in range(4):
-            for c in _walk_configs(tree, strategy, ("X", "Y"), seed, steps=14):
-                fast = brute_force_loss(c, gold, bounds, {}, lower_bound=True)
-                slow = brute_force_loss(c, gold, bounds, {}, lower_bound=False)
-                assert fast == slow
-
-
 def test_incremental_class_keys_match_recomputation():
     for strategy in (TOP_DOWN, IN_ORDER):
         for tree in list(enumerate_trees(2, ["X", "Y"]))[:9]:
