@@ -310,20 +310,7 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
         )
 
     # reduce
-    stack = config.stack
-    k = len(stack) - 1
-    while type(stack[k]) is not OpenNT:
-        k -= 1
-    label = stack[k].label
-    # the first child: below the open NT in-order, above it top-down
-    if config.strategy == IN_ORDER:
-        rest = stack[: k - 1]
-        l = stack[k - 1].l
-    else:
-        rest = stack[:k]
-        l = stack[k + 1].l
-    # an in-order unary wrap has the open NT itself on top
-    r = stack[-1].r if k < len(stack) - 1 else stack[k - 1].r
+    cut, label, l, r = _reduce_target(config.stack, config.strategy)
     occ = 0
     for c in config.built:
         if c.label == label and c.l == l and c.r == r:
@@ -333,7 +320,7 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
     return Configuration(
         config.strategy,
         config.tokens,
-        rest + (item,),
+        config.stack[:cut] + (item,),
         config.i,
         config.finished,
         config.built + (made,),
@@ -341,6 +328,26 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
         hist,
         config.max_consecutive_nt,
     )
+
+
+def _reduce_target(stack, strategy):
+    """What a reduce on stack builds: (cut, label, l, r).  The topmost open
+    NT closes as a constituent labelled label over tokens [l, r), which
+    replaces stack[cut:].  Legality is not checked: the stack must hold an
+    open NT with its first child in place."""
+    k = len(stack) - 1
+    while type(stack[k]) is not OpenNT:
+        k -= 1
+    # the first child: below the open NT in-order, above it top-down
+    if strategy == IN_ORDER:
+        cut = k - 1
+        l = stack[k - 1].l
+    else:
+        cut = k
+        l = stack[k + 1].l
+    # an in-order unary wrap has the open NT itself on top
+    r = stack[-1].r if k < len(stack) - 1 else stack[k - 1].r
+    return cut, stack[k].label, l, r
 
 
 def fingerprint(config: Configuration):

@@ -7,11 +7,11 @@ evidence, not circularity.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
 import time
-from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 
 from .oracle import GoldReference, loss
@@ -20,6 +20,7 @@ from .transitions import (
     Completed,
     OpenNT,
     _construct,
+    _reduce_target,
     apply,
     fingerprint,
     initial_config,
@@ -54,6 +55,12 @@ class ConformanceReport:
     configs_checked: int = 0
     mismatches: list = field(default_factory=list)
     elapsed: float = 0.0
+    # exhaustive policy only: state-graph size, the time spent building it
+    # and its shortest paths, and the time spent checking the formula
+    classes: int = 0
+    edges: int = 0
+    graph_s: float = 0.0
+    formula_s: float = 0.0
 
     @property
     def passed(self):
@@ -65,6 +72,11 @@ class ConformanceReport:
             f"{status}: {self.configs_checked} configurations checked,"
             f" {len(self.mismatches)} mismatches, {self.elapsed:.2f}s"
         ]
+        if self.classes:
+            lines.append(
+                f"  state graph: {self.classes} classes, {self.edges} edges,"
+                f" graph {self.graph_s:.2f}s, formula {self.formula_s:.2f}s"
+            )
         for fp, formula, brute in self.mismatches[:20]:
             lines.append(f"  mismatch: formula={formula} brute={brute} at {fp}")
         if len(self.mismatches) > 20:
@@ -295,95 +307,141 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     with identical future behavior (see _class_key); class members differ
     beyond that only in junk already built, a sunk constant.
 
-    Returns (representatives, sunk junk per representative, weighted
-    edges, missed-gold count per terminal state).  Edge weights follow
-    the same rule as the per-config search: a reduce that completes a
-    constituent outside the missing multiset costs 1, everything else
-    costs 0.  Item keys, the missing multiset and the sunk count are
-    maintained incrementally along edges; _class_key recomputed from
-    scratch agrees (the suite asserts this).
+    Classes are numbered 0, 1, ... in breadth-first discovery order, class
+    0 holding the initial configuration.  Returns (keys, reps, sunk_of,
+    back, terminal_pen), the first four lists indexed by class id:
+    keys[id] is the class key, reps[id] its first-found configuration,
+    sunk_of[id] the junk that representative has built, and back[id] one
+    (predecessor id, weight) pair per legal move into the class.
+    terminal_pen lists (id, missed gold count) for every terminal class.
+    Edge weights follow the same rule as the per-config search: a reduce
+    that completes a constituent outside the missing multiset costs 1,
+    everything else costs 0.
+
+    A successor's key is derived from its parent's key and the move alone
+    (a reduce's constituent from transitions._reduce_target), so a move
+    into a class already found builds nothing; _construct runs once per
+    class, for its representative.  _class_key recomputed from scratch
+    agrees with every derived key (the suite asserts this per edge).  Each
+    distinct missing multiset gets one frozenset, and each gold reduce
+    from it is worked out once.  The cyclic collector is paused while the
+    graph grows, since none of it is garbage, and restored as it was.
     """
     start = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
     word_kind = "c" if strategy == TOP_DOWN else "w"
     rem0 = dict(gold.count)
-    labels0 = frozenset(k[0] for k in rem0)
-    key0 = ((), 0, False, 0, frozenset(rem0.items()))
-    reps = {key0: start}
-    sunk_of = {key0: 0}
-    edges = []
-    terminal_pen = {}
-    queue = deque([(key0, start, (), rem0, key0[4], labels0, 0)])
-    while queue:
-        key, c, items, rem, rkey, rlabels, sunk = queue.popleft()
-        if is_terminal(c):
-            terminal_pen[key] = sum(rem.values())
-            continue
-        for t in legal_transitions(c, alphabet):
-            c2 = _construct(c, t)
-            kind = t.kind
-            w = 0
-            rem2, rkey2, rlabels2 = rem, rkey, rlabels
-            if kind == "shift":
-                items2 = items + ((word_kind, c.i, c.i + 1),)
-            elif kind == "nt":
-                lab = t.label if t.label in rlabels else "*"
-                items2 = items + (("o", lab, c.i),)
-            elif kind == "finish":
-                items2 = items
-            else:
-                top = c2.stack[-1]
-                made = (top.symbol, top.l, top.r)
-                cnt = rem.get(made, 0)
-                items2 = items[: len(c2.stack) - 1] + (("c", top.l, top.r),)
-                if cnt:
-                    rem2 = dict(rem)
-                    if cnt == 1:
-                        del rem2[made]
-                    else:
-                        rem2[made] = cnt - 1
-                    rkey2 = frozenset(rem2.items())
-                    if cnt == 1 and all(k[0] != made[0] for k in rem2):
-                        rlabels2 = rlabels - {made[0]}
-                        items2 = tuple(
-                            it if it[0] != "o" or it[1] in rlabels2
-                            else ("o", "*", it[2])
-                            for it in items2
-                        )
+    rkey0 = frozenset(rem0.items())
+    # missing frozenset -> (that frozenset, its dict, the labels it holds);
+    # the first entry makes every class key share one frozenset per multiset
+    rem_info = {rkey0: (rkey0, rem0, frozenset(k[0] for k in rem0))}
+    gold_step = {}  # (missing frozenset, gold constituent) -> the one after
+    key0 = ((), 0, False, 0, rkey0)
+    ids = {key0: 0}
+    keys = [key0]
+    reps = [start]
+    sunk_of = [0]
+    back = [[]]
+    terminal_pen = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a = 0
+        while a < len(keys):
+            c = reps[a]
+            items, i, finished, nt_run, rkey = keys[a]
+            _, rem, rlabels = rem_info[rkey]
+            if is_terminal(c):
+                terminal_pen.append((a, sum(rem.values())))
+                a += 1
+                continue
+            sunk = sunk_of[a]
+            for t in legal_transitions(c, alphabet):
+                kind = t.kind
+                w = 0
+                if kind == "shift":
+                    k2 = (items + ((word_kind, i, i + 1),), i + 1, finished, 0, rkey)
+                elif kind == "nt":
+                    lab = t.label if t.label in rlabels else "*"
+                    k2 = (items + (("o", lab, i),), i, finished, nt_run + 1, rkey)
+                elif kind == "finish":
+                    k2 = (items, i, True, 0, rkey)
                 else:
-                    w = 1
-            k2 = (items2, c2.i, c2.finished, c2.nt_run, rkey2)
-            edges.append((key, k2, w))
-            if k2 not in reps:
-                reps[k2] = c2
-                sunk_of[k2] = sunk + w
-                queue.append((k2, c2, items2, rem2, rkey2, rlabels2, sunk + w))
-    return reps, sunk_of, edges, terminal_pen
+                    cut, label, l, r = _reduce_target(c.stack, strategy)
+                    items2 = items[:cut] + (("c", l, r),)
+                    made = (label, l, r)
+                    rkey2 = rkey
+                    if made in rem:
+                        step = (rkey, made)
+                        rkey2 = gold_step.get(step)
+                        if rkey2 is None:
+                            rem2 = dict(rem)
+                            if rem2[made] == 1:
+                                del rem2[made]
+                            else:
+                                rem2[made] -= 1
+                            rkey2 = frozenset(rem2.items())
+                            info = rem_info.get(rkey2)
+                            if info is None:
+                                labels2 = frozenset(k[0] for k in rem2)
+                                info = rem_info[rkey2] = (rkey2, rem2, labels2)
+                            rkey2 = gold_step[step] = info[0]
+                        rlabels2 = rem_info[rkey2][2]
+                        if label not in rlabels2:
+                            items2 = tuple(
+                                it if it[0] != "o" or it[1] in rlabels2
+                                else ("o", "*", it[2])
+                                for it in items2
+                            )
+                    else:
+                        w = 1
+                    k2 = (items2, i, finished, 0, rkey2)
+                b = ids.get(k2)
+                if b is None:
+                    b = ids[k2] = len(keys)
+                    keys.append(k2)
+                    reps.append(_construct(c, t))
+                    sunk_of.append(sunk + w)
+                    back.append([])
+                back[b].append((a, w))
+            a += 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return keys, reps, sunk_of, back, terminal_pen
 
 
-def _batch_future(edges, terminal_pen):
-    """Minimum future cost (junk reduces plus missed gold) for every state
-    at once: one backward Dijkstra over the reversed edges, seeded with the
-    terminal states' missed-gold counts."""
-    back = defaultdict(list)
-    for a, b, w in edges:
-        back[b].append((a, w))
-    dist = dict(terminal_pen)
-    tie = 0
-    heap = []
-    for k, d in terminal_pen.items():
-        heap.append((d, tie, k))
-        tie += 1
-    heapq.heapify(heap)
-    while heap:
-        d, _, k = heapq.heappop(heap)
-        if d > dist.get(k, math.inf):
-            continue
-        for a, w in back[k]:
-            nd = d + w
-            if nd < dist.get(a, math.inf):
-                dist[a] = nd
-                tie += 1
-                heapq.heappush(heap, (nd, tie, a))
+def _batch_future(back, terminal_pen):
+    """Minimum future cost (junk reduces plus missed gold) of every class at
+    once: one backward shortest-path search over back, the reverse
+    adjacency of _exhaustive_graph, seeded with the terminal classes'
+    missed-gold counts.  Weights are 0 or 1 and the seeds small
+    non-negative ints, so a bucket queue (Dial's algorithm) replaces a
+    heap: bucket d holds classes found at cost d, a class is settled the
+    first time it is taken out, and a 0-weight edge appends to the bucket
+    being scanned.  Returns a list indexed by class id, None where no
+    terminal class is reachable."""
+    dist = [None] * len(back)
+    buckets = []
+    for k, p in terminal_pen:
+        while len(buckets) <= p:
+            buckets.append([])
+        buckets[p].append(k)
+    d = 0
+    while d < len(buckets):
+        bucket = buckets[d]
+        for k in bucket:
+            if dist[k] is not None:
+                continue
+            dist[k] = d
+            for a, w in back[k]:
+                if dist[a] is None:
+                    if w:
+                        if d + 1 == len(buckets):
+                            buckets.append([])
+                        buckets[d + 1].append(a)
+                    else:
+                        bucket.append(a)
+        d += 1
     return dist
 
 
@@ -411,21 +469,27 @@ def sweep(
         alphabet = bounds.label_alphabet or default_alphabet(gold)
         local = replace(bounds, label_alphabet=alphabet)
         if walk_policy == "exhaustive":
-            reps, sunk_of, edges, term = _exhaustive_graph(
+            t1 = time.perf_counter()
+            _, reps, sunk_of, back, term = _exhaustive_graph(
                 tree, gold, strategy, local, alphabet
             )
-            future = _batch_future(edges, term)
-            for key, c in reps.items():
-                if key not in future:
+            future = _batch_future(back, term)
+            t2 = time.perf_counter()
+            report.graph_s += t2 - t1
+            report.classes += len(reps)
+            report.edges += sum(map(len, back))
+            for c, sunk, fut in zip(reps, sunk_of, future):
+                if fut is None:
                     raise RuntimeError(
                         "no terminal configuration reachable from"
                         f" {fingerprint(c)}; the legality guards are suspect"
                     )
                 formula = loss(c, gold).total
-                brute = sunk_of[key] + future[key]
+                brute = sunk + fut
                 report.configs_checked += 1
                 if formula != brute:
                     report.mismatches.append((str(fingerprint(c)), formula, brute))
+            report.formula_s += time.perf_counter() - t2
             continue
         if walk_policy == "gold-prefix":
             configs = _gold_prefix_configs(tree, strategy, local)

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from oracle_lab.oracle import GoldReference, loss
 from oracle_lab.transitions import (
     IN_ORDER,
     TOP_DOWN,
+    _construct,
     apply,
     fingerprint,
     initial_config,
@@ -19,6 +21,7 @@ from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, ra
 from oracle_lab.verify import (
     ConformanceReport,
     SearchBounds,
+    _batch_future,
     _class_key,
     _exhaustive_graph,
     brute_force_loss,
@@ -176,24 +179,127 @@ def test_brute_force_agrees_with_plain_reference_search():
     assert checked > 200
 
 
+def _missing_and_sunk(config, gold):
+    rem = Counter(gold.count)
+    sunk = 0
+    for x in config.built:
+        if rem[x.key] > 0:
+            rem[x.key] -= 1
+        else:
+            sunk += 1
+    return dict(+rem), sunk
+
+
 def test_incremental_class_keys_match_recomputation():
     for strategy in (TOP_DOWN, IN_ORDER):
         for tree in list(enumerate_trees(2, ["X", "Y"]))[:9]:
             gold = GoldReference.from_tree(tree, strategy)
             bounds = SearchBounds(label_alphabet=("X", "Y"))
-            reps, sunk_of, _, _ = _exhaustive_graph(
+            keys, reps, sunk_of, _, _ = _exhaustive_graph(
                 tree, gold, strategy, bounds, ("X", "Y")
             )
-            for key, c in reps.items():
-                rem = Counter(gold.count)
-                sunk = 0
-                for x in c.built:
-                    if rem[x.key] > 0:
-                        rem[x.key] -= 1
-                    else:
-                        sunk += 1
-                assert _class_key(c, dict(+rem)) == key
-                assert sunk_of[key] == sunk
+            assert len(set(keys)) == len(keys) == len(reps) == len(sunk_of)
+            for key, c, sunk in zip(keys, reps, sunk_of):
+                rem, want_sunk = _missing_and_sunk(c, gold)
+                assert _class_key(c, rem) == key
+                assert sunk == want_sunk
+
+
+def test_every_edge_leads_to_the_class_of_the_built_successor():
+    """Moves into a known class build no configuration, so a wrongly
+    derived key would silently merge two classes.  Per representative and
+    legal move, the edge must reach the class of the successor built and
+    keyed from scratch, with the search's weight."""
+    alphabet = ("X", "Y")
+    bounds = SearchBounds(label_alphabet=alphabet)
+    sample = [t for n in (1, 2) for t in enumerate_trees(n, list(alphabet))]
+    sample += list(enumerate_trees(3, list(alphabet)))[::27]
+    edges = 0
+    for strategy in (TOP_DOWN, IN_ORDER):
+        for tree in sample:
+            gold = GoldReference.from_tree(tree, strategy)
+            keys, reps, _, back, term = _exhaustive_graph(
+                tree, gold, strategy, bounds, alphabet
+            )
+            ids = {k: a for a, k in enumerate(keys)}
+            out = [Counter() for _ in keys]
+            for b, preds in enumerate(back):
+                for a, w in preds:
+                    out[a][b, w] += 1
+            for a, c in enumerate(reps):
+                rem, _ = _missing_and_sunk(c, gold)
+                want = Counter()
+                for t in legal_transitions(c, alphabet):
+                    c2 = _construct(c, t)
+                    rem2 = dict(rem)
+                    w = 0
+                    if t.kind == "reduce":
+                        made = c2.built[-1].key
+                        if made in rem2:
+                            rem2[made] -= 1
+                            rem2 = {k: v for k, v in rem2.items() if v}
+                        else:
+                            w = 1
+                    want[ids[_class_key(c2, rem2)], w] += 1
+                assert out[a] == want, fingerprint(c)
+                edges += sum(want.values())
+            assert sorted(a for a, _ in term) == [
+                a for a, c in enumerate(reps) if is_terminal(c)
+            ]
+    assert edges > 150_000
+
+
+def test_graph_futures_match_the_best_first_search():
+    """The bucket-queue shortest paths and brute_force_loss are the two
+    brute-force answers; they must agree on every class, with no call to
+    the formula."""
+    alphabet = ("X", "Y")
+    bounds = SearchBounds(label_alphabet=alphabet)
+    checked = 0
+    for strategy in (TOP_DOWN, IN_ORDER):
+        for tree in [t for n in (1, 2) for t in enumerate_trees(n, list(alphabet))]:
+            gold = GoldReference.from_tree(tree, strategy)
+            _, reps, sunk_of, back, term = _exhaustive_graph(
+                tree, gold, strategy, bounds, alphabet
+            )
+            future = _batch_future(back, term)
+            for c, sunk, fut in zip(reps, sunk_of, future):
+                assert sunk + fut == brute_force_loss(c, gold, bounds)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_batch_future_is_a_shortest_path_over_0_1_weights():
+    # 0 <-1- 1 <-0- 2 (terminal, 3 missed); 0 <-1- 3 (terminal, 0 missed);
+    # 4 reaches nothing
+    back = [[], [(0, 1)], [(1, 0)], [(0, 1)], []]
+    assert _batch_future(back, [(2, 3), (3, 0)]) == [1, 3, 3, 0, None]
+    assert _batch_future(back, [(2, 0)]) == [1, 0, 0, None, None]
+    assert _batch_future([[]], []) == [None]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_exhaustive_sweep_restores_the_collector_state(monkeypatch, enabled):
+    corpus = list(enumerate_trees(2, ["X"]))
+    bounds = SearchBounds(max_tokens=2, label_alphabet=("X", "Y"))
+    seen = []
+
+    def failing_legal_transitions(config, alphabet):
+        seen.append(gc.isenabled())
+        raise RuntimeError("legality failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert sweep(corpus, IN_ORDER, bounds, walk_policy="exhaustive").passed
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(verify_mod, "legal_transitions", failing_legal_transitions)
+        with pytest.raises(RuntimeError, match="legality failed"):
+            sweep(corpus, IN_ORDER, bounds, walk_policy="exhaustive")
+        assert gc.isenabled() is enabled
+        assert seen == [False]  # paused while the graph was built
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_sweep_gold_prefix_policy(example_tree):
@@ -213,6 +319,9 @@ def test_sweep_exhaustive_policy_small():
         )
         assert report.passed
         assert report.configs_checked > len(corpus)
+        assert report.classes == report.configs_checked
+        assert report.edges >= report.classes - len(corpus)
+        assert report.graph_s > 0 and report.formula_s > 0
 
 
 def test_sweep_random_walks_are_deterministic():
@@ -232,6 +341,15 @@ def test_report_summary_formats():
     r = ConformanceReport(configs_checked=5)
     assert r.passed
     assert r.summary().startswith("PASS: 5 configurations checked")
+    assert len(r.summary().splitlines()) == 1
+    r = ConformanceReport(
+        configs_checked=5, classes=5, edges=7, graph_s=0.5, formula_s=0.25
+    )
+    first, second = r.summary().splitlines()
+    assert first.startswith("PASS: 5 configurations checked")
+    assert second == (
+        "  state graph: 5 classes, 7 edges, graph 0.50s, formula 0.25s"
+    )
     r.mismatches.append(("state", 1, 2))
     assert not r.passed
     assert "FAIL" in r.summary()
