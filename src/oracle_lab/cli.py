@@ -272,9 +272,6 @@ def main(argv=None) -> int:
     except (TreeError, ValueError, OSError) as e:
         print(f"oracle-lab: {e}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("oracle-lab: input nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ stacked in an order that forfeits one gold constituent each.
 For in-order each open NT is judged on its own, in closed form.  For
 top-down the open NTs interact through the nesting of their target spans,
 so the total is the wrong constituents already built plus the cheapest
-assignment of the open NTs to gold targets or junk, found by a memoised
-recursion over the stack (`_top_down_analysis`).  Both are exact under
-any consecutive-NT cap, whether or not the cap can derive the gold tree.
-This loss is the only model of the future here: legality comes from
+assignment of the open NTs to gold targets or junk, found by one forward
+pass over the stack, bottom to top (`_top_down_analysis`).  Both are exact
+under any consecutive-NT cap, whether or not the cap can derive the gold
+tree.  This loss is the only model of the future here: legality comes from
 `transitions`, and `optimal_transitions` keeps the legal moves that leave
 it unchanged.
 """
@@ -41,21 +41,18 @@ from .trees import constituent_set
 class GoldReference:
     """Gold constituent multiset for one tree under one strategy."""
 
-    def __init__(self, strategy, n, constituents):
+    def __init__(self, strategy, constituents):
         self.strategy = strategy
-        self.n = n
-        self.constituents = tuple(constituents)
-        self.count = Counter(c.key for c in self.constituents)
-        self.size = len(self.constituents)
-        self.labels = tuple(sorted({c.label for c in self.constituents}))
+        self.count = Counter(c.key for c in constituents)
+        self.labels = tuple(sorted({c.label for c in constituents}))
         # (gold spans starting at l, l) for every left end l, most first;
         # top-down opens the spans at l back to back (_top_down_analysis)
-        starts = Counter(c.l for c in self.constituents)
+        starts = Counter(c.l for c in constituents)
         self.starts = sorted(((k, l) for l, k in starts.items()), reverse=True)
 
     @classmethod
     def from_tree(cls, tree, strategy):
-        return cls(strategy, tree.n, constituent_set(tree))
+        return cls(strategy, constituent_set(tree))
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ def _rem_and_sunk(config: Configuration, gold: GoldReference):
 
 
 def _top_down_analysis(config, gold, rem):
-    """Minimum future loss for top-down, by a memoised recursion over the
-    open NTs from the bottom of the stack to the top.
+    """Minimum future loss for top-down, by one forward pass over the open
+    NTs from the bottom of the stack to the top.
 
     Each open NT closes either on a gold target span with its label and left
     index, or as junk (one loss) on a span that never crosses a kept gold
@@ -118,18 +115,23 @@ def _top_down_analysis(config, gold, rem):
     others do.  It is counted up front, as a false open, and left out of
     the search.  The search gives each remaining open, bottom to top,
     either junk (one loss, counted as out of order) or a target end.  Its
-    state at the next open is (open position, nesting bound, rho,
-    plateau): the bound is the last target end, and the plateau is the
-    labels matched at the bound with the next open's left index, so a gold
-    span occurring several times is never matched more often than it
-    remains.  A match left of i saves that span's loss.  A match at i
-    undercut by a later smaller end saves the loss of a span past rho,
-    credited at that moment; the matches at i at the final rho are taken
-    off the fresh pushes instead.
+    state after an open is (nesting bound, rho, plateau): the bound is the
+    last target end, and the plateau is the labels matched at the bound
+    with that open's left index, so a gold span occurring several times is
+    never matched more often than it remains; an open with another left
+    index starts from an empty plateau.  A match left of i saves that
+    span's loss.  A match at i undercut by a later smaller end saves the
+    loss of a span past rho, credited at that moment; the matches at i at
+    the final rho are taken off the fresh pushes instead.
 
-    Options are tried junk first, then target ends ascending, and an option
-    replaces the best so far only if it is strictly cheaper.  Among
-    assignments of equal loss the first in that order wins, which fixes the
+    The pass keeps, per state, the cost and junk count of the cheapest
+    assignment of the opens so far.  Each state, in the dict's order, tries
+    junk first, then target ends ascending; an arrival replaces a state's
+    entry only if strictly cheaper, and then moves to the dict's end.  So
+    the dict stays in the order of its assignments, read as sequences of
+    those choices, and each entry is the first cheapest way into its state.
+    The answer is the first state whose cost plus the terminal term is
+    least: the first cheapest assignment in that order.  This fixes the
     split between unreachable spans and out-of-order junk.
     """
     i, n = config.i, config.n
@@ -173,44 +175,46 @@ def _top_down_analysis(config, gold, rem):
             if r > i and r not in far:
                 far[r] = sum(c for e, c in at_i.items() if e > r)
     forced_junk = opens - len(searched)
-    K = len(searched)
 
-    memo = {}
+    # (bound, rho, plateau) -> (cost, junk) of the first cheapest assignment
+    # of the opens so far, with cost relative to losing every remaining span
+    # left of i; the dict is in the order of those assignments
+    layer = {(n, n + 1, ()): (0, 0)}
+    pl = None  # left index of the previous searched open
+    for lab, idx, opts in searched:
+        nxt = {}
+        for (bound, rho, used), (cost, junk) in layer.items():
+            if pl != idx:
+                used = ()
+            moves = [((bound, rho, used), cost + 1, junk + 1)]
+            for r in opts:
+                if r > bound:
+                    break
+                if r == bound:
+                    if used.count(lab) >= rem[(lab, idx, r)]:
+                        continue
+                    plateau = tuple(sorted(used + (lab,)))
+                    credit = 0
+                else:
+                    plateau = (lab,)
+                    credit = len(used) if idx == i else 0
+                state = (r, r if r > i else rho, plateau)
+                moves.append((state, cost - credit - (idx < i), junk))
+            for state, c, j in moves:
+                seen = nxt.get(state)
+                if seen is None or c < seen[0]:
+                    nxt.pop(state, None)
+                    nxt[state] = (c, j)
+        layer = nxt
+        pl = idx
 
-    def best(t, bound, rho, pl, used):
-        """(cost, junk) of the first cheapest assignment of opens t.., with
-        cost relative to losing every remaining span left of i."""
-        if t == K:
-            pushes = pending - far[rho] - (len(used) if pl == i else 0)
-            return far[rho] + max(0, pushes - avail), 0
-        lab, idx, opts = searched[t]
-        if pl != idx:
-            used = ()
-        key = (t, bound, rho, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cost, junk = best(t + 1, bound, rho, idx, used)
-        res = (cost + 1, junk + 1)
-        for r in opts:
-            if r > bound:
-                break
-            if r == bound:
-                if used.count(lab) >= rem[(lab, idx, r)]:
-                    continue
-                nxt = tuple(sorted(used + (lab,)))
-                credit = 0
-            else:
-                nxt = (lab,)
-                credit = len(used) if idx == i else 0
-            cost, junk = best(t + 1, r, r if r > i else rho, idx, nxt)
-            cost -= credit + (idx < i)
-            if cost < res[0]:
-                res = (cost, junk)
-        memo[key] = res
-        return res
-
-    cost, junk = best(0, n, n + 1, None, ())
+    best = None
+    for (_, rho, used), (cost, junk) in layer.items():
+        pushes = pending - far[rho] - (len(used) if pl == i else 0)
+        cost += far[rho] + max(0, pushes - avail)
+        if best is None or cost < best[0]:
+            best = (cost, junk)
+    cost, junk = best
     # nothing built starts right of i, so all gold spans there remain
     cap = config.max_consecutive_nt
     capped = 0

@@ -73,16 +73,11 @@ def transition_order_key(t: Transition):
 
 @dataclass(frozen=True, slots=True)
 class Constituent:
-    """Labeled span over the token sequence, occ disambiguates duplicates.
-
-    occ is assigned bottom-up: the innermost of several identical
-    (label, l, r) triples gets occ 0.
-    """
+    """Labeled span over the token sequence."""
 
     label: str
     l: int
     r: int
-    occ: int = 0
 
     @property
     def key(self):
@@ -311,19 +306,13 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
 
     # reduce
     cut, label, l, r = _reduce_target(config.stack, config.strategy)
-    occ = 0
-    for c in config.built:
-        if c.label == label and c.l == l and c.r == r:
-            occ += 1
-    made = Constituent(label, l, r, occ)
-    item = Completed(label, l, r)
     return Configuration(
         config.strategy,
         config.tokens,
-        config.stack[:cut] + (item,),
+        config.stack[:cut] + (Completed(label, l, r),),
         config.i,
         config.finished,
-        config.built + (made,),
+        config.built + (Constituent(label, l, r),),
         0,
         hist,
         config.max_consecutive_nt,

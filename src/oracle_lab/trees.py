@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .transitions import (
     DEFAULT_NT_CAP,
@@ -14,7 +16,6 @@ from .transitions import (
     IN_ORDER,
     REDUCE,
     SHIFT,
-    TOP_DOWN,
     Constituent,
     nt,
 )
@@ -194,9 +195,8 @@ def serialize(tree: ConstituentTree) -> str:
     return "".join(out)
 
 
-def _numbered_spans(tree: ConstituentTree):
-    """(Constituent, node) pairs, numbered as constituent_set numbers them."""
-    counts = {}
+def _spans(tree: ConstituentTree):
+    """(Constituent, node) pairs for every internal node, in postorder."""
     lefts = []  # left ends of the entered, not yet left, internal nodes
     k = 0  # words passed so far
     for node, leaving in _events(tree.root):
@@ -205,21 +205,18 @@ def _numbered_spans(tree: ConstituentTree):
         elif not leaving:
             lefts.append(k)
         else:
-            key = (node.label, lefts.pop(), k)
-            occ = counts.get(key, 0)
-            counts[key] = occ + 1
-            yield Constituent(*key, occ), node
+            yield Constituent(node.label, lefts.pop(), k), node
 
 
 def constituent_set(tree: ConstituentTree):
-    """All internal nodes as Constituents, in postorder.  Duplicate
-    (label, l, r) triples get occ 0, 1, ... from the innermost out."""
-    return [c for c, _ in _numbered_spans(tree)]
+    """All internal nodes as Constituents, in postorder; a span built
+    twice, as in a unary chain, occurs twice."""
+    return [c for c, _ in _spans(tree)]
 
 
 def constituents_with_arity(tree: ConstituentTree):
     """(Constituent, child count) pairs, postorder, for the arity scorer."""
-    return [(c, len(node.children)) for c, node in _numbered_spans(tree)]
+    return [(c, len(node.children)) for c, node in _spans(tree)]
 
 
 def gold_sequence(tree: ConstituentTree, strategy):
@@ -269,19 +266,13 @@ def forest_from_built(tokens, built):
     return forest
 
 
-def max_nt_run(seq):
-    best = run = 0
-    for t in seq:
-        run = run + 1 if t.kind == "nt" else 0
-        best = max(best, run)
-    return best
-
-
 def check_derivable(tree: ConstituentTree, cap=DEFAULT_NT_CAP):
     """Reject trees whose top-down gold derivation would exceed the
-    consecutive-NT cap.  An in-order derivation never has two NTs in a
-    row, so the cap only binds top-down."""
-    run = max_nt_run(gold_sequence(tree, TOP_DOWN))
+    consecutive-NT cap.  Top-down opens all gold spans with one left end
+    back to back, so its longest NT run is the most spans sharing a left
+    end.  An in-order derivation never has two NTs in a row, so the cap
+    only binds top-down."""
+    run = max(Counter(c.l for c in constituent_set(tree)).values(), default=0)
     if run > cap:
         raise TreeError(
             f"top-down derivation needs {run} consecutive NT transitions,"
@@ -375,19 +366,20 @@ def enumerate_trees(n: int, labels):
     labels = list(labels)
     tokens = tuple(f"w{k}" for k in range(n))
 
-    def width1(pos):
-        yield Leaf(tokens[pos])
-        for lab in labels:
-            yield Internal(lab, (Leaf(tokens[pos]),))
+    def parts(l, r):
+        # the nodes a part over [l, r) can be
+        if r - l > 1:
+            return nodes(l, r)
+        word = Leaf(tokens[l])
+        return [word] + [Internal(lab, (word,)) for lab in labels]
 
     def nodes(l, r):
         # internal nodes spanning [l, r), width >= 2
-        width = r - l
-        for k in range(2, width + 1):
-            for cuts in _choose_cuts(l + 1, r, k - 1):
-                bounds = [l] + list(cuts) + [r]
-                spans = list(zip(bounds, bounds[1:]))
-                for combo in _part_combos(spans, width1, nodes):
+        for k in range(1, r - l):
+            for cuts in combinations(range(l + 1, r), k):
+                bounds = (l, *cuts, r)
+                spans = zip(bounds, bounds[1:])
+                for combo in product(*(parts(a, b) for a, b in spans)):
                     for lab in labels:
                         yield Internal(lab, combo)
 
@@ -397,27 +389,6 @@ def enumerate_trees(n: int, labels):
         return
     for root in nodes(0, n):
         yield ConstituentTree(tokens, root)
-
-
-def _choose_cuts(lo, hi, k):
-    # all strictly increasing k-tuples from range(lo, hi)
-    if k == 0:
-        yield ()
-        return
-    for first in range(lo, hi - k + 1):
-        for rest in _choose_cuts(first + 1, hi, k - 1):
-            yield (first,) + rest
-
-
-def _part_combos(spans, width1, nodes):
-    if not spans:
-        yield ()
-        return
-    (a, b), rest = spans[0], spans[1:]
-    parts = width1(a) if b - a == 1 else nodes(a, b)
-    for part in parts:
-        for tail in _part_combos(rest, width1, nodes):
-            yield (part,) + tail
 
 
 def load_corpus(path):

@@ -144,9 +144,11 @@ def test_deep_trees_do_not_crash(tmp_path, capsys):
     assert main(["oracle-trace", "--strategy", "top-down", str(left_path)]) == 2
     assert "consecutive non-terminal cap" in capsys.readouterr().err
 
-    # the tree code copes; the top-down loss's memoised recursion does not
-    assert main(["oracle-trace", "--strategy", "top-down", str(right_path)]) == 2
-    assert capsys.readouterr().err == "oracle-lab: input nested too deeply\n"
+    # 1100 opens on the stack at once, one per left end
+    assert main(["oracle-trace", "--strategy", "top-down", str(right_path)]) == 0
+    rows = trace_rows(capsys.readouterr().out)
+    assert len(rows) == 3 * depth + 1
+    assert all(r[4] == "0" for r in rows)
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

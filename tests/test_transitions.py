@@ -163,14 +163,6 @@ def test_reduce_takes_left_child_from_below_in_order():
     assert (item.symbol, item.l, item.r) == ("X", 0, 2)
 
 
-def test_duplicate_constituents_get_increasing_occ():
-    c = replay("(X (X a b))", TOP_DOWN, "NT_X NT_X SH SH RE RE")
-    assert [(x.key, x.occ) for x in c.built] == [
-        (("X", 0, 2), 0),
-        (("X", 0, 2), 1),
-    ]
-
-
 def test_fingerprint_ignores_built_and_history():
     c = replay("(X a b)", TOP_DOWN, "NT_X SH SH RE")
     stripped = Configuration(

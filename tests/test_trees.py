@@ -26,7 +26,6 @@ from oracle_lab.trees import (
     forest_from_built,
     gold_sequence,
     load_corpus,
-    max_nt_run,
     parse_bracketed,
     random_tree,
     save_corpus,
@@ -92,14 +91,12 @@ def test_example_constituent_set(example_tree):
         ("ADVP", 3, 4),
         ("ADJP", 4, 5),
     }
-    assert all(c.occ == 0 for c in constituent_set(example_tree))
 
 
-def test_duplicate_spans_get_occ_from_the_inside_out():
+def test_a_unary_chain_gives_its_span_once_per_node():
     t = parse_bracketed("(X (X w0 w1))")
     cs = constituent_set(t)
     assert [c.key for c in cs] == [("X", 0, 2), ("X", 0, 2)]
-    assert [c.occ for c in cs] == [0, 1]
 
 
 def test_arity_annotations(example_tree):
@@ -210,7 +207,6 @@ def test_load_corpus_reports_file_and_line(tmp_path):
 def test_check_derivable_rejects_deep_chains():
     text = "(A (B (C (D w0 w1))))"
     t = parse_bracketed(text)
-    assert max_nt_run(gold_sequence(t, TOP_DOWN)) == 4
     with pytest.raises(
         TreeError,
         match="top-down derivation needs 4 consecutive NT transitions,"
