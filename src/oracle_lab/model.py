@@ -7,8 +7,8 @@ and it exercises the oracle through exactly the same interface.
 
 from __future__ import annotations
 
+import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .oracle import GoldReference, loss, optimal_transitions
@@ -33,8 +33,6 @@ from .trees import (
     gold_sequence,
 )
 
-FeatureVector = Counter
-
 MODEL_FORMAT = "oracle-lab-model v1"
 
 
@@ -42,8 +40,9 @@ def _step_cap(n, nt_cap):
     return 8 * n + 2 * nt_cap
 
 
-def features(config) -> FeatureVector:
-    """Sparse symbolic features of a configuration.
+def features(config) -> list:
+    """Symbolic features of a configuration, each present once, in a fixed
+    order.
 
     Top 3 stack items (symbol, open/closed, width so far), next 2 buffer
     words, last 2 transitions, open-NT count, and a few conjunctions.
@@ -65,14 +64,12 @@ def features(config) -> FeatureVector:
     hist = config.history
     for k in range(2):
         parts[f"h{k}"] = str(hist[-1 - k]) if k < len(hist) else "_"
-    feats = FeatureVector()
-    feats["bias"] += 1
-    for name, value in parts.items():
-        feats[f"{name}={value}"] += 1
-    feats[f"open={len(config.open_nts())}"] += 1
-    feats[f"s0^b0={parts['s0']}^{parts['b0']}"] += 1
-    feats[f"s0^s1={parts['s0']}^{parts['s1']}"] += 1
-    feats[f"h0^s0={parts['h0']}^{parts['s0']}"] += 1
+    feats = ["bias"]
+    feats += [f"{name}={value}" for name, value in parts.items()]
+    feats.append(f"open={len(config.open_nts())}")
+    feats.append(f"s0^b0={parts['s0']}^{parts['b0']}")
+    feats.append(f"s0^s1={parts['s0']}^{parts['s1']}")
+    feats.append(f"h0^s0={parts['h0']}^{parts['s0']}")
     return feats
 
 
@@ -86,19 +83,25 @@ class ExplorationPolicy:
             raise ValueError(f"p_explore must be in [0, 1], got {self.p_explore}")
 
 
-def _score(weights, feats, t):
-    return sum(w * weights.get((f, t), 0.0) for f, w in feats.items())
-
-
 def _pick(moves, weights, feats):
-    scores = {t: _score(weights, feats, t) for t in moves}
+    """The best-scoring move and every move's score.  weights maps a
+    feature to its row, {transition: weight}; each feature in turn adds its
+    row into the moves it covers, so a move's score sums its weights in
+    feature order."""
+    scores = dict.fromkeys(moves, 0.0)
+    for f in feats:
+        row = weights.get(f)
+        if row:
+            for t, w in row.items():
+                if t in scores:
+                    scores[t] += w
     best = min(moves, key=lambda t: (-scores[t], transition_order_key(t)))
     return best, scores
 
 
 @dataclass
 class Model:
-    weights: dict
+    weights: dict  # feature -> {transition: weight}
     label_alphabet: tuple
     strategy: str
 
@@ -109,7 +112,7 @@ class Model:
 
     def save(self, path):
         rows = sorted(
-            ((f, str(t), w) for (f, t), w in self.weights.items() if w),
+            ((f, str(t), w) for f, row in self.weights.items() for t, w in row.items() if w),
             key=lambda row: (row[0], row[1]),
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -138,7 +141,11 @@ class Model:
                     continue
                 try:
                     feat, tname, wtext = line.split("\t")
-                    weights[(feat, parse_transition(tname))] = float(wtext)
+                    t, w = parse_transition(tname), float(wtext)
+                    row = weights.setdefault(feat, {})
+                    if not math.isfinite(w) or t in row:
+                        raise ValueError("non-finite or repeated weight")
+                    row[t] = w
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad weight row") from exc
         return cls(weights=weights, label_alphabet=labels, strategy=strategy)
@@ -146,7 +153,8 @@ class Model:
 
 @dataclass
 class _Learner:
-    """Perceptron state during training; finalize() averages."""
+    """Perceptron state during training; averaged() gives the final
+    weights.  w and u map a feature to its row, {transition: value}."""
 
     w: dict = field(default_factory=dict)
     u: dict = field(default_factory=dict)
@@ -156,19 +164,26 @@ class _Learner:
         self.t += 1
 
     def update(self, feats, toward, away):
-        for f, c in feats.items():
-            for t, sign in ((toward, c), (away, -c)):
-                self.w[(f, t)] = self.w.get((f, t), 0.0) + sign
-                self.u[(f, t)] = self.u.get((f, t), 0.0) + self.t * sign
+        for f in feats:
+            w = self.w.setdefault(f, {})
+            u = self.u.setdefault(f, {})
+            for t, sign in ((toward, 1), (away, -1)):
+                w[t] = w.get(t, 0.0) + sign
+                u[t] = u.get(t, 0.0) + self.t * sign
 
     def averaged(self):
         if not self.t:
-            return dict(self.w)
+            return {f: dict(row) for f, row in self.w.items()}
         out = {}
-        for k, wv in self.w.items():
-            av = wv - self.u.get(k, 0.0) / self.t
-            if av:
-                out[k] = av
+        for f, row in self.w.items():
+            urow = self.u[f]
+            avg = {}
+            for t, wv in row.items():
+                av = wv - urow[t] / self.t
+                if av:
+                    avg[t] = av
+            if avg:
+                out[f] = avg
         return out
 
 

@@ -49,6 +49,11 @@ class GoldReference:
         # top-down opens the spans at l back to back (_top_down_analysis)
         starts = Counter(c.l for c in constituents)
         self.starts = sorted(((k, l) for l, k in starts.items()), reverse=True)
+        # left end -> labels of the gold spans starting there, built or not
+        labels_at = {}
+        for c in constituents:
+            labels_at.setdefault(c.l, set()).add(c.label)
+        self.labels_at = {l: frozenset(labs) for l, labs in labels_at.items()}
 
     @classmethod
     def from_tree(cls, tree, strategy):
@@ -296,15 +301,46 @@ def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
     )
 
 
+def _frontier(config: Configuration):
+    """The left end of the span an NT pushed now would close on: the buffer
+    position top-down, the left end of the top (completed) item in-order."""
+    if config.strategy == TOP_DOWN:
+        return config.i
+    return config.stack[-1].l
+
+
 def optimal_transitions(config: Configuration, gold: GoldReference, label_alphabet=None):
     """Legal transitions that keep the minimum achievable loss unchanged, in
-    the fixed tie-break order."""
+    the fixed tie-break order.
+
+    Every NT label with no gold span starting at the frontier (`_frontier`)
+    leads to the same successor loss, so one of them is evaluated and its
+    verdict stands for all.  Top-down, such an open has no target span, so
+    `_top_down_analysis` counts it as forced junk and leaves it out of the
+    search; in-order, its slot's pool holds no span with its label, so
+    `_in_order_analysis` counts it as a false open.  Either way the label
+    is never read again, and the rest of the successor (stack shape, buffer
+    position, NT run, built constituents) does not depend on it.
+    `gold.labels_at` lists the labels of every gold span, built or not, so
+    it is a superset of the remaining spans and the rule stays exact.
+    """
     _check_strategies(config, gold)
     if label_alphabet is None:
         label_alphabet = gold.labels
     base = loss(config, gold).total
+    at_frontier = None
+    shared = None  # the verdict for every NT label in no gold span there
     out = []
     for t in legal_transitions(config, label_alphabet):
+        if t.kind == "nt":
+            if at_frontier is None:
+                at_frontier = gold.labels_at.get(_frontier(config), frozenset())
+            if t.label not in at_frontier:
+                if shared is None:
+                    shared = loss(apply(config, t), gold).total == base
+                if shared:
+                    out.append(t)
+                continue
         if loss(apply(config, t), gold).total == base:
             out.append(t)
     return out

@@ -8,6 +8,7 @@ completed.  Configurations are immutable; apply() returns a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TOP_DOWN = "top-down"
 IN_ORDER = "in-order"
@@ -18,8 +19,11 @@ STRATEGIES = (TOP_DOWN, IN_ORDER)
 DEFAULT_NT_CAP = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
+    """A move: its kind and, for an NT, the label.  A named tuple, so that
+    hashing and equality, which model scoring does millions of times per
+    training run, run in C."""
+
     kind: str  # "shift" | "nt" | "reduce" | "finish"
     label: str | None = None
 

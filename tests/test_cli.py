@@ -230,6 +230,21 @@ def test_parse_rejects_a_model_with_no_labels(tmp_path, capsys):
     assert f"{model}: empty label set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["bias\tSH\tnan\n", "bias\tSH\t1.0\nbias\tSH\t2.0\n"],
+    ids=["nan", "repeated"],
+)
+def test_parse_rejects_bad_weight_rows(tmp_path, capsys, rows):
+    model = tmp_path / "m.model"
+    model.write_text(f"oracle-lab-model v1 top-down\nlabels: X\n{rows}", encoding="utf-8")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w0 w1\n", encoding="utf-8")
+    assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
+    lineno = len(rows.splitlines()) + 2
+    assert f"{model}:{lineno}: bad weight row" in capsys.readouterr().err
+
+
 def parse_scripts_table(text):
     """The ``[project.scripts]`` table of a pyproject.toml, without tomllib.
 

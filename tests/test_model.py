@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from oracle_lab.model import (
     ExplorationPolicy,
     Model,
+    _pick,
     _step_cap,
     features,
     parse,
@@ -13,8 +16,10 @@ from oracle_lab.transitions import (
     IN_ORDER,
     SHIFT,
     TOP_DOWN,
+    STRATEGIES,
     apply,
     initial_config,
+    is_terminal,
     legal_transitions,
     nt,
     parse_transition,
@@ -36,32 +41,34 @@ def replay(tokens, strategy, names):
 
 def test_features_of_the_initial_config():
     c = initial_config(("a", "b"), TOP_DOWN)
-    assert dict(features(c)) == {
-        "bias": 1,
-        "s0=_": 1,
-        "s1=_": 1,
-        "s2=_": 1,
-        "b0=a": 1,
-        "b1=b": 1,
-        "h0=_": 1,
-        "h1=_": 1,
-        "open=0": 1,
-        "s0^b0=_^a": 1,
-        "s0^s1=_^_": 1,
-        "h0^s0=_^_": 1,
-    }
+    assert features(c) == [
+        "bias",
+        "s0=_",
+        "s1=_",
+        "s2=_",
+        "b0=a",
+        "b1=b",
+        "h0=_",
+        "h1=_",
+        "open=0",
+        "s0^b0=_^a",
+        "s0^s1=_^_",
+        "h0^s0=_^_",
+    ]
 
 
 def test_features_read_stack_buffer_and_history():
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
-    f = features(c)
-    assert f["s0=C|a|1"] == 1
-    assert f["s1=O|X|1"] == 1  # open X pushed at 0, buffer now at 1
-    assert f["b0=b"] == 1
-    assert f["b1=_"] == 1
-    assert f["h0=SH"] == 1
-    assert f["h1=NT_X"] == 1
-    assert f["open=1"] == 1
+    assert features(c)[1:9] == [
+        "s0=C|a|1",
+        "s1=O|X|1",  # open X pushed at 0, buffer now at 1
+        "s2=_",
+        "b0=b",
+        "b1=_",
+        "h0=SH",
+        "h1=NT_X",
+        "open=1",
+    ]
 
 
 def test_history_touches_only_history_features():
@@ -78,8 +85,9 @@ def test_history_touches_only_history_features():
         history=bare.history,
     )
     f1, f2 = features(c), features(c2)
-    changed = {k for k in set(f1) | set(f2) if f1[k] != f2[k]}
-    assert changed and all(k.startswith("h") for k in changed)
+    changed = [(a, b) for a, b in zip(f1, f2) if a != b]
+    assert len(f1) == len(f2) and changed
+    assert all(a.startswith("h") and b.startswith("h") for a, b in changed)
 
 
 def test_exploration_policy_validation():
@@ -96,7 +104,7 @@ def test_zero_weights_fall_back_to_tie_break_order():
 
 def test_model_file_round_trip(tmp_path):
     m = Model(
-        weights={("bias", SHIFT): 1.5, ("s0=_", nt("X")): -2.25},
+        weights={"bias": {SHIFT: 1.5}, "s0=_": {nt("X"): -2.25}},
         label_alphabet=("X", "Y"),
         strategy=IN_ORDER,
     )
@@ -127,15 +135,37 @@ def test_model_load_errors(tmp_path):
         Model.load(p)
 
 
+@pytest.mark.parametrize("wtext", ["nan", "inf", "-inf"])
+def test_model_load_rejects_non_finite_weights(tmp_path, wtext):
+    p = tmp_path / "bad.model"
+    p.write_text(
+        f"oracle-lab-model v1 top-down\nlabels: X\nbias\tSH\t1.0\nbias\tRE\t{wtext}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"{p}:4: bad weight row"):
+        Model.load(p)
+
+
+def test_model_load_rejects_repeated_rows(tmp_path):
+    p = tmp_path / "bad.model"
+    p.write_text(
+        "oracle-lab-model v1 top-down\nlabels: X\n"
+        "bias\tNT_X\t1.0\nb0=a\tNT_X\t2.0\nbias\tNT_X\t1.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"{p}:5: bad weight row"):
+        Model.load(p)
+
+
 def test_zero_weights_are_not_saved(tmp_path):
     m = Model(
-        weights={("bias", SHIFT): 0.0, ("b0=a", SHIFT): 1.0},
+        weights={"bias": {SHIFT: 0.0}, "b0=a": {SHIFT: 1.0}},
         label_alphabet=("X",),
         strategy=TOP_DOWN,
     )
     path = tmp_path / "m.model"
     m.save(path)
-    assert Model.load(path).weights == {("b0=a", SHIFT): 1.0}
+    assert Model.load(path).weights == {"b0=a": {SHIFT: 1.0}}
 
 
 def test_train_rejects_bad_input():
@@ -190,7 +220,7 @@ def test_trained_model_parses_its_training_data():
 
 def test_parse_falls_back_when_the_cap_is_hit():
     m = Model(
-        weights={("bias", nt("X")): 1.0},
+        weights={"bias": {nt("X"): 1.0}},
         label_alphabet=("X",),
         strategy=TOP_DOWN,
     )
@@ -211,3 +241,45 @@ def test_parse_rejects_empty_input():
 def test_step_cap_formula():
     assert _step_cap(6, 8) == 64
     assert _step_cap(1, 3) == 14
+
+
+# sha256 of the model files these runs wrote when the weights were one flat
+# {(feature, transition): weight} dict; storing them per feature must not
+# change a byte
+PARITY_SHA256 = {
+    (TOP_DOWN, 0.0): "4bc367d4124a20a1e481b28ee392d00c2de74eb5bf85b4bc7b0673b45f946819",
+    (TOP_DOWN, 0.3): "aca9a7e639dc62f883bcf9530250750b9033a88d8627ea34b2456badcb16eb90",
+    (IN_ORDER, 0.0): "a4e9d1e5ee8262f0c3532f3cb06173d7b08272228cd206431ed1f4a406b56fd8",
+    (IN_ORDER, 0.3): "3fd4a72c0f9a87083cdb397e3a408efde72a1883461af120b903f7d593d905a6",
+}
+
+
+@pytest.mark.parametrize("p_explore", [0.0, 0.3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explore):
+    corpus = synthetic_corpus(12, ["A", "B", "C", "D"], seed=7, min_tokens=2, max_tokens=8)
+    m = train(corpus, strategy, ExplorationPolicy(p_explore, seed=3), epochs=3, seed=5)
+    path = tmp_path / "m.model"
+    m.save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PARITY_SHA256[(strategy, p_explore)]
+    # every greedy step's scores are the flat sums of the file's rows,
+    # taken in feature order
+    flat = {}
+    for line in path.read_text(encoding="utf-8").splitlines()[2:]:
+        f, tname, wtext = line.split("\t")
+        flat[(f, parse_transition(tname))] = float(wtext)
+    back = Model.load(path)
+    steps = 0
+    for tree in corpus:
+        c = initial_config(tree.tokens, strategy)
+        for _ in range(_step_cap(c.n, c.max_consecutive_nt)):
+            if is_terminal(c):
+                break
+            moves = legal_transitions(c, back.label_alphabet)
+            feats = features(c)
+            best, scores = _pick(moves, back.weights, feats)
+            assert scores == {t: sum(flat.get((f, t), 0.0) for f in feats) for t in moves}
+            c = apply(c, best)
+            steps += 1
+    assert steps > 100

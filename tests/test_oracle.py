@@ -252,6 +252,29 @@ def test_optimal_moves_preserve_the_loss(t, seed, strategy):
             assert loss(apply(c, m), gold).total == base
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 8])
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_optimal_set_is_every_loss_preserving_move(strategy, cap):
+    # optimal_transitions judges the NT labels with no gold span at the
+    # frontier by one representative; trying every legal move must agree
+    rng = random.Random(f"optimal|{strategy}|{cap}")
+    for _ in range(150):
+        labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
+        t = random_tree(rng.randint(1, 9), labels, rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, strategy)
+        alphabet = sorted(labels + ["D", "E"])
+        c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
+        for _ in range(6 * c.n):
+            moves = legal_transitions(c, alphabet)
+            if not moves:
+                break
+            base = loss(c, gold).total
+            want = [m for m in moves if loss(apply(c, m), gold).total == base]
+            assert optimal_transitions(c, gold, alphabet) == want, (t, c.history)
+            pick = rng.choice(sorted({m.kind for m in moves}))
+            c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
+
+
 def test_optimal_transitions_default_alphabet(example_tree):
     gold = GoldReference.from_tree(example_tree, TOP_DOWN)
     c = initial_config(example_tree.tokens, TOP_DOWN)
