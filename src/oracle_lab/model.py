@@ -16,12 +16,13 @@ from .transitions import (
     Completed,
     DEFAULT_NT_CAP,
     TOP_DOWN,
+    _construct,
     apply,
     initial_config,
     is_terminal,
     legal_transitions,
+    move_table,
     parse_transition,
-    transition_order_key,
 )
 from .trees import (
     ConstituentTree,
@@ -83,36 +84,56 @@ class ExplorationPolicy:
             raise ValueError(f"p_explore must be in [0, 1], got {self.p_explore}")
 
 
-def _pick(moves, weights, feats):
-    """The best-scoring move and every move's score.  weights maps a
-    feature to its row, {transition: weight}; each feature in turn adds its
-    row into the moves it covers, so a move's score sums its weights in
-    feature order."""
-    scores = dict.fromkeys(moves, 0.0)
-    for f in feats:
-        row = weights.get(f)
-        if row:
-            for t, w in row.items():
-                if t in scores:
-                    scores[t] += w
-    best = min(moves, key=lambda t: (-scores[t], transition_order_key(t)))
-    return best, scores
+def _columns(label_alphabet):
+    """Each move's column in a dense weight row: its index in the
+    alphabet's move table."""
+    return {t: k for k, t in enumerate(move_table(label_alphabet))}
+
+
+def _pick(moves, weights, feats, columns):
+    """The best-scoring move and every move's score, {move: score}.
+
+    weights maps a feature to its dense row, one weight per column, and
+    columns maps a move to its column.  The rows of the features present
+    are summed column by column, in feature order, so each score is the
+    float that adding the move's weights one feature at a time gives: a
+    weight the feature does not have is a 0.0, and x + 0.0 == x.  (From
+    CPython 3.12, sum() compensates float rounding, so there a score may
+    differ from plain adds in its last bits.)  moves come from
+    legal_transitions, already in tie-break order, so the best move is the
+    first one with the highest score."""
+    rows = [row for row in map(weights.get, feats) if row is not None]
+    if rows:
+        totals = list(map(sum, zip(*rows)))
+        scores = {t: totals[columns[t]] for t in moves}
+    else:
+        scores = dict.fromkeys(moves, 0.0)
+    return max(moves, key=scores.__getitem__), scores
 
 
 @dataclass
 class Model:
-    weights: dict  # feature -> {transition: weight}
+    """A trained greedy parser.  weights maps a feature to its dense row:
+    one float per move of move_table(label_alphabet), in that order, 0.0
+    where the feature has no weight for the move."""
+
+    weights: dict
     label_alphabet: tuple
     strategy: str
+    columns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.columns = _columns(self.label_alphabet)
 
     def predict(self, config):
         moves = legal_transitions(config, self.label_alphabet)
-        best, _ = _pick(moves, self.weights, features(config))
+        best, _ = _pick(moves, self.weights, features(config), self.columns)
         return best
 
     def save(self, path):
+        table = move_table(self.label_alphabet)
         rows = sorted(
-            ((f, str(t), w) for f, row in self.weights.items() for t, w in row.items() if w),
+            ((f, str(t), w) for f, row in self.weights.items() for t, w in zip(table, row) if w),
             key=lambda row: (row[0], row[1]),
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -134,28 +155,38 @@ class Model:
             labels = tuple(labels_line[len("labels: ") :].split())
             if not labels:
                 raise ValueError(f"{path}: empty label set")
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"{path}: repeated label in labels header")
+            columns = _columns(labels)
             weights = {}
+            seen = set()
             for lineno, line in enumerate(fh, start=3):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 try:
                     feat, tname, wtext = line.split("\t")
-                    t, w = parse_transition(tname), float(wtext)
-                    row = weights.setdefault(feat, {})
-                    if not math.isfinite(w) or t in row:
+                    k, w = columns[parse_transition(tname)], float(wtext)
+                    if not math.isfinite(w) or (feat, k) in seen:
                         raise ValueError("non-finite or repeated weight")
-                    row[t] = w
-                except ValueError as exc:
+                except (KeyError, ValueError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad weight row") from exc
+                seen.add((feat, k))
+                row = weights.get(feat)
+                if row is None:
+                    row = weights[feat] = [0.0] * len(columns)
+                row[k] = w
         return cls(weights=weights, label_alphabet=labels, strategy=strategy)
 
 
 @dataclass
 class _Learner:
     """Perceptron state during training; averaged() gives the final
-    weights.  w and u map a feature to its row, {transition: value}."""
+    weights.  w and u map a feature to a dense row with one value per
+    column (columns maps a move to its column, as in Model): w holds the
+    weights, u the same updates each scaled by the tick it was made at."""
 
+    columns: dict
     w: dict = field(default_factory=dict)
     u: dict = field(default_factory=dict)
     t: int = 0
@@ -164,25 +195,28 @@ class _Learner:
         self.t += 1
 
     def update(self, feats, toward, away):
+        i, j = self.columns[toward], self.columns[away]
+        t = self.t
         for f in feats:
-            w = self.w.setdefault(f, {})
-            u = self.u.setdefault(f, {})
-            for t, sign in ((toward, 1), (away, -1)):
-                w[t] = w.get(t, 0.0) + sign
-                u[t] = u.get(t, 0.0) + self.t * sign
+            w = self.w.get(f)
+            if w is None:
+                w = self.w[f] = [0.0] * len(self.columns)
+                u = self.u[f] = [0.0] * len(self.columns)
+            else:
+                u = self.u[f]
+            w[i] += 1
+            w[j] -= 1
+            u[i] += t
+            u[j] -= t
 
     def averaged(self):
-        if not self.t:
-            return {f: dict(row) for f, row in self.w.items()}
+        """Each weight less its tick-weighted updates over the tick count;
+        rows left all zero are dropped."""
+        t = self.t or 1  # before the first tick every u is 0
         out = {}
         for f, row in self.w.items():
-            urow = self.u[f]
-            avg = {}
-            for t, wv in row.items():
-                av = wv - urow[t] / self.t
-                if av:
-                    avg[t] = av
-            if avg:
+            avg = [wv - uv / t for wv, uv in zip(row, self.u[f])]
+            if any(avg):
                 out[f] = avg
         return out
 
@@ -206,6 +240,8 @@ def train(
     """
     if not corpus:
         raise ValueError("empty training corpus")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     nt_cap = DEFAULT_NT_CAP
     if strategy == TOP_DOWN:
         for idx, tree in enumerate(corpus):
@@ -214,7 +250,7 @@ def train(
             except TreeError as e:
                 raise TreeError(f"tree {idx}: {e}") from None
     alphabet = tuple(sorted({c.label for t in corpus for c in constituent_set(t)}))
-    learner = _Learner()
+    learner = _Learner(_columns(alphabet))
     coin = random.Random(f"{policy.seed}|explore")
     golds = [GoldReference.from_tree(t, strategy) for t in corpus]
     for epoch in range(epochs):
@@ -249,7 +285,7 @@ def _static_pass(tree, strategy, alphabet, learner, nt_cap):
     for g_t in gold_sequence(tree, strategy):
         moves = legal_transitions(c, alphabet)
         feats = features(c)
-        guess, _ = _pick(moves, learner.w, feats)
+        guess, _ = _pick(moves, learner.w, feats, learner.columns)
         learner.tick()
         if guess != g_t:
             learner.update(feats, g_t, guess)
@@ -265,19 +301,22 @@ def _dynamic_pass(
     while not is_terminal(c) and step < cap:
         moves = legal_transitions(c, alphabet)
         feats = features(c)
-        guess, scores = _pick(moves, learner.w, feats)
+        guess, scores = _pick(moves, learner.w, feats, learner.columns)
         optimal = optimal_transitions(c, gold, alphabet)
-        target = min(optimal, key=lambda t: (-scores[t], transition_order_key(t)))
+        # the first best-scoring optimal move: optimal keeps the tie-break order
+        target = max(optimal, key=scores.__getitem__)
         learner.tick()
         if guess not in optimal:
             learner.update(feats, target, guess)
         if audit is not None:
             delta = loss(apply(c, target), gold).total - loss(c, gold).total
             audit(s_idx, step, c, target, delta)
+        # both moves came from legal_transitions(c), so _construct's
+        # precondition holds
         if guess not in optimal and coin.random() < policy.p_explore:
-            c = apply(c, guess)
+            c = _construct(c, guess)
         else:
-            c = apply(c, target)
+            c = _construct(c, target)
         step += 1
 
 
@@ -296,7 +335,7 @@ def parse_with_info(model: Model, tokens):
     cap = _step_cap(c.n, c.max_consecutive_nt)
     steps = 0
     while not is_terminal(c) and steps < cap:
-        c = apply(c, model.predict(c))
+        c = _construct(c, model.predict(c))  # predict picks a legal move
         steps += 1
     info = {"steps": steps, "fallback": False, "wrap_label": None}
     forest = forest_from_built(c.tokens, c.built)

@@ -75,6 +75,23 @@ def transition_order_key(t: Transition):
     return (_KIND_ORDER[t.kind], t.label or "")
 
 
+_MOVE_TABLES = {}
+
+
+def move_table(label_alphabet) -> tuple:
+    """Every move over label_alphabet in the fixed tie-break order:
+    FINISH, REDUCE, SHIFT, then NT_<label> for each label in sorted order.
+    Built once per alphabet and cached; a list and a tuple of the same
+    labels share one table.  legal_transitions lists its moves in this
+    order, and a model's weight columns are this table."""
+    key = tuple(label_alphabet)
+    table = _MOVE_TABLES.get(key)
+    if table is None:
+        moves = [FINISH, REDUCE, SHIFT] + [nt(lab) for lab in key]
+        table = _MOVE_TABLES[key] = tuple(sorted(moves, key=transition_order_key))
+    return table
+
+
 @dataclass(frozen=True, slots=True)
 class Constituent:
     """Labeled span over the token sequence."""
@@ -242,7 +259,7 @@ def legal(config: Configuration, t: Transition) -> bool:
 
 def legal_transitions(config: Configuration, label_alphabet):
     """All legal transitions, NT instantiated over label_alphabet, in the
-    fixed tie-break order."""
+    fixed tie-break order: the legal part of move_table(label_alphabet)."""
     fin, red, shift, nt_ok = _move_flags(config)
     out = []
     if fin is None:
@@ -252,7 +269,7 @@ def legal_transitions(config: Configuration, label_alphabet):
     if shift is None:
         out.append(SHIFT)
     if nt_ok is None:
-        out.extend(nt(lab) for lab in sorted(label_alphabet))
+        out.extend(move_table(label_alphabet)[3:])  # the NTs, after FI, RE, SH
     return out
 
 

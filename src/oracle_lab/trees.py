@@ -347,6 +347,8 @@ def synthetic_corpus(
     """count random trees with sentence-unique words (s<i>w<k>), so the
     corpus never assigns two parses to one token sequence and a trained
     parser has an unambiguous target."""
+    if count < 0:
+        raise ValueError(f"tree count must not be negative, got {count}")
     if min_tokens < 1 or max_tokens < min_tokens:
         raise ValueError("bad token range")
     rng = random.Random(f"corpus|{seed}|{count}")

@@ -232,8 +232,8 @@ def test_parse_rejects_a_model_with_no_labels(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rows",
-    ["bias\tSH\tnan\n", "bias\tSH\t1.0\nbias\tSH\t2.0\n"],
-    ids=["nan", "repeated"],
+    ["bias\tSH\tnan\n", "bias\tSH\t1.0\nbias\tSH\t2.0\n", "bias\tNT_Q\t1.0\n"],
+    ids=["nan", "repeated", "no-column"],
 )
 def test_parse_rejects_bad_weight_rows(tmp_path, capsys, rows):
     model = tmp_path / "m.model"
@@ -243,6 +243,36 @@ def test_parse_rejects_bad_weight_rows(tmp_path, capsys, rows):
     assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
     lineno = len(rows.splitlines()) + 2
     assert f"{model}:{lineno}: bad weight row" in capsys.readouterr().err
+
+
+def test_parse_rejects_repeated_labels(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("oracle-lab-model v1 top-down\nlabels: X X\n", encoding="utf-8")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w0 w1\n", encoding="utf-8")
+    assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
+    assert f"{model}: repeated label in labels header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
+    corpus = tmp_path / "corpus.txt"
+    model = tmp_path / "m.model"
+    main(["gen", "3", "--out", str(corpus), "--max-tokens", "3"])
+    capsys.readouterr()
+    assert main(
+        ["train", "--strategy", "top-down", str(corpus), "--out", str(model),
+         "--epochs", epochs]
+    ) == 2
+    assert f"epochs must be at least 1, got {epochs}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_gen_rejects_a_negative_count(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "-3", "--out", str(corpus)]) == 2
+    assert "tree count must not be negative, got -3" in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def parse_scripts_table(text):

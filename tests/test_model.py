@@ -1,10 +1,14 @@
 import hashlib
+import random
 
 import pytest
 
 from oracle_lab.model import (
     ExplorationPolicy,
     Model,
+    _columns,
+    _dynamic_pass,
+    _Learner,
     _pick,
     _step_cap,
     features,
@@ -12,6 +16,7 @@ from oracle_lab.model import (
     parse_with_info,
     train,
 )
+from oracle_lab.oracle import GoldReference, optimal_transitions
 from oracle_lab.transitions import (
     IN_ORDER,
     SHIFT,
@@ -21,6 +26,7 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
+    move_table,
     nt,
     parse_transition,
 )
@@ -30,6 +36,11 @@ from oracle_lab.trees import (
     serialize,
     synthetic_corpus,
 )
+
+
+def dense(alphabet, weights):
+    """A dense weight row over alphabet's move table from {move: weight}."""
+    return [weights.get(t, 0.0) for t in move_table(alphabet)]
 
 
 def replay(tokens, strategy, names):
@@ -102,9 +113,95 @@ def test_zero_weights_fall_back_to_tie_break_order():
     assert m.predict(c) == legal_transitions(c, m.label_alphabet)[0]
 
 
+def test_equal_nt_scores_pick_the_first_label():
+    alphabet = ("Y", "X")  # unsorted: the rule is lexicographic, not alphabet order
+    m = Model(
+        weights={"bias": dense(alphabet, {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0})},
+        label_alphabet=alphabet,
+        strategy=TOP_DOWN,
+    )
+    c = replay(("a", "b"), TOP_DOWN, "NT_X")
+    best, scores = _pick(
+        legal_transitions(c, alphabet), m.weights, features(c), m.columns
+    )
+    assert scores == {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0}
+    assert best == m.predict(c) == nt("X")
+
+
+def test_a_tie_between_shift_and_an_nt_gives_shift():
+    alphabet = ("X", "Y")
+    # the tie comes from two features' rows, summed
+    m = Model(
+        weights={
+            "bias": dense(alphabet, {SHIFT: 1.5, nt("X"): 0.5, nt("Y"): 1.25}),
+            "b0=b": dense(alphabet, {nt("X"): 1.0}),
+        },
+        label_alphabet=alphabet,
+        strategy=TOP_DOWN,
+    )
+    c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
+    best, scores = _pick(
+        legal_transitions(c, alphabet), m.weights, features(c), m.columns
+    )
+    assert scores == {SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25}
+    assert best == SHIFT
+
+
+def test_dynamic_target_is_the_first_best_optimal_move():
+    tree = parse_bracketed("(X (Y a))")
+    gold = GoldReference.from_tree(tree, TOP_DOWN)
+    alphabet = ("Y", "X", "D")
+    c = initial_config(tree.tokens, TOP_DOWN)
+    # either unary order rebuilds the gold spans
+    assert optimal_transitions(c, gold, alphabet) == [nt("X"), nt("Y")]
+    learner = _Learner(_columns(alphabet))
+    learner.w["bias"] = dense(alphabet, {nt("D"): 5.0, nt("X"): 2.0, nt("Y"): 2.0})
+    learner.u["bias"] = dense(alphabet, {})
+    seen = []
+    _dynamic_pass(
+        tree,
+        gold,
+        TOP_DOWN,
+        alphabet,
+        learner,
+        ExplorationPolicy(),
+        random.Random(0),
+        8,
+        0,
+        lambda s, step, c, target, d: seen.append(
+            (target, list(learner.w["bias"]), list(learner.u["bias"]))
+        ),
+    )
+    # the guess, NT_D, is not optimal; NT_X and NT_Y tie at 2.0, and the
+    # first update (at tick 1) moves NT_X up and NT_D down
+    assert seen[0] == (
+        nt("X"),
+        dense(alphabet, {nt("D"): 4.0, nt("X"): 3.0, nt("Y"): 2.0}),
+        dense(alphabet, {nt("D"): -1.0, nt("X"): 1.0}),
+    )
+
+
+def test_learner_updates_two_columns_and_averages():
+    alphabet = ("X",)
+    learner = _Learner(_columns(alphabet))
+    for _ in range(3):
+        learner.tick()
+    learner.update(["bias", "b0=a"], SHIFT, nt("X"))
+    learner.tick()
+    step = dense(alphabet, {SHIFT: 1.0, nt("X"): -1.0})
+    assert learner.w == {"bias": step, "b0=a": step}
+    assert learner.u == {f: [3 * v for v in step] for f in ("bias", "b0=a")}
+    # each weight less u / t: 1 - 3/4
+    avg = dense(alphabet, {SHIFT: 0.25, nt("X"): -0.25})
+    assert learner.averaged() == {"bias": avg, "b0=a": avg}
+
+
 def test_model_file_round_trip(tmp_path):
     m = Model(
-        weights={"bias": {SHIFT: 1.5}, "s0=_": {nt("X"): -2.25}},
+        weights={
+            "bias": dense(("X", "Y"), {SHIFT: 1.5}),
+            "s0=_": dense(("X", "Y"), {nt("X"): -2.25}),
+        },
         label_alphabet=("X", "Y"),
         strategy=IN_ORDER,
     )
@@ -146,6 +243,23 @@ def test_model_load_rejects_non_finite_weights(tmp_path, wtext):
         Model.load(p)
 
 
+def test_model_load_rejects_a_row_with_no_column(tmp_path):
+    p = tmp_path / "bad.model"
+    p.write_text(
+        "oracle-lab-model v1 top-down\nlabels: X\nbias\tNT_X\t1.0\nbias\tNT_Q\t1.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"{p}:4: bad weight row"):
+        Model.load(p)
+
+
+def test_model_load_rejects_repeated_labels(tmp_path):
+    p = tmp_path / "bad.model"
+    p.write_text("oracle-lab-model v1 top-down\nlabels: X Y X\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"{p}: repeated label in labels header"):
+        Model.load(p)
+
+
 def test_model_load_rejects_repeated_rows(tmp_path):
     p = tmp_path / "bad.model"
     p.write_text(
@@ -159,18 +273,25 @@ def test_model_load_rejects_repeated_rows(tmp_path):
 
 def test_zero_weights_are_not_saved(tmp_path):
     m = Model(
-        weights={"bias": {SHIFT: 0.0}, "b0=a": {SHIFT: 1.0}},
+        weights={"bias": dense(("X",), {SHIFT: 0.0}), "b0=a": dense(("X",), {SHIFT: 1.0})},
         label_alphabet=("X",),
         strategy=TOP_DOWN,
     )
     path = tmp_path / "m.model"
     m.save(path)
-    assert Model.load(path).weights == {"b0=a": {SHIFT: 1.0}}
+    assert Model.load(path).weights == {"b0=a": dense(("X",), {SHIFT: 1.0})}
 
 
 def test_train_rejects_bad_input():
     with pytest.raises(ValueError, match="empty training corpus"):
         train([], TOP_DOWN, ExplorationPolicy())
+
+
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_train_rejects_fewer_than_one_epoch(epochs):
+    corpus = synthetic_corpus(2, ["X"], seed=1)
+    with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+        train(corpus, TOP_DOWN, ExplorationPolicy(), epochs=epochs)
 
 
 def test_train_rejects_underivable_trees():
@@ -220,7 +341,7 @@ def test_trained_model_parses_its_training_data():
 
 def test_parse_falls_back_when_the_cap_is_hit():
     m = Model(
-        weights={"bias": {nt("X"): 1.0}},
+        weights={"bias": dense(("X",), {nt("X"): 1.0})},
         label_alphabet=("X",),
         strategy=TOP_DOWN,
     )
@@ -278,7 +399,7 @@ def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explo
                 break
             moves = legal_transitions(c, back.label_alphabet)
             feats = features(c)
-            best, scores = _pick(moves, back.weights, feats)
+            best, scores = _pick(moves, back.weights, feats, back.columns)
             assert scores == {t: sum(flat.get((f, t), 0.0) for f in feats) for t in moves}
             c = apply(c, best)
             steps += 1

@@ -21,6 +21,7 @@ from oracle_lab.transitions import (
     is_terminal,
     legal,
     legal_transitions,
+    move_table,
     nt,
     parse_transition,
     transition_order_key,
@@ -214,3 +215,15 @@ def test_legal_transitions_filters_by_alphabet():
     c = initial_config(("a",), TOP_DOWN)
     assert legal_transitions(c, ["B", "A"]) == [nt("A"), nt("B")]
     assert legal_transitions(c, []) == []
+
+
+def test_one_move_table_per_alphabet():
+    table = move_table(("A", "B", "C"))
+    assert table == (FINISH, REDUCE, SHIFT, nt("A"), nt("B"), nt("C"))
+    assert move_table(["A", "B", "C"]) is table
+    assert list(table) == sorted(table, key=transition_order_key)
+    assert move_table(("C", "A", "B")) == table
+    c = replay("(X a b)", TOP_DOWN, "NT_X")
+    expected = [SHIFT, nt("A"), nt("B"), nt("C")]
+    for alphabet in (("A", "B", "C"), ["A", "B", "C"], ("C", "A", "B"), ["B", "C", "A"]):
+        assert legal_transitions(c, alphabet) == expected
