@@ -78,6 +78,8 @@ def _check_corpus(args):
     if args.generate is not None:
         if args.trees is not None:
             raise ValueError("give a corpus file or --generate, not both")
+        if args.generate < 1:
+            raise ValueError(f"--generate needs at least 1 tree, got {args.generate}")
         rng = random.Random(f"{args.seed}|gen-check")
         labels = args.labels.split(",")
         return [
@@ -101,7 +103,8 @@ def cmd_check(args):
                 f"tree {idx}: {len(tree.tokens)} tokens exceeds"
                 f" --max-tokens {bounds.max_tokens}"
             )
-        if args.strategy == TOP_DOWN:
+        # only the gold-prefix policy replays the gold derivation (sweep)
+        if args.strategy == TOP_DOWN and args.policy == "gold-prefix":
             try:
                 check_derivable(tree, bounds.max_consecutive_nt)
             except TreeError as e:

@@ -15,6 +15,7 @@ from .oracle import GoldReference, loss, optimal_transitions
 from .transitions import (
     Completed,
     DEFAULT_NT_CAP,
+    OpenNT,
     TOP_DOWN,
     _construct,
     apply,
@@ -48,30 +49,42 @@ def features(config) -> list:
     Top 3 stack items (symbol, open/closed, width so far), next 2 buffer
     words, last 2 transitions, open-NT count, and a few conjunctions.
     """
-    parts = {}
-    stack = config.stack
-    for k in range(3):
-        if k < len(stack):
-            item = stack[-1 - k]
-            if isinstance(item, Completed):
-                parts[f"s{k}"] = f"C|{item.symbol}|{item.r - item.l}"
-            else:
-                parts[f"s{k}"] = f"O|{item.label}|{config.i - item.index}"
+    stack, i, tokens = config.stack, config.i, config.tokens
+    s = []
+    for k in (1, 2, 3):
+        if k > len(stack):
+            s.append("_")
+            continue
+        item = stack[-k]
+        if type(item) is Completed:
+            s.append(f"C|{item.symbol}|{item.r - item.l}")
         else:
-            parts[f"s{k}"] = "_"
-    for k in range(2):
-        j = config.i + k
-        parts[f"b{k}"] = config.tokens[j] if j < config.n else "_"
+            s.append(f"O|{item.label}|{i - item.index}")
+    s0, s1, s2 = s
+    n = len(tokens)
+    b0 = tokens[i] if i < n else "_"
+    b1 = tokens[i + 1] if i + 1 < n else "_"
     hist = config.history
-    for k in range(2):
-        parts[f"h{k}"] = str(hist[-1 - k]) if k < len(hist) else "_"
-    feats = ["bias"]
-    feats += [f"{name}={value}" for name, value in parts.items()]
-    feats.append(f"open={len(config.open_nts())}")
-    feats.append(f"s0^b0={parts['s0']}^{parts['b0']}")
-    feats.append(f"s0^s1={parts['s0']}^{parts['s1']}")
-    feats.append(f"h0^s0={parts['h0']}^{parts['s0']}")
-    return feats
+    h0 = str(hist[-1]) if hist else "_"
+    h1 = str(hist[-2]) if len(hist) > 1 else "_"
+    opens = 0
+    for e in stack:
+        if type(e) is OpenNT:
+            opens += 1
+    return [
+        "bias",
+        "s0=" + s0,
+        "s1=" + s1,
+        "s2=" + s2,
+        "b0=" + b0,
+        "b1=" + b1,
+        "h0=" + h0,
+        "h1=" + h1,
+        f"open={opens}",
+        f"s0^b0={s0}^{b0}",
+        f"s0^s1={s0}^{s1}",
+        f"h0^s0={h0}^{s0}",
+    ]
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,37 @@ def test_check_rejects_conflicting_sources(example_corpus, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_rejects_fewer_than_one_generated_tree(capsys, count):
+    assert main(["check", "--strategy", "in-order", "--generate", count]) == 2
+    captured = capsys.readouterr()
+    assert f"--generate needs at least 1 tree, got {count}" in captured.err
+    assert captured.out == ""
+
+
 def test_check_rejects_deep_chains(tmp_path, capsys):
     corpus = tmp_path / "deep.txt"
     corpus.write_text("(A (B (C (D (E w0 w1)))))\n", encoding="utf-8")
-    assert main(["check", "--strategy", "top-down", str(corpus)]) == 2
+    assert main(["check", "--strategy", "top-down", str(corpus), "--policy", "gold-prefix"]) == 2
     assert capsys.readouterr().err == (
         "oracle-lab: tree 0: top-down derivation needs 5 consecutive NT"
         " transitions, over the cap of 3\n"
+    )
+
+
+def test_only_gold_prefix_needs_a_derivable_tree(tmp_path, capsys):
+    """Two spans start at 0, so a cap of 1 cannot derive the tree; the
+    loss stays exact under any cap, so the walks still check it."""
+    corpus = tmp_path / "two-at-0.txt"
+    corpus.write_text("(X (Y w0 w1) w2)\n", encoding="utf-8")
+    args = ["check", "--strategy", "top-down", str(corpus), "--max-consecutive-nt", "1"]
+    for policy in ("random-walk", "exhaustive"):
+        assert main(args + ["--policy", policy]) == 0
+        assert capsys.readouterr().out.startswith("PASS:")
+    assert main(args + ["--policy", "gold-prefix"]) == 2
+    assert capsys.readouterr().err == (
+        "oracle-lab: tree 0: top-down derivation needs 2 consecutive NT"
+        " transitions, over the cap of 1\n"
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from conftest import trees
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
+    _move_losses,
     loss,
     optimal_transitions,
 )
@@ -30,7 +32,7 @@ from oracle_lab.trees import (
     parse_bracketed,
     random_tree,
 )
-from oracle_lab.verify import SearchBounds, brute_force_loss, sweep
+from oracle_lab.verify import SearchBounds, _exhaustive_graph, brute_force_loss, sweep
 
 
 def replay(tree, strategy, names):
@@ -252,11 +254,32 @@ def test_optimal_moves_preserve_the_loss(t, seed, strategy):
             assert loss(apply(c, m), gold).total == base
 
 
+def loss_preserving_moves(c, gold, alphabet):
+    """The reference for optimal_transitions: every legal move applied,
+    and kept when the successor's loss equals the configuration's."""
+    base = loss(c, gold).total
+    return [
+        m for m in legal_transitions(c, alphabet) if loss(apply(c, m), gold).total == base
+    ]
+
+
+def assert_move_losses_match(c, gold, alphabet):
+    """The optimal set, and also each move's successor loss as the oracle
+    derives it without building the successor, against the reference."""
+    moves = legal_transitions(c, alphabet)
+    if not moves:  # terminal or finished: nothing to judge
+        assert optimal_transitions(c, gold, alphabet) == []
+        return
+    want = [loss(apply(c, m), gold).total for m in moves]
+    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack_summary()
+    assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 8])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_optimal_set_is_every_loss_preserving_move(strategy, cap):
-    # optimal_transitions judges the NT labels with no gold span at the
-    # frontier by one representative; trying every legal move must agree
+    # optimal_transitions judges every move from one analysis of the
+    # configuration; trying every legal move must agree
     rng = random.Random(f"optimal|{strategy}|{cap}")
     for _ in range(150):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
@@ -268,11 +291,62 @@ def test_optimal_set_is_every_loss_preserving_move(strategy, cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
-            base = loss(c, gold).total
-            want = [m for m in moves if loss(apply(c, m), gold).total == base]
+            want = loss_preserving_moves(c, gold, alphabet)
             assert optimal_transitions(c, gold, alphabet) == want, (t, c.history)
             pick = rng.choice(sorted({m.kind for m in moves}))
             c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_optimal_set_on_every_census_class(strategy, cap):
+    """Every configuration the exhaustive policy reaches, one per class,
+    for each tree over at most two tokens, with a distractor label."""
+    alphabet = ("D", "X", "Y")
+    bounds = SearchBounds(max_consecutive_nt=cap, label_alphabet=alphabet)
+    checked = 0
+    for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
+        gold = GoldReference.from_tree(t, strategy)
+        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds, alphabet)
+        for c in reps:
+            assert_move_losses_match(c, gold, alphabet)
+            checked += 1
+    assert checked >= 500
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_optimal_set_with_opens_stacked_to_the_cap(cap):
+    """Top-down on 10-40 token trees, pushing NTs until the cap stops them,
+    then shifting and reducing under the stacked opens.  Only here do an
+    NT pushed over a completed item (its successor's pass ends earlier, at
+    E = i + 1) and a reduce that keeps the layers below the popped open
+    meet deep stacks with several opens sharing a left index."""
+    rng = random.Random(f"stacked|{cap}")
+    alphabet = ("D", "X", "Y")
+    seen = Counter()
+    for _ in range(30):
+        t = random_tree(rng.randint(10, 40), ["X", "Y"], rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, TOP_DOWN)
+        c = initial_config(t.tokens, TOP_DOWN, max_consecutive_nt=cap)
+        seq = gold_sequence(t, TOP_DOWN)
+        for g_t in seq[: rng.randrange(len(seq))]:
+            if g_t not in legal_transitions(c, alphabet):
+                break
+            c = apply(c, g_t)
+        for _ in range(8 * c.n):
+            moves = legal_transitions(c, alphabet)
+            if not moves:
+                break
+            assert_move_losses_match(c, gold, alphabet)
+            stacked = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
+            if max(stacked.values(), default=0) >= 2:
+                seen["open" if isinstance(c.stack[-1], OpenNT) else "completed"] += 1
+            if c.nt_run == cap:
+                seen["capped"] += 1
+            nts = [m for m in moves if m.kind == "nt"]
+            pick = rng.choice(nts if nts and rng.random() < 0.7 else moves)
+            c = apply(c, pick)
+    assert min(seen["open"], seen["completed"], seen["capped"]) >= 200, seen
 
 
 def test_optimal_transitions_default_alphabet(example_tree):
