@@ -15,7 +15,6 @@ from .transitions import (
     apply,
     initial_config,
     is_terminal,
-    legal,
     legal_transitions,
     nt,
     parse_transition,

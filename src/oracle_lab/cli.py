@@ -92,11 +92,12 @@ def _check_corpus(args):
 
 
 def cmd_check(args):
-    trees = _check_corpus(args)
+    # before any tree is drawn, so that a bad bound is named as such
     bounds = SearchBounds(
         max_tokens=args.max_tokens,
         max_consecutive_nt=args.max_consecutive_nt,
     )
+    trees = _check_corpus(args)
     for idx, tree in enumerate(trees):
         if len(tree.tokens) > bounds.max_tokens:
             raise ValueError(

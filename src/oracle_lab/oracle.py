@@ -19,20 +19,34 @@ tree.  This loss is the only model of the future here: legality comes from
 `transitions`, and `optimal_transitions` keeps the legal moves that leave
 it unchanged.
 
+The gold tree is read through an index that `GoldReference` builds once
+per tree (its docstring lists the parts).  A call tallies only the
+configuration's built constituents (`_tally`): `taken`, how often each gold
+span has been built, and `sunk`, the wrong constituents.  Every built
+constituent ends at or before the buffer position i, which fixes what the
+tally can change.  Nothing built starts at or right of i, so the spans at
+i and the spans the cap leaves unopened right of i are the gold ones.
+Every matched span starts left of i, so the spans left of i that are
+still missing are the gold count there less the matched ones.  Of the
+right ends at or past i that an analysis reads, only those at i itself can
+have been built.  So the cost of a call follows the stack and the built
+constituents, not the size of the gold tree.
+
 `optimal_transitions` judges every legal move from one analysis of the
 configuration, without building a successor or calling `loss` per move
 (in the spirit of Goldberg & Nivre 2013, who derive move costs without
-recomputing the loss).  The gold spans still missing, `rem`, and the wrong
-constituents built, `sunk`, are counted once; each move's successor loss
-is then worked out from the successor's stack, buffer position and NT run
-alone, which is all an analysis reads besides `rem`:
+recomputing the loss).  The built constituents are tallied once; each
+move's successor loss is then worked out from the successor's stack,
+buffer position and NT run alone, which is all an analysis reads besides
+the tally:
 
-- FINISH leaves a finished configuration, whose loss is `sunk + sum(rem)`.
+- FINISH leaves a finished configuration, whose loss is `sunk` plus the
+  gold spans not yet built.
 - REDUCE builds the one constituent `transitions._reduce_target` names: it
-  takes one off `rem` if it is missing, else adds one to `sunk`.  That
+  adds one to `taken` if that span is missing, else one to `sunk`.  That
   delta is applied for the successor's analysis and undone after.
-- SHIFT and NT leave `rem` and `sunk` as they are; the strategy's analysis
-  runs on the successor's fields.
+- SHIFT and NT leave the tally as it is; the strategy's analysis runs on
+  the successor's fields.
 
 In-order, the NT labels share one analysis.  The pushed open's slot is the
 left end b of the completed item on top, right of every other slot, so its
@@ -61,8 +75,9 @@ on top and i + 1 otherwise:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from typing import NamedTuple
 
 from .transitions import (
@@ -78,24 +93,81 @@ from .transitions import (
 )
 from .trees import constituent_set
 
+_UNSEEN = float("inf")  # a running minimum before its first arrival
+
 
 class GoldReference:
-    """Gold constituent multiset for one tree under one strategy."""
+    """The gold constituent multiset of one tree under one strategy, and
+    the index the loss analyses read it through.
+
+    `count` is the multiset, keyed (label, l, r), and `labels` its labels.
+    The index is built from it once, here, and holds only gold facts:
+
+    - `ends[(label, l)]`: the distinct right ends of the gold spans with
+      that label and left end, ascending, and their multiplicities;
+    - `spans_at[l]`: (right end, label, count) for each gold span at left
+      end l, ascending;
+    - `right_ends[l]`: the right ends of the gold spans at left end l,
+      ascending, one per occurrence;
+    - `left[i]`: how many gold spans start left of i, for 0 <= i <= n;
+    - `capped(i, cap)`: how many gold spans right of i the consecutive-NT
+      cap can never open, memoised per cap.
+
+    A loss call subtracts only the configuration's built constituents from
+    this; the module docstring says why that is all it needs.
+    """
 
     def __init__(self, strategy, constituents):
         self.strategy = strategy
-        # keyed (label, l, r), in order of left end, so that a scan of the
-        # spans still missing can stop at the buffer position
-        self.count = Counter(sorted((c.key for c in constituents), key=lambda k: k[1]))
+        self.count = Counter(c.key for c in constituents)
         self.labels = tuple(sorted({c.label for c in constituents}))
-        # (gold spans starting at l, l) for every left end l, most first;
-        # top-down opens the spans at l back to back (_top_down_analysis)
-        starts = Counter(c.l for c in constituents)
-        self.starts = sorted(((k, l) for l, k in starts.items()), reverse=True)
+        self.size = len(constituents)
+        n = max((c.r for c in constituents), default=0)
+        ends = {}
+        spans_at = {}
+        right_ends = {}
+        # one pass, by right end, so that every list comes out ascending
+        for r, lab, l, cnt in sorted([(r, lab, l, cnt) for (lab, l, r), cnt in self.count.items()]):
+            e = ends.get((lab, l))
+            if e is None:
+                ends[(lab, l)] = ([r], [cnt])
+            else:
+                e[0].append(r)
+                e[1].append(cnt)
+            at = spans_at.get(l)
+            if at is None:
+                spans_at[l] = [(r, lab, cnt)]
+                right_ends[l] = [r] * cnt
+            else:
+                at.append((r, lab, cnt))
+                right_ends[l] += [r] * cnt
+        self.ends = {k: (tuple(rs), tuple(ms)) for k, (rs, ms) in ends.items()}
+        self.spans_at = spans_at
+        self.right_ends = right_ends
+        starts = [0] * (n + 1)  # gold spans per left end
+        for l, rs in right_ends.items():
+            starts[l] = len(rs)
+        self.left = list(accumulate(starts, initial=0))
+        self._starts = starts
+        self._capped = {}
 
     @classmethod
     def from_tree(cls, tree, strategy):
         return cls(strategy, constituent_set(tree))
+
+    def capped(self, i, cap):
+        """Gold spans right of i that the cap can never open: top-down opens
+        the spans at each left end back to back, so past the first cap of
+        them the rest are lost.  Nothing built starts right of i, so the
+        gold count is the missing count there."""
+        row = self._capped.get(cap)
+        if row is None:
+            row = self._capped[cap] = [0] * len(self._starts)
+            surplus = 0  # of the left ends right of l
+            for l in range(len(row) - 1, -1, -1):
+                row[l] = surplus
+                surplus += max(0, self._starts[l] - cap)
+        return row[i]
 
 
 class LossBreakdown(NamedTuple):
@@ -125,26 +197,29 @@ def _check_strategies(config, gold):
         )
 
 
-def _rem_and_sunk(config: Configuration, gold: GoldReference):
-    # rem keeps zero entries; every consumer tests the count
-    rem = dict(gold.count)
+def _tally(config: Configuration, gold: GoldReference):
+    """(taken, sunk): how often each gold span (label, l, r) has been built,
+    up to its gold count, and how many built constituents are wrong."""
+    count = gold.count
+    taken = {}
     sunk = 0
     for c in config.built:
         k = (c.label, c.l, c.r)
-        v = rem.get(k, 0)
-        if v:
-            rem[k] = v - 1
+        v = taken.get(k, 0)
+        if v < count.get(k, 0):
+            taken[k] = v + 1
         else:
             sunk += 1
-    return rem, sunk
+    return taken, sunk
 
 
-def _top_down_analysis(gold, rem, n, cap, stack, i, nt_run):
+def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
     """Minimum future loss for top-down, by one forward pass over the open
     NTs from the bottom of the stack to the top.  Returns (unreachable,
-    forced junk, out-of-order junk) for a configuration with this stack,
-    buffer position i, NT run and missing gold spans rem, over n tokens
-    under the consecutive-NT cap.
+    forced junk, out-of-order junk) for a configuration at buffer position
+    i with this NT run, over n tokens under the consecutive-NT cap, whose
+    built constituents match matched gold spans and whose open NTs have
+    these targets (the pre-pass, `_td_targets`).
 
     Each open NT closes either on a gold target span with its label and left
     index, or as junk (one loss) on a span that never crosses a kept gold
@@ -182,135 +257,168 @@ def _top_down_analysis(gold, rem, n, cap, stack, i, nt_run):
     least: the first cheapest assignment in that order.  This fixes the
     split between unreachable spans and out-of-order junk.
     """
-    ends, at_i, left_of_i = _td_spans(rem, i)
-    top_completed = bool(stack) and type(stack[-1]) is Completed
-    searched, forced_junk = _td_targets(stack, ends, n, i if top_completed else i + 1)
-    layer = _td_pass(searched, rem, i, {(n, n + 1, ()): (0, 0)}, None)[-1]
+    searched, forced_junk = targets
+    layer = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)[-1]
     top_at_i = bool(searched) and searched[-1][1] == i
-    far = {n + 1: 0}  # rho -> spans at i ending past it; n + 1 means none
     cost, junk = _td_close(
-        layer, top_at_i, at_i, far, sum(at_i.values()), max(0, cap - nt_run)
+        layer, top_at_i, gold.right_ends.get(i, ()), max(0, cap - nt_run)
     )
-    return left_of_i + _capped(gold, i, cap) + cost - junk, forced_junk, junk
+    lost = gold.left[i] - matched + gold.capped(i, cap)
+    return lost + cost - junk, forced_junk, junk
 
 
-def _td_spans(rem, i):
-    """The remaining gold spans as the top-down pass reads them at buffer
-    position i: the ends of those starting at or left of i, per (label,
-    left end); the count of those starting at i, per right end; and the
-    count of those starting left of i."""
-    ends = {}
-    at_i = {}
-    left_of_i = 0
-    for (lab, l, r), cnt in rem.items():
-        if l > i:
-            break  # rem is in order of left end
-        if not cnt:
-            continue
-        if l < i:
-            left_of_i += cnt
-        else:
-            at_i[r] = at_i.get(r, 0) + cnt
-        ends.setdefault((lab, l), []).append(r)
-    return ends, at_i, left_of_i
-
-
-def _td_targets(stack, ends, n, E):
-    """The pre-pass: (label, left index, target ends ascending) for each
-    open NT with a target, bottom to top, and the number without one."""
+def _td_targets(gold, taken, stack, n, i, E):
+    """The pre-pass: (label, left index, target ends ascending, their
+    multiplicities) for each open NT with a target, bottom to top, and the
+    number without one.  The targets are the missing gold spans with the
+    open's label and left index that end at or past E, or at n for the
+    bottom open.  Built spans end at or before i, so only an end at i can
+    have fewer missing than gold."""
     searched = []
     opens = 0
+    ends = gold.ends
     for s in stack:
         if type(s) is not OpenNT:
             continue
         opens += 1
-        rs = ends.get((s.label, s.index))
-        if rs is None:
+        e = ends.get((s.label, s.index))
+        if e is None:  # forced junk, in one lookup
             continue
-        if opens == 1:  # the bottom NT closes the whole sentence
-            opts = [n] if n in rs else None
-        else:
-            rs.sort()
-            opts = rs[bisect_left(rs, E):]
-        if not opts:
+        rs, ms = e
+        k = bisect_left(rs, n if opens == 1 else E)  # the bottom NT closes the sentence
+        if k == len(rs):
             continue
-        searched.append((s.label, s.index, opts))
+        if rs[k] == i:
+            m = ms[k] - taken.get((s.label, s.index, i), 0)
+            if m:
+                searched.append((s.label, s.index, rs[k:], (m,) + ms[k + 1 :]))
+                continue
+            k += 1
+            if k == len(rs):
+                continue
+        searched.append((s.label, s.index, rs[k:], ms[k:]))
     return searched, opens - len(searched)
 
 
-def _td_pass(searched, rem, i, layer, pl):
+def _td_pass(searched, i, layer, pl):
     """The forward pass: starting from layer, the states after an open with
     left index pl (None before the first), add one layer per searched open.
     Returns every layer, the given one first.  Each state is (bound, rho,
     plateau) -> (cost, junk), with cost relative to losing every remaining
-    span left of i; each dict is in the order of its assignments."""
+    span left of i; each dict is in the order of its assignments.
+
+    A state matches the open on an end r below its bound at one cost for
+    every such r, and arrives at (r, r, (label,)); the end at i, which only
+    an open left of i can have, keeps the state's rho.  An arrival that is
+    not the first cheapest into its state changes nothing, so each end r
+    past i is sent only by the first state with the least such cost among
+    those whose bound is past r.  Those least costs are running minima over
+    the sorted ends, taken from the top end down; they grow with r, so the
+    ends a state sends are those from some point up to its bound.  The end
+    at i keeps a running minimum per rho instead, in the states' order."""
     layers = [layer]
-    for lab, idx, opts in searched:
+    for lab, idx, rs, ms in searched:
+        single = (lab,)
+        left = idx < i  # a match left of i saves that span's loss
+        keep = pl == idx  # the plateau carries over from the open below
+        credit = keep and idx == i  # a match at i undercut here credits it
+        top = len(rs)
+        # each state with its bound's index in rs and its match cost; and
+        # least[j], the least match cost of the states whose bound is past rs[j]
+        least = [_UNSEEN] * top
+        states = []
+        for key, val in layer.items():
+            hi = bisect_left(rs, key[0])  # rs[:hi] end below the bound
+            v = val[0] - len(key[2]) if credit else val[0] - left
+            if hi and v < least[hi - 1]:
+                least[hi - 1] = v
+            states.append((key, val, hi, v))
+        for j in range(top - 2, -1, -1):
+            if least[j + 1] < least[j]:
+                least[j] = least[j + 1]
+        k = 1 if left and rs[0] == i else 0  # targets end at or past i
+        sent = {}  # match cost -> the ends below this index are sent at it
+        at_i = {}  # rho -> the running minimum of the match cost at i
         nxt = {}
-        for (bound, rho, used), (cost, junk) in layer.items():
-            if pl != idx:
+        get = nxt.get
+        for (bound, rho, used), (cost, junk), hi, v in states:
+            if not keep:
                 used = ()
-            moves = [((bound, rho, used), cost + 1, junk + 1)]
-            for r in opts:
-                if r > bound:
-                    break
-                if r == bound:
-                    if used.count(lab) >= rem[(lab, idx, r)]:
-                        continue
-                    plateau = tuple(sorted(used + (lab,)))
-                    credit = 0
-                else:
-                    plateau = (lab,)
-                    credit = len(used) if idx == i else 0
-                state = (r, r if r > i else rho, plateau)
-                moves.append((state, cost - credit - (idx < i), junk))
-            for state, c, j in moves:
-                seen = nxt.get(state)
-                if seen is None or c < seen[0]:
-                    nxt.pop(state, None)
-                    nxt[state] = (c, j)
+            # an arrival replaces only a dearer entry, and moves it to the
+            # end; junk first, then the ends ascending
+            state = (bound, rho, used)
+            seen = get(state)
+            if seen is None:
+                nxt[state] = (cost + 1, junk + 1)
+            elif cost + 1 < seen[0]:
+                del nxt[state]
+                nxt[state] = (cost + 1, junk + 1)
+            arrivals = []
+            if k and hi and v < at_i.get(rho, _UNSEEN):
+                at_i[rho] = v
+                arrivals.append(((i, rho, single), (v, junk)))
+            s = sent.get(v, k)
+            if hi > s:
+                sent[v] = hi
+                to = (v, junk)
+                for r in rs[bisect_left(least, v, s, hi) : hi]:
+                    arrivals.append(((r, r, single), to))
+            if hi < top and rs[hi] == bound and used.count(lab) < ms[hi]:
+                plateau = tuple(sorted(used + single))
+                arrivals.append(((bound, bound if bound > i else rho, plateau), (cost - left, junk)))
+            for state, to in arrivals:
+                seen = get(state)
+                if seen is None:
+                    nxt[state] = to
+                elif to[0] < seen[0]:
+                    del nxt[state]
+                    nxt[state] = to
         layer = nxt
         layers.append(layer)
         pl = idx
     return layers
 
 
-def _td_close(layer, top_at_i, at_i, far, pending, avail):
+def _td_close(layer, top_at_i, at, avail):
     """(cost, junk) of the first state in layer whose cost plus the
     terminal term is least.  The terminal term loses the spans at i
-    ending past rho, far[rho], and the fresh pushes at i beyond the NT
-    headroom avail; pending spans start at i, and when the last searched
-    open sits at i (top_at_i) its plateau's matches are not pushed again.
-    far is filled on demand from at_i and may be shared between calls at
-    the same i."""
+    ending past rho and the fresh pushes at i beyond the NT headroom
+    avail; at is the right ends of the gold spans at i, ascending, and
+    when the last searched open sits at i (top_at_i) its plateau's matches
+    are not pushed again."""
     best = None
     for (_, rho, used), (cost, junk) in layer.items():
-        f = far.get(rho)
-        if f is None:
-            f = far[rho] = sum(c for e, c in at_i.items() if e > rho)
-        pushes = pending - f - (len(used) if top_at_i else 0)
-        cost += f + max(0, pushes - avail)
+        kept = bisect_right(at, rho)  # the spans at i ending at or before rho
+        pushes = kept - (len(used) if top_at_i else 0)
+        cost += len(at) - kept
+        if pushes > avail:
+            cost += pushes - avail
         if best is None or cost < best[0]:
             best = (cost, junk)
     return best
 
 
-def _capped(gold, i, cap):
-    """Gold spans right of i that the cap can never open: nothing built
-    starts there, so all of them remain."""
-    capped = 0
-    for k, l in gold.starts:
-        if k <= cap:
-            break
-        if l > i:
-            capped += k - cap
-    return capped
+def _missing_from(gold, taken, b, i):
+    """(count, nearest): how many gold spans at left end b that end at or
+    past i are missing, and the nearest right end among them, None if
+    none.  Built spans end at or before i, so only those ending at i can
+    have been built."""
+    re = gold.right_ends.get(b, ())
+    j = bisect_left(re, i)
+    count = len(re) - j
+    if count and re[j] == i and taken:
+        built = sum(taken.get((lab, b, i), 0) for r, lab, _ in gold.spans_at[b] if r == i)
+        count -= built
+        if built == bisect_right(re, i, j) - j:  # every span at (b, i) is built
+            j += built
+    return count, re[j] if count else None
 
 
-def _in_order_analysis(stack, i, rem):
+def _in_order_analysis(gold, taken, matched, stack, i):
     """Minimum future loss for in-order, for a configuration with this
-    stack, buffer position i and missing gold spans rem.  Returns
-    (unreachable, false opens, out-of-order opens).
+    stack and buffer position i, whose built constituents match the gold
+    spans counted in taken, matched of them in all.  Returns (unreachable,
+    false opens, out-of-order opens).
 
     Each open NT will reduce into a span starting at the left end of the
     item directly below it; each such slot can host every remaining gold
@@ -324,84 +432,76 @@ def _in_order_analysis(stack, i, rem):
     top and leaves an open one, so two NTs are never consecutive and
     nt_run never exceeds 1.
     """
-    # the left end of the item directly below each open NT, bottom to top
-    slots = [
-        (stack[k - 1].l, e.label) for k, e in enumerate(stack) if type(e) is OpenNT
-    ]
-    # the top item's left end, when it is completed
-    beta = stack[-1].l if stack and type(stack[-1]) is Completed else None
-    pools = {b: [] for b, _ in slots}
-    lost = 0
-    for (lab, l, r), cnt in rem.items():
-        if l >= i:
-            break  # rem is in order of left end
-        if cnt <= 0:
-            continue
-        if l in pools and r >= i:
-            pools[l].append((r, lab))
-        elif l == beta and r >= i:
-            continue
-        else:
-            lost += cnt
+    lost = gold.left[i] - matched
+    nearest = {}  # slot -> the innermost missing end there
     fa = ooo = 0
-    for b, sig_label in slots:
-        pool = pools[b]
-        if not pool:
+    for k, e in enumerate(stack):
+        if type(e) is not OpenNT:
+            continue
+        b = stack[k - 1].l  # the left end of the item directly below
+        if b not in nearest:
+            count, nearest[b] = _missing_from(gold, taken, b, i)
+            lost -= count
+        # the innermost missing end with the open's label
+        rs, ms = gold.ends.get((e.label, b), ((), ()))
+        j = bisect_left(rs, i)
+        if j < len(rs) and rs[j] == i and ms[j] == taken.get((e.label, b, i), 0):
+            j += 1
+        if j == len(rs):
             fa += 1
-            continue
-        rmin = min(r for r, _ in pool)
-        labels_at_min = {lab for r, lab in pool if r == rmin}
-        if sig_label in labels_at_min:
-            continue
-        if any(lab == sig_label for _, lab in pool):
+        elif rs[j] != nearest[b]:
             ooo += 1
-        else:
-            fa += 1
+    # the spans at the top item's left end, when it is completed, are free
+    # via wraps
+    if stack and type(stack[-1]) is Completed and stack[-1].l not in nearest:
+        lost -= _missing_from(gold, taken, stack[-1].l, i)[0]
     return lost, fa, ooo
 
 
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
     """Minimum achievable Hamming loss from this configuration, decomposed."""
     _check_strategies(config, gold)
-    rem, sunk = _rem_and_sunk(config, gold)
+    taken, sunk = _tally(config, gold)
+    matched = len(config.built) - sunk
     if is_terminal(config) or config.finished:
-        unreachable, fa, ooo = sum(rem.values()), 0, 0
+        unreachable, fa, ooo = gold.size - matched, 0, 0
     elif config.strategy == TOP_DOWN:
+        stack, i, n = config.stack, config.i, config.n
+        # E: i with a completed item on top, else i + 1
+        E = i if stack and type(stack[-1]) is Completed else i + 1
+        targets = _td_targets(gold, taken, stack, n, i, E)
         unreachable, fa, ooo = _top_down_analysis(
-            gold,
-            rem,
-            config.n,
-            config.max_consecutive_nt,
-            config.stack,
-            config.i,
-            config.nt_run,
+            gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run
         )
     else:
-        unreachable, fa, ooo = _in_order_analysis(config.stack, config.i, rem)
+        unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
     # unreachable, false constituents, false opens, out of order, total
     return LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)
 
 
-def _top_down_move_losses(config, gold, rem, sunk, moves):
+def _top_down_move_losses(config, gold, taken, sunk, moves):
     """The configuration's loss total and each move's successor total, for
     top-down; the module docstring says how the moves share the pass."""
     stack, i, n = config.stack, config.i, config.n
     cap = config.max_consecutive_nt
-    ends, at_i, left_of_i = _td_spans(rem, i)
-    pending = sum(at_i.values())
-    far = {n + 1: 0}
+    matched = len(config.built) - sunk
+    at = gold.right_ends.get(i, ())
 
     def close(layer, pl, avail):
         # pl: the left index of the last searched open, None if none
-        return _td_close(layer, pl == i, at_i, far, pending, avail)[0]
+        return _td_close(layer, pl == i, at, avail)[0]
 
     # the terms NT leaves alone; REDUCE adds one to sunk, or takes one off
-    # left_of_i when the span it builds (which starts left of i) is missing
-    fixed = sunk + left_of_i + _capped(gold, i, cap)
+    # the spans lost left of i when the span it builds is missing
+    fixed = sunk + gold.left[i] - matched + gold.capped(i, cap)
     start = {(n, n + 1, ()): (0, 0)}
     top_completed = bool(stack) and type(stack[-1]) is Completed
-    searched, forced = _td_targets(stack, ends, n, i if top_completed else i + 1)
-    layers = _td_pass(searched, rem, i, start, None)
+    # the pre-pass with E = i + 1 is the configuration's own when an open is
+    # on top, and that of every NT successor and of the shift successor,
+    # at whose i + 1 nothing built ends
+    later = None if top_completed else _td_targets(gold, taken, stack, n, i, i + 1)
+    searched, forced = later or _td_targets(gold, taken, stack, n, i, i)
+    layers = _td_pass(searched, i, start, None)
     pl = searched[-1][1] if searched else None
     base = fixed + forced + close(layers[-1], pl, max(0, cap - config.nt_run))
 
@@ -410,14 +510,17 @@ def _top_down_move_losses(config, gold, rem, sunk, moves):
     for t in moves:
         kind = t.kind
         if kind == "shift":
-            succ = stack + (Completed(config.tokens[i], i, i + 1, True),)
-            total = sunk + sum(_top_down_analysis(gold, rem, n, cap, succ, i + 1, 0))
+            if later is None:
+                later = _td_targets(gold, taken, stack, n, i, i + 1)
+            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, TOP_DOWN)
             key = (lab, l, r)
-            v = rem.get(key, 0)
+            had = taken.get(key, 0)
+            v = gold.count.get(key, 0) - had  # still missing
             # the first child starts at the open's index, so the pass read
-            # the popped open at (lab, l); junk leaves rem as it is
+            # the popped open at (lab, l); junk leaves the tally of gold
+            # spans as it is
             if not v or all(
                 type(s) is not OpenNT or s.label != lab or s.index != l
                 for s in stack[:cut]
@@ -429,99 +532,96 @@ def _top_down_move_losses(config, gold, rem, sunk, moves):
                 total = fixed + (-1 if v else 1) + forced - (not popped)
                 total += close(layers[k], below, cap)
             else:
-                if v:
-                    rem[key] = v - 1
-                succ = stack[:cut] + (Completed(lab, l, r),)
-                total = sunk + (not v)
-                total += sum(_top_down_analysis(gold, rem, n, cap, succ, i, 0))
-                if v:
-                    rem[key] = v
+                # the successor's opens are those below the popped one, and
+                # a completed item is on top: E = i
+                taken[key] = had + 1
+                targets = _td_targets(gold, taken, stack[:cut], n, i, i)
+                total = sunk + sum(_top_down_analysis(gold, targets, matched + 1, n, cap, i, 0))
+                taken[key] = had
         else:  # nt
             if nt_base is None:
+                if later is None:
+                    later = _td_targets(gold, taken, stack, n, i, i + 1)
+                nt_searched, nt_forced = later
                 if top_completed:
-                    nt_searched, nt_forced = _td_targets(stack, ends, n, i + 1)
-                    nt_layer = _td_pass(nt_searched, rem, i, start, None)[-1]
+                    nt_layer = _td_pass(nt_searched, i, start, None)[-1]
                     nt_pl = nt_searched[-1][1] if nt_searched else None
                 else:
-                    nt_searched, nt_forced, nt_layer, nt_pl = searched, forced, layers[-1], pl
+                    nt_layer, nt_pl = layers[-1], pl
                 bottom = not nt_searched and not nt_forced  # no open yet
                 nt_avail = max(0, cap - config.nt_run - 1)
                 nt_base = fixed + nt_forced
                 junk_total = None
-            rs = ends.get((t.label, i))
-            if rs is not None and bottom:
-                rs = [n] if n in rs else None
-            if not rs:
+            # the spans at i all end at or past E = i + 1, and none is built
+            rs, ms = gold.ends.get((t.label, i), ((), ()))
+            k = bisect_left(rs, n if bottom else i + 1)
+            if k == len(rs):
                 if junk_total is None:
                     junk_total = nt_base + 1 + close(nt_layer, nt_pl, nt_avail)
                 total = junk_total
             else:
-                rs.sort()  # every span at i ends at or past E = i + 1
-                layer = _td_pass([(t.label, i, rs)], rem, i, nt_layer, nt_pl)[-1]
+                layer = _td_pass([(t.label, i, rs[k:], ms[k:])], i, nt_layer, nt_pl)[-1]
                 total = nt_base + close(layer, i, nt_avail)
         totals.append(total)
     return base, totals
 
 
-def _in_order_move_losses(config, gold, rem, sunk, moves):
+def _in_order_move_losses(config, gold, taken, sunk, moves):
     """The configuration's loss total and each move's successor total, for
     in-order; the module docstring says how the NT labels share one
     analysis."""
     stack, i = config.stack, config.i
-    base = sunk + sum(_in_order_analysis(stack, i, rem))
+    matched = len(config.built) - sunk
+    base = sunk + sum(_in_order_analysis(gold, taken, matched, stack, i))
     totals = []
     innermost = None
     for t in moves:
         kind = t.kind
         if kind == "finish":
-            total = sunk + sum(rem.values())
+            total = sunk + gold.size - matched
         elif kind == "shift":
             succ = stack + (Completed(config.tokens[i], i, i + 1, True),)
-            total = sunk + sum(_in_order_analysis(succ, i + 1, rem))
+            total = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i + 1))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, IN_ORDER)
             key = (lab, l, r)
-            v = rem.get(key, 0)
+            had = taken.get(key, 0)
+            v = gold.count.get(key, 0) - had  # still missing
             if v:
-                rem[key] = v - 1
+                taken[key] = had + 1
             succ = stack[:cut] + (Completed(lab, l, r),)
-            total = sunk + (not v) + sum(_in_order_analysis(succ, i, rem))
-            if v:
-                rem[key] = v
+            total = sunk + (not v)
+            total += sum(_in_order_analysis(gold, taken, matched + bool(v), succ, i))
+            taken[key] = had
         else:  # nt
             if innermost is None:
-                innermost = _innermost_labels(rem, stack[-1].l, i)
+                innermost = _innermost_labels(gold, taken, stack[-1].l, i)
                 succ = stack + (OpenNT(t.label, i),)
                 # the total with a new open that costs one
-                nt_junk = sunk + sum(_in_order_analysis(succ, i, rem))
+                nt_junk = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i))
                 nt_junk += t.label in innermost
             total = nt_junk - (t.label in innermost)
         totals.append(total)
     return base, totals
 
 
-def _innermost_labels(rem, b, i):
+def _innermost_labels(gold, taken, b, i):
     """The labels of the missing gold spans at left end b whose right end
     is the nearest at or past i: the labels an in-order NT pushed over an
     item starting at b may carry at no cost."""
-    best, labels = None, set()
-    for (lab, l, r), cnt in rem.items():
-        if l > b:
-            break  # rem is in order of left end
-        if l < b or not cnt or r < i:
-            continue
-        if best is None or r < best:
-            best, labels = r, {lab}
-        elif r == best:
-            labels.add(lab)
-    return labels
+    _, nearest = _missing_from(gold, taken, b, i)
+    return {
+        lab
+        for r, lab, cnt in gold.spans_at.get(b, ())
+        if r == nearest and cnt > taken.get((lab, b, r), 0)
+    }
 
 
 def optimal_transitions(config: Configuration, gold: GoldReference, label_alphabet=None):
     """Legal transitions that keep the minimum achievable loss unchanged, in
     the fixed tie-break order.
 
-    Every move is judged from one count of the missing gold spans, with no
+    Every move is judged from one tally of the built constituents, with no
     successor configuration built and no call to `loss`; the module
     docstring gives each move's rule.  Each rule runs the analysis `loss`
     runs on the fields a built successor would have, or reuses the part of
@@ -543,9 +643,9 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
 
 def _move_losses(config, gold, moves):
     """(loss(config).total, [loss(apply(config, t)).total for t in moves])
-    for a configuration with legal moves, from one count of the missing
-    gold spans."""
-    rem, sunk = _rem_and_sunk(config, gold)
+    for a configuration with legal moves, from one tally of the built
+    constituents."""
+    taken, sunk = _tally(config, gold)
     if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, rem, sunk, moves)
-    return _in_order_move_losses(config, gold, rem, sunk, moves)
+        return _top_down_move_losses(config, gold, taken, sunk, moves)
+    return _in_order_move_losses(config, gold, taken, sunk, moves)

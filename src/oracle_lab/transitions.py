@@ -253,10 +253,6 @@ def _illegal_reason(config: Configuration, t: Transition):
     return _move_flags(config)[k]
 
 
-def legal(config: Configuration, t: Transition) -> bool:
-    return _illegal_reason(config, t) is None
-
-
 def legal_transitions(config: Configuration, label_alphabet):
     """All legal transitions, NT instantiated over label_alphabet, in the
     fixed tie-break order: the legal part of move_table(label_alphabet)."""

@@ -87,23 +87,8 @@ def _rebuild(root, leaf, internal):
     return made[0][0]
 
 
-def validate_tree(tree: ConstituentTree):
-    """Raise TreeError if the leaves do not spell the token sequence or some
-    internal node is childless."""
-    words = []
-    for node, _ in _events(tree.root):
-        if isinstance(node, Leaf):
-            words.append(node.word)
-        elif not isinstance(node, Internal):
-            raise TreeError(f"bad node type {type(node).__name__}")
-        elif not node.children:
-            raise TreeError(f"internal node {node.label!r} has no children")
-    if tuple(words) != tuple(tree.tokens):
-        raise TreeError("leaf words do not match the token sequence")
-    return tree
-
-
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_LABEL_RE = re.compile(r"[^\s()]+")  # what reads back as one label
 
 
 def _unescape(word):
@@ -294,6 +279,12 @@ def random_tree(n: int, labels, seed: int) -> ConstituentTree:
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
+    for lab in labels:
+        if _LABEL_RE.fullmatch(lab) is None:
+            raise ValueError(
+                f"bad label {lab!r}: labels must be non-empty, without"
+                " whitespace or parentheses"
+            )
 
     for attempt in range(20):
         rng = random.Random(f"tree|{n}|{','.join(labels)}|{seed + 1000003 * attempt}")

@@ -117,6 +117,23 @@ def test_check_rejects_fewer_than_one_generated_tree(capsys, count):
     assert captured.out == ""
 
 
+def test_check_names_a_bad_bound_before_drawing_trees(capsys):
+    args = ["check", "--strategy", "top-down", "--generate", "1", "--max-tokens", "0"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "oracle-lab: bounds must be positive\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y"])
+def test_check_rejects_labels_that_cannot_be_written_out(capsys, labels):
+    args = ["check", "--strategy", "in-order", "--generate", "1", "--labels", labels]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "bad label" in captured.err
+    assert captured.out == ""
+
+
 def test_check_rejects_deep_chains(tmp_path, capsys):
     corpus = tmp_path / "deep.txt"
     corpus.write_text("(A (B (C (D (E w0 w1)))))\n", encoding="utf-8")
@@ -296,6 +313,14 @@ def test_gen_rejects_a_negative_count(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     assert main(["gen", "-3", "--out", str(corpus)]) == 2
     assert "tree count must not be negative, got -3" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y"])
+def test_gen_rejects_labels_that_cannot_be_written_out(tmp_path, capsys, labels):
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "3", "--labels", labels, "--out", str(corpus)]) == 2
+    assert "bad label" in capsys.readouterr().err
     assert not corpus.exists()
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -9,7 +10,11 @@ from conftest import trees
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
+    _innermost_labels,
+    _missing_from,
     _move_losses,
+    _tally,
+    _td_targets,
     loss,
     optimal_transitions,
 )
@@ -22,6 +27,7 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
+    nt,
     parse_transition,
 )
 from oracle_lab.trees import (
@@ -355,3 +361,105 @@ def test_optimal_transitions_default_alphabet(example_tree):
     opt = optimal_transitions(c, gold)
     assert all(t.kind == "nt" for t in opt)
     assert {t.label for t in opt} <= set(gold.labels)
+
+
+def assert_index_matches_a_fresh_count(c, gold, alphabet):
+    """Every quantity the analyses read from the gold index, against the
+    same quantity counted from scratch: the gold multiset less what the
+    configuration built."""
+    rem = Counter(gold.count)
+    for x in c.built:
+        if rem[x.key] > 0:
+            rem[x.key] -= 1
+    rem = +rem
+    taken, sunk = _tally(c, gold)
+    matched = len(c.built) - sunk
+    assert sum(rem.values()) == gold.size - matched
+    i, n = c.i, c.n
+    assert gold.left[i] - matched == sum(v for (_, l, _), v in rem.items() if l < i)
+    at = gold.right_ends.get(i, ())
+    assert list(at) == sorted(r for (_, l, r), v in rem.items() if l == i for _ in range(v))
+    for rho in {i, n + 1, *at}:  # far[rho]: the spans at i ending past rho
+        assert len(at) - bisect_right(at, rho) == sum(
+            v for (_, l, r), v in rem.items() if l == i and r > rho
+        )
+    for cap in {1, 2, 3, c.max_consecutive_nt}:
+        starts = Counter()
+        for (_, l, _), v in rem.items():
+            starts[l] += v
+        assert gold.capped(i, cap) == sum(
+            max(0, v - cap) for l, v in starts.items() if l > i
+        )
+    # each open's remaining ends, as the pre-pass reads them for either
+    # earliest end, and the ends of the spans at i an NT pushed there reads
+    ends = {}
+    for (lab, l, r), v in sorted(rem.items(), key=lambda kv: kv[0][2]):
+        ends.setdefault((lab, l), []).append((r, v))
+    opens = [e for e in c.stack if isinstance(e, OpenNT)]
+    for E in (i, i + 1):
+        want = []
+        for k, e in enumerate(opens):  # the bottom open closes the sentence
+            fresh = [(r, v) for r, v in ends.get((e.label, e.index), ()) if r >= (E if k else n)]
+            if fresh:
+                rs, ms = zip(*fresh)
+                want.append((e.label, e.index, rs, ms))
+        assert _td_targets(gold, taken, c.stack, n, i, E) == (want, len(opens) - len(want))
+    for lab in alphabet:
+        rs, ms = gold.ends.get((lab, i), ((), ()))
+        assert list(zip(rs, ms)) == ends.get((lab, i), [])
+    # the in-order pools at the left end of every item on the stack: how
+    # many spans there end at or past i, the nearest end and its labels
+    for b in {e.l for e in c.stack if isinstance(e, Completed)}:
+        pool = sorted((r, lab) for (lab, l, r), v in rem.items() if l == b and r >= i for _ in range(v))
+        nearest = pool[0][0] if pool else None
+        assert _missing_from(gold, taken, b, i) == (len(pool), nearest), b
+        assert _innermost_labels(gold, taken, b, i) == {lab for r, lab in pool if r == nearest}
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_gold_index_matches_a_fresh_count(strategy):
+    """The index GoldReference builds once, less the built constituents,
+    on every census class of the trees over at most two tokens and on
+    walks over 10-40 token trees that stack opens up to the cap."""
+    alphabet = ("D", "X", "Y")
+    census = walked = stacked = 0
+    bounds = SearchBounds(label_alphabet=alphabet)
+    for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
+        gold = GoldReference.from_tree(t, strategy)
+        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds, alphabet)
+        for c in reps:
+            assert_index_matches_a_fresh_count(c, gold, alphabet)
+            census += 1
+    rng = random.Random(f"index|{strategy}")
+    for _ in range(12):
+        t = random_tree(rng.randint(10, 40), ["X", "Y"], rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, strategy)
+        c = initial_config(t.tokens, strategy, max_consecutive_nt=rng.choice([2, 3]))
+        for _ in range(6 * c.n):
+            assert_index_matches_a_fresh_count(c, gold, alphabet)
+            walked += 1
+            opens = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
+            stacked += max(opens.values(), default=0) >= 2
+            moves = legal_transitions(c, alphabet)
+            if not moves:
+                break
+            nts = [m for m in moves if m.kind == "nt"]
+            c = apply(c, rng.choice(nts if nts and rng.random() < 0.6 else moves))
+    assert census >= 250 and walked >= 1000, (census, walked)
+    if strategy == TOP_DOWN:
+        assert stacked >= 100, stacked
+
+
+def test_long_left_branching_chain_under_stacked_opens():
+    """(X (X ... (X w0 w1) ...) w800) after 8 NT_X: each open can take any
+    of 800 gold ends, and only 8 of the 800 spans can still be built."""
+    text = "(X w0 w1)"
+    for k in range(2, 801):
+        text = f"(X {text} w{k})"
+    t = parse_bracketed(text)
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    c = initial_config(t.tokens, TOP_DOWN)
+    for _ in range(8):
+        c = apply(c, nt("X"))
+    assert loss(c, gold) == LossBreakdown(792, 0, 0, 0, 792)
+    assert [str(m) for m in optimal_transitions(c, gold)] == ["SH"]

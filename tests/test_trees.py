@@ -31,8 +31,20 @@ from oracle_lab.trees import (
     save_corpus,
     serialize,
     synthetic_corpus,
-    validate_tree,
 )
+
+
+def assert_well_formed(t):
+    """The leaf words spell the tokens and no internal node is childless."""
+    words, todo = [], [t.root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Leaf):
+            words.append(node.word)
+        else:
+            assert isinstance(node, Internal) and node.children, node
+            todo.extend(reversed(node.children))
+    assert tuple(words) == t.tokens
 
 
 def test_parse_serialize_round_trip():
@@ -157,14 +169,14 @@ def test_enumerate_trees_counts(n, expected):
     assert len(forest) == expected == _census(n, 2)
     assert len({serialize(t) for t in forest}) == expected
     for t in forest:
-        validate_tree(t)
+        assert_well_formed(t)
 
 
 def test_random_tree_is_valid_and_deterministic():
     for seed in range(40):
         n = 1 + seed % 6
         t = random_tree(n, ["X", "Y"], seed)
-        validate_tree(t)
+        assert_well_formed(t)
         check_derivable(t)
         assert t.tokens == tuple(f"w{k}" for k in range(n))
         assert serialize(t) == serialize(random_tree(n, ["X", "Y"], seed))
