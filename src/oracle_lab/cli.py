@@ -14,7 +14,6 @@ from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
 from .oracle import GoldReference, loss
 from .transitions import (
-    DEFAULT_NT_CAP,
     STRATEGIES,
     TOP_DOWN,
     apply,

@@ -14,8 +14,8 @@ TOP_DOWN = "top-down"
 IN_ORDER = "in-order"
 STRATEGIES = (TOP_DOWN, IN_ORDER)
 
-# A gold tree whose derivation needs more consecutive NT transitions than
-# this is rejected at load time.
+# The default cap on consecutive NT transitions.  Top-down train rejects a
+# gold tree whose derivation needs more; random_tree never draws one.
 DEFAULT_NT_CAP = 8
 
 
@@ -135,8 +135,10 @@ class OpenNT:
         return f"{self.label}(open,{self.index})"
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(NamedTuple):
+    """A parser state.  A named tuple: the brute-force searches build one per
+    state class, and a frozen dataclass takes five times as long to build."""
+
     strategy: str
     tokens: tuple
     stack: tuple = ()
@@ -150,9 +152,6 @@ class Configuration:
     @property
     def n(self):
         return len(self.tokens)
-
-    def open_nts(self):
-        return [e for e in self.stack if isinstance(e, OpenNT)]
 
     def stack_summary(self):
         return " ".join(e.summary() for e in self.stack)

@@ -266,6 +266,20 @@ def check_derivable(tree: ConstituentTree, cap=DEFAULT_NT_CAP):
     return tree
 
 
+def _checked_labels(labels) -> list:
+    """labels as a list; ValueError if none, or one would not read back."""
+    labels = list(labels)
+    if not labels:
+        raise ValueError("need at least one label")
+    for lab in labels:
+        if _LABEL_RE.fullmatch(lab) is None:
+            raise ValueError(
+                f"bad label {lab!r}: labels must be non-empty, without"
+                " whitespace or parentheses"
+            )
+    return labels
+
+
 def random_tree(n: int, labels, seed: int) -> ConstituentTree:
     """Deterministic random tree over n tokens w0..w{n-1}.
 
@@ -276,15 +290,7 @@ def random_tree(n: int, labels, seed: int) -> ConstituentTree:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    labels = list(labels)
-    if not labels:
-        raise ValueError("need at least one label")
-    for lab in labels:
-        if _LABEL_RE.fullmatch(lab) is None:
-            raise ValueError(
-                f"bad label {lab!r}: labels must be non-empty, without"
-                " whitespace or parentheses"
-            )
+    labels = _checked_labels(labels)
 
     for attempt in range(20):
         rng = random.Random(f"tree|{n}|{','.join(labels)}|{seed + 1000003 * attempt}")
@@ -342,6 +348,7 @@ def synthetic_corpus(
         raise ValueError(f"tree count must not be negative, got {count}")
     if min_tokens < 1 or max_tokens < min_tokens:
         raise ValueError("bad token range")
+    labels = _checked_labels(labels)
     rng = random.Random(f"corpus|{seed}|{count}")
     out = []
     for i in range(count):

@@ -18,7 +18,6 @@ from .oracle import GoldReference, loss
 from .transitions import (
     TOP_DOWN,
     Completed,
-    OpenNT,
     _construct,
     _reduce_target,
     apply,
@@ -93,8 +92,8 @@ def default_alphabet(gold: GoldReference):
     raise ValueError("could not pick a distractor label")
 
 
-def _future_bound(config, rem):
-    """Admissible lower bound on future loss, from stack mechanics alone.
+def _future_bound(key, strategy):
+    """Admissible lower bound on future loss, from the class key alone.
 
     Every open non-terminal reduces exactly once, and the left end of the
     constituent it will produce is already forced: for top-down it is the
@@ -104,32 +103,33 @@ def _future_bound(config, rem):
     is the left end of the completed item directly below, which stays put
     until the open reduces.  So opens and missing gold items can be
     matched on (label, left end) before any search: surplus opens must
-    close as junk.  Top-down constituents opened later can only start at
-    or after the current buffer position, so there a missing item left of
-    the buffer with no matching open can also never be built (in-order
-    wraps can reuse old left ends, so no such term is added).  The
-    subtler interactions (right-end windows, nesting, the NT cap,
-    ordering) are left to the search.
+    close as junk.  A junk open's label is collapsed to None in the key,
+    and no missing span has that label, so the collapse changes nothing
+    here.  Top-down constituents opened later can only start at or after
+    the current buffer position, so there a missing item left of the
+    buffer with no matching open can also never be built (in-order wraps
+    can reuse old left ends, so no such term is added).  The subtler
+    interactions (right-end windows, nesting, the NT cap, ordering) are
+    left to the search.
     """
-    i = config.i
+    items, i, _, _, rkey = key
     opens = {}
-    if config.strategy == TOP_DOWN:
+    if strategy == TOP_DOWN:
         cur = i
-        for e in reversed(config.stack):
-            if type(e) is OpenNT:
-                k = (e.label, cur)
+        for e in reversed(items):
+            if e[0] == "o":
+                k = (e[1], cur)
                 opens[k] = opens.get(k, 0) + 1
             else:
-                cur = e.l
+                cur = e[1]
     else:
-        stack = config.stack
-        for p, e in enumerate(stack):
-            if type(e) is OpenNT:
-                k = (e.label, stack[p - 1].l)
+        for p, e in enumerate(items):
+            if e[0] == "o":
+                k = (e[1], items[p - 1][1])
                 opens[k] = opens.get(k, 0) + 1
     avail = {}
-    for (lab, l, _), cnt in rem.items():
-        if cnt and l <= i:
+    for (lab, l, _), cnt in rkey:
+        if l <= i:
             k = (lab, l)
             avail[k] = avail.get(k, 0) + cnt
     h = 0
@@ -137,7 +137,7 @@ def _future_bound(config, rem):
         a = avail.get(k, 0)
         if m > a:
             h += m - a
-    if config.strategy == TOP_DOWN:
+    if strategy == TOP_DOWN:
         for k, a in avail.items():
             if k[1] < i:
                 m = opens.get(k, 0)
@@ -148,13 +148,15 @@ def _future_bound(config, rem):
 
 def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=None):
     """Minimum Hamming loss over all terminal configurations reachable from
-    config, found by best-first search over parser states.  States are
-    keyed by the class of _class_key: stack shape with junk labels
-    collapsed, buffer position and the multiset of gold constituents
-    still missing; wrong constituents already built are a sunk cost added
-    at the end.  The search itself never consults the closed-form loss;
-    it orders states by the mechanical bound of _future_bound, which only
-    prunes, never decides.
+    config, found by best-first search over the classes of _class_key:
+    stack shape with junk labels collapsed, buffer position and the
+    multiset of gold constituents still missing; wrong constituents
+    already built are a sunk cost added at the end.  Moves between classes
+    follow _Successors, the rule the census graph moves by, and a class's
+    configuration is built once, when the search first expands it.  The
+    search itself never consults the closed-form loss; it orders classes
+    by the mechanical bound of _future_bound, which only prunes, never
+    decides.
 
     Raises RuntimeError if no terminal configuration is reachable, which
     would mean the legality guards admit dead states.
@@ -179,19 +181,21 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     if cache is not None and start_key in cache:
         return sunk0 + cache[start_key]
 
-    # what was built so far never constrains the future, so drop it from
-    # the searched states to keep them small
-    start = replace(config, built=(), history=())
+    strategy = config.strategy
+    rule = _Successors(strategy, start_key[4])
+    step = rule.move
+    # built output never constrains the future; drop it to keep reps small
+    reps = {start_key: config._replace(built=(), history=())}
     dist = {start_key: 0}
     tie = 0
-    heap = [(_future_bound(start, rem0), 0, 0, start_key, start, rem0)]
+    heap = [(_future_bound(start_key, strategy), 0, 0, start_key)]
     best = math.inf
     pops = 0
     while heap:
-        f, _, d, key, c, rem = heapq.heappop(heap)
+        f, _, d, key = heapq.heappop(heap)
         if f >= best:
             break
-        if d > dist.get(key, math.inf):
+        if d > dist[key]:
             continue
         pops += 1
         if pops > _POP_LIMIT:
@@ -201,35 +205,26 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
             if cand < best:
                 best = cand
             continue
-        if is_terminal(c):
-            cand = d + sum(rem.values())
+        c = reps[key]
+        if type(c) is tuple:  # a pending (parent, move), built on first expansion
+            c = reps[key] = _construct(*c)
+        moves = legal_transitions(c, alphabet)  # none if c is terminal
+        if not moves and is_terminal(c):
+            cand = d + sum(rule.missing[key[4]][1].values())
             if cand < best:
                 best = cand
-            continue
-        # reversed so ties go to finish/reduce before opening yet another
-        # nonterminal
-        for t in reversed(legal_transitions(c, alphabet)):
-            c2 = _construct(c, t)
-            w = 0
-            rem2 = rem
-            if t.kind == "reduce":
-                made = c2.stack[-1]
-                made = (made.symbol, made.l, made.r)
-                if rem.get(made, 0):
-                    rem2 = dict(rem)
-                    rem2[made] -= 1
-                    if not rem2[made]:
-                        del rem2[made]
-                else:
-                    w = 1
-            k2 = _class_key(c2, rem2)
+        # reversed: ties go to finish/reduce before yet another nonterminal
+        for t in reversed(moves):
+            k2, w = step(key, c, t)
             nd = d + w
-            if nd < dist.get(k2, math.inf):
-                dist[k2] = nd
-                tie += 1
-                heapq.heappush(
-                    heap, (nd + _future_bound(c2, rem2), tie, nd, k2, c2, rem2)
-                )
+            old = dist.get(k2)
+            if old is None:
+                reps[k2] = (c, t)
+            elif nd >= old:
+                continue
+            dist[k2] = nd
+            tie += 1
+            heapq.heappush(heap, (nd + _future_bound(k2, strategy), tie, nd, k2))
     if math.isinf(best):
         raise RuntimeError(
             "search exhausted without reaching a terminal configuration;"
@@ -270,15 +265,15 @@ def _random_walk_configs(tree, strategy, bounds, alphabet, seed, tree_idx, walks
 
 
 def _class_key(config, rem):
-    """Equivalence class of a state for the exhaustive sweep.
+    """Equivalence class of a state for both brute-force searches.
 
     Future behavior never depends on the label of a completed stack item
     (the guards and apply only read its span, and for in-order its word
     flag), and an open non-terminal whose label no longer occurs in the
     missing multiset can only ever produce junk, whatever the label is.
-    Junk labels therefore collapse, which keeps the class count
-    manageable.  Top-down additionally never consults the word flag (a
-    bare word needs an open non-terminal below it, so it can never sit
+    Junk labels therefore collapse to None, which is no label, and the
+    class count stays manageable.  Top-down never consults the word flag
+    (a bare word needs an open non-terminal below it, so it can never sit
     alone on the stack), so there a shifted word and a completed
     constituent with the same span collapse as well.
 
@@ -291,7 +286,7 @@ def _class_key(config, rem):
         if type(e) is Completed:
             items.append((word_kind if e.is_word else "c", e.l, e.r))
         else:
-            lab = e.label if e.label in rem_labels else "*"
+            lab = e.label if e.label in rem_labels else None
             items.append(("o", lab, e.index))
     return (
         tuple(items),
@@ -300,6 +295,57 @@ def _class_key(config, rem):
         config.nt_run,
         frozenset(rem.items()),
     )
+
+
+class _Successors:
+    """The one rule by which both brute-force searches move between
+    classes.  move(key, config, t) takes a class key, a member
+    configuration and a legal move and returns the successor's key,
+    derived from the parent's key and the move alone (a reduce's
+    constituent from transitions._reduce_target), and the move's weight:
+    1 for a reduce that builds a constituent outside the missing
+    multiset, else 0.  missing maps each missing multiset's frozenset to
+    (that frozenset, its dict, the labels it holds), so that keys share
+    one frozenset per multiset, and each gold reduce from a multiset is
+    worked out once.
+    """
+
+    def __init__(self, strategy, rkey):
+        self.strategy = strategy
+        self.word_kind = "c" if strategy == TOP_DOWN else "w"
+        self.missing = {rkey: (rkey, dict(rkey), frozenset(k[0] for k, _ in rkey))}
+        self.gold_step = {}  # (missing frozenset, gold constituent) -> the one after
+
+    def move(self, key, config, t):
+        items, i, finished, nt_run, rkey = key
+        kind = t.kind
+        if kind == "shift":
+            return (items + ((self.word_kind, i, i + 1),), i + 1, finished, 0, rkey), 0
+        if kind == "nt":
+            lab = t.label if t.label in self.missing[rkey][2] else None
+            return (items + (("o", lab, i),), i, finished, nt_run + 1, rkey), 0
+        if kind == "finish":
+            return (items, i, True, 0, rkey), 0
+        cut, label, l, r = _reduce_target(config.stack, self.strategy)
+        items = items[:cut] + (("c", l, r),)
+        made = (label, l, r)
+        rem = self.missing[rkey][1]
+        if made not in rem:
+            return (items, i, finished, 0, rkey), 1
+        edge = (rkey, made)
+        rkey2 = self.gold_step.get(edge)
+        if rkey2 is None:
+            rem2 = {k: n - (k == made) for k, n in rem.items() if k != made or n > 1}
+            new = frozenset(rem2.items())
+            info = (new, rem2, frozenset(k[0] for k in rem2))
+            rkey2 = self.gold_step[edge] = self.missing.setdefault(new, info)[0]
+        labels = self.missing[rkey2][2]
+        if label not in labels:
+            items = tuple(
+                it if it[0] != "o" or it[1] in labels else ("o", None, it[2])
+                for it in items
+            )
+        return (items, i, finished, 0, rkey2), 0
 
 
 def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
@@ -314,28 +360,17 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     sunk_of[id] the junk that representative has built, and back[id] one
     (predecessor id, weight) pair per legal move into the class.
     terminal_pen lists (id, missed gold count) for every terminal class.
-    Edge weights follow the same rule as the per-config search: a reduce
-    that completes a constituent outside the missing multiset costs 1,
-    everything else costs 0.
 
-    A successor's key is derived from its parent's key and the move alone
-    (a reduce's constituent from transitions._reduce_target), so a move
-    into a class already found builds nothing; _construct runs once per
-    class, for its representative.  _class_key recomputed from scratch
-    agrees with every derived key (the suite asserts this per edge).  Each
-    distinct missing multiset gets one frozenset, and each gold reduce
-    from it is worked out once.  The cyclic collector is paused while the
-    graph grows, since none of it is garbage, and restored as it was.
+    Every edge's successor key and weight come from _Successors, the rule
+    brute_force_loss moves by, so a move into a class already found
+    builds nothing; _construct runs once per class, for its
+    representative.  The cyclic collector is paused while the graph
+    grows, since none of it is garbage, and restored as it was.
     """
     start = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
-    word_kind = "c" if strategy == TOP_DOWN else "w"
-    rem0 = dict(gold.count)
-    rkey0 = frozenset(rem0.items())
-    # missing frozenset -> (that frozenset, its dict, the labels it holds);
-    # the first entry makes every class key share one frozenset per multiset
-    rem_info = {rkey0: (rkey0, rem0, frozenset(k[0] for k in rem0))}
-    gold_step = {}  # (missing frozenset, gold constituent) -> the one after
-    key0 = ((), 0, False, 0, rkey0)
+    key0 = _class_key(start, gold.count)
+    rule = _Successors(strategy, key0[4])
+    step, missing = rule.move, rule.missing
     ids = {key0: 0}
     keys = [key0]
     reps = [start]
@@ -348,53 +383,13 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
         a = 0
         while a < len(keys):
             c = reps[a]
-            items, i, finished, nt_run, rkey = keys[a]
-            _, rem, rlabels = rem_info[rkey]
-            if is_terminal(c):
-                terminal_pen.append((a, sum(rem.values())))
-                a += 1
-                continue
+            key = keys[a]
+            moves = legal_transitions(c, alphabet)  # none if c is terminal
+            if not moves and is_terminal(c):
+                terminal_pen.append((a, sum(missing[key[4]][1].values())))
             sunk = sunk_of[a]
-            for t in legal_transitions(c, alphabet):
-                kind = t.kind
-                w = 0
-                if kind == "shift":
-                    k2 = (items + ((word_kind, i, i + 1),), i + 1, finished, 0, rkey)
-                elif kind == "nt":
-                    lab = t.label if t.label in rlabels else "*"
-                    k2 = (items + (("o", lab, i),), i, finished, nt_run + 1, rkey)
-                elif kind == "finish":
-                    k2 = (items, i, True, 0, rkey)
-                else:
-                    cut, label, l, r = _reduce_target(c.stack, strategy)
-                    items2 = items[:cut] + (("c", l, r),)
-                    made = (label, l, r)
-                    rkey2 = rkey
-                    if made in rem:
-                        step = (rkey, made)
-                        rkey2 = gold_step.get(step)
-                        if rkey2 is None:
-                            rem2 = dict(rem)
-                            if rem2[made] == 1:
-                                del rem2[made]
-                            else:
-                                rem2[made] -= 1
-                            rkey2 = frozenset(rem2.items())
-                            info = rem_info.get(rkey2)
-                            if info is None:
-                                labels2 = frozenset(k[0] for k in rem2)
-                                info = rem_info[rkey2] = (rkey2, rem2, labels2)
-                            rkey2 = gold_step[step] = info[0]
-                        rlabels2 = rem_info[rkey2][2]
-                        if label not in rlabels2:
-                            items2 = tuple(
-                                it if it[0] != "o" or it[1] in rlabels2
-                                else ("o", "*", it[2])
-                                for it in items2
-                            )
-                    else:
-                        w = 1
-                    k2 = (items2, i, finished, 0, rkey2)
+            for t in moves:
+                k2, w = step(key, c, t)
                 b = ids.get(k2)
                 if b is None:
                     b = ids[k2] = len(keys)

@@ -319,9 +319,10 @@ def test_gen_rejects_a_negative_count(tmp_path, capsys):
 @pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y"])
 def test_gen_rejects_labels_that_cannot_be_written_out(tmp_path, capsys, labels):
     corpus = tmp_path / "corpus.txt"
-    assert main(["gen", "3", "--labels", labels, "--out", str(corpus)]) == 2
-    assert "bad label" in capsys.readouterr().err
-    assert not corpus.exists()
+    for count in ("0", "3"):  # a count of 0 draws no tree, but still checks
+        assert main(["gen", count, "--labels", labels, "--out", str(corpus)]) == 2
+        assert "bad label" in capsys.readouterr().err
+        assert not corpus.exists()
 
 
 def parse_scripts_table(text):

@@ -21,9 +21,11 @@ from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, ra
 from oracle_lab.verify import (
     ConformanceReport,
     SearchBounds,
+    _Successors,
     _batch_future,
     _class_key,
     _exhaustive_graph,
+    _future_bound,
     brute_force_loss,
     default_alphabet,
     sweep,
@@ -205,11 +207,44 @@ def test_incremental_class_keys_match_recomputation():
                 assert sunk == want_sunk
 
 
+def _built_successors(c, rem, alphabet):
+    """(move, class key, weight) per legal move of c, with the successor
+    built and keyed from scratch."""
+    for t in legal_transitions(c, alphabet):
+        c2 = _construct(c, t)
+        rem2 = dict(rem)
+        w = 0
+        if t.kind == "reduce":
+            made = c2.built[-1].key
+            if made in rem2:
+                rem2[made] -= 1
+                rem2 = {k: v for k, v in rem2.items() if v}
+            else:
+                w = 1
+        yield t, _class_key(c2, rem2), w
+
+
+def _seeded_walks(trees=40, seeds=3, steps=40):
+    """(strategy, gold, alphabet, config) over seeded random walks with a
+    distractor label, so that junk is built and the missing multiset
+    shrinks along the way."""
+    alphabet = ("D", "X", "Y", "Z")
+    for strategy in (TOP_DOWN, IN_ORDER):
+        for s in range(trees):
+            tree = random_tree(1 + s % 6, ["X", "Y", "Z"], s)
+            gold = GoldReference.from_tree(tree, strategy)
+            for seed in range(seeds):
+                for c in _walk_configs(tree, strategy, alphabet, seed, steps):
+                    yield strategy, gold, alphabet, c
+
+
 def test_every_edge_leads_to_the_class_of_the_built_successor():
     """Moves into a known class build no configuration, so a wrongly
-    derived key would silently merge two classes.  Per representative and
-    legal move, the edge must reach the class of the successor built and
-    keyed from scratch, with the search's weight."""
+    derived key would silently merge two classes.  Per census
+    representative and legal move, the edge must reach the class of the
+    successor built and keyed from scratch, with the search's weight; per
+    walk configuration, brute_force_loss's input, the shared rule must
+    give that key and weight."""
     alphabet = ("X", "Y")
     bounds = SearchBounds(label_alphabet=alphabet)
     sample = [t for n in (1, 2) for t in enumerate_trees(n, list(alphabet))]
@@ -228,25 +263,45 @@ def test_every_edge_leads_to_the_class_of_the_built_successor():
                     out[a][b, w] += 1
             for a, c in enumerate(reps):
                 rem, _ = _missing_and_sunk(c, gold)
-                want = Counter()
-                for t in legal_transitions(c, alphabet):
-                    c2 = _construct(c, t)
-                    rem2 = dict(rem)
-                    w = 0
-                    if t.kind == "reduce":
-                        made = c2.built[-1].key
-                        if made in rem2:
-                            rem2[made] -= 1
-                            rem2 = {k: v for k, v in rem2.items() if v}
-                        else:
-                            w = 1
-                    want[ids[_class_key(c2, rem2)], w] += 1
+                want = Counter(
+                    (ids[k2], w) for _, k2, w in _built_successors(c, rem, alphabet)
+                )
                 assert out[a] == want, fingerprint(c)
                 edges += sum(want.values())
             assert sorted(a for a, _ in term) == [
                 a for a, c in enumerate(reps) if is_terminal(c)
             ]
     assert edges > 150_000
+    walk_edges = junk_built = shrunk = 0
+    for strategy, gold, alphabet, c in _seeded_walks():
+        rem, sunk = _missing_and_sunk(c, gold)
+        junk_built += sunk > 0
+        shrunk += rem != gold.count
+        key = _class_key(c, rem)
+        rule = _Successors(strategy, key[4])
+        for t, k2, w in _built_successors(c, rem, alphabet):
+            assert rule.move(key, c, t) == (k2, w), (fingerprint(c), t)
+            walk_edges += 1
+    assert walk_edges > 5_000 and junk_built > 500 and shrunk > 200
+
+
+def test_future_bound_ignores_the_junk_label_collapse():
+    """A junk open's label is None in the class key; no missing span has
+    that label, so the bound must equal the bound on the same key with
+    every open's own label."""
+    collapsed = 0
+    for strategy, gold, _, c in _seeded_walks():
+        rem, _ = _missing_and_sunk(c, gold)
+        key = _class_key(c, rem)
+        raw = tuple(
+            ("o", e.label, e.index) if it[0] == "o" else it
+            for e, it in zip(c.stack, key[0])
+        )
+        collapsed += raw != key[0]
+        assert _future_bound(key, strategy) == _future_bound(
+            (raw,) + key[1:], strategy
+        ), fingerprint(c)
+    assert collapsed > 500
 
 
 def test_graph_futures_match_the_best_first_search():
@@ -322,6 +377,19 @@ def test_sweep_exhaustive_policy_small():
         assert report.classes == report.configs_checked
         assert report.edges >= report.classes - len(corpus)
         assert report.graph_s > 0 and report.formula_s > 0
+
+
+def test_sweep_passes_with_a_gold_label_spelled_like_a_wildcard():
+    """"*" is a label that reads back; a collapsed junk open must not be
+    taken for an open that can still build a gold "*" span."""
+    bounds = SearchBounds(label_alphabet=("*", "X", "Y"))
+    for strategy in (TOP_DOWN, IN_ORDER):
+        small = [t for n in (1, 2) for t in enumerate_trees(n, ["*", "X"])]
+        report = sweep(small, strategy, bounds, walk_policy="exhaustive")
+        assert report.passed, report.summary()
+        walked = list(enumerate_trees(3, ["*", "X"]))[::5]
+        report = sweep(walked, strategy, bounds, seed=1, walks=3)
+        assert report.passed, report.summary()
 
 
 def test_sweep_random_walks_are_deterministic():
