@@ -2,7 +2,7 @@
 
 from .evaluation import PRF, ArityTable, arity_breakdown, prf
 from .model import ExplorationPolicy, Model, features, parse, parse_with_info, train
-from .oracle import GoldReference, LossBreakdown, loss, optimal_transitions
+from .oracle import GoldReference, LossBreakdown, loss, losses, optimal_transitions
 from .transitions import (
     FINISH,
     IN_ORDER,

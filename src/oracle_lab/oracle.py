@@ -32,6 +32,16 @@ right ends at or past i that an analysis reads, only those at i itself can
 have been built.  So the cost of a call follows the stack and the built
 constituents, not the size of the gold tree.
 
+`losses` analyses many configurations of one gold tree in one batch.  For
+a fixed gold (and so a fixed n), a top-down pass and its close read only
+the buffer position i, the NT headroom max(0, cap - nt_run) and the
+searched targets from `_td_targets`, so the batch memoises their (cost,
+junk) on that triple: the census checks hundreds of thousands of classes
+per tree with a few hundred distinct triples.  The matched spans, the gold
+counts at i and past it and the forced junk are added per configuration.
+The memo dies with the call; kept on the `GoldReference`, it would replay
+stored answers to a caller that asks about the same gold again.
+
 `optimal_transitions` judges every legal move from one analysis of the
 configuration, without building a successor or calling `loss` per move
 (in the spirit of Goldberg & Nivre 2013, who derive move costs without
@@ -119,31 +129,24 @@ class GoldReference:
 
     def __init__(self, strategy, constituents):
         self.strategy = strategy
-        self.count = Counter(c.key for c in constituents)
-        self.labels = tuple(sorted({c.label for c in constituents}))
+        self.count = count = Counter(map(tuple, constituents))
+        self.labels = tuple(sorted({k[0] for k in count}))
         self.size = len(constituents)
-        n = max((c.r for c in constituents), default=0)
-        ends = {}
-        spans_at = {}
-        right_ends = {}
+        self.ends = ends = {}
+        self.spans_at = spans_at = {}
+        self.right_ends = right_ends = {}
         # one pass, by right end, so that every list comes out ascending
-        for r, lab, l, cnt in sorted([(r, lab, l, cnt) for (lab, l, r), cnt in self.count.items()]):
-            e = ends.get((lab, l))
-            if e is None:
-                ends[(lab, l)] = ([r], [cnt])
+        rows = sorted([(r, lab, l, cnt) for (lab, l, r), cnt in count.items()])
+        for r, lab, l, cnt in rows:
+            rs, ms = ends.get((lab, l), ((), ()))
+            ends[lab, l] = (rs + (r,), ms + (cnt,))
+            if l in spans_at:
+                spans_at[l].append((r, lab, cnt))
+                right_ends[l] += [r] * cnt
             else:
-                e[0].append(r)
-                e[1].append(cnt)
-            at = spans_at.get(l)
-            if at is None:
                 spans_at[l] = [(r, lab, cnt)]
                 right_ends[l] = [r] * cnt
-            else:
-                at.append((r, lab, cnt))
-                right_ends[l] += [r] * cnt
-        self.ends = {k: (tuple(rs), tuple(ms)) for k, (rs, ms) in ends.items()}
-        self.spans_at = spans_at
-        self.right_ends = right_ends
+        n = rows[-1][0] if rows else 0  # the last right end
         starts = [0] * (n + 1)  # gold spans per left end
         for l, rs in right_ends.items():
             starts[l] = len(rs)
@@ -203,8 +206,7 @@ def _tally(config: Configuration, gold: GoldReference):
     count = gold.count
     taken = {}
     sunk = 0
-    for c in config.built:
-        k = (c.label, c.l, c.r)
+    for k in config.built:  # a Constituent is its own key (label, l, r)
         v = taken.get(k, 0)
         if v < count.get(k, 0):
             taken[k] = v + 1
@@ -213,7 +215,7 @@ def _tally(config: Configuration, gold: GoldReference):
     return taken, sunk
 
 
-def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
+def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo):
     """Minimum future loss for top-down, by one forward pass over the open
     NTs from the bottom of the stack to the top.  Returns (unreachable,
     forced junk, out-of-order junk) for a configuration at buffer position
@@ -255,14 +257,18 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
     those choices, and each entry is the first cheapest way into its state.
     The answer is the first state whose cost plus the terminal term is
     least: the first cheapest assignment in that order.  This fixes the
-    split between unreachable spans and out-of-order junk.
+    split between unreachable spans and out-of-order junk.  The pass and
+    close are looked up in memo first, keyed as the module docstring says.
     """
     searched, forced_junk = targets
-    layer = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)[-1]
-    top_at_i = bool(searched) and searched[-1][1] == i
-    cost, junk = _td_close(
-        layer, top_at_i, gold.right_ends.get(i, ()), max(0, cap - nt_run)
-    )
+    avail = max(0, cap - nt_run)
+    key = (i, avail, tuple(searched))
+    found = memo.get(key)
+    if found is None:
+        layer = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)[-1]
+        top_at_i = bool(searched) and searched[-1][1] == i
+        found = memo[key] = _td_close(layer, top_at_i, gold.right_ends.get(i, ()), avail)
+    cost, junk = found
     lost = gold.left[i] - matched + gold.capped(i, cap)
     return lost + cost - junk, forced_junk, junk
 
@@ -459,24 +465,36 @@ def _in_order_analysis(gold, taken, matched, stack, i):
 
 
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
-    """Minimum achievable Hamming loss from this configuration, decomposed."""
-    _check_strategies(config, gold)
-    taken, sunk = _tally(config, gold)
-    matched = len(config.built) - sunk
-    if is_terminal(config) or config.finished:
-        unreachable, fa, ooo = gold.size - matched, 0, 0
-    elif config.strategy == TOP_DOWN:
-        stack, i, n = config.stack, config.i, config.n
-        # E: i with a completed item on top, else i + 1
-        E = i if stack and type(stack[-1]) is Completed else i + 1
-        targets = _td_targets(gold, taken, stack, n, i, E)
-        unreachable, fa, ooo = _top_down_analysis(
-            gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run
-        )
-    else:
-        unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
-    # unreachable, false constituents, false opens, out of order, total
-    return LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)
+    """Minimum achievable Hamming loss from this configuration, decomposed:
+    `losses` of this one configuration."""
+    return losses((config,), gold)[0]
+
+
+def losses(configs, gold: GoldReference) -> list:
+    """The `LossBreakdown` of each configuration of one gold tree, in order.
+    The top-down analyses share one memo, which lives for this call only;
+    the module docstring says why its key is exact."""
+    memo = {}  # (i, NT headroom, searched targets) -> _td_close's (cost, junk)
+    out = []
+    for config in configs:
+        _check_strategies(config, gold)
+        taken, sunk = _tally(config, gold)
+        matched = len(config.built) - sunk
+        if is_terminal(config) or config.finished:
+            unreachable, fa, ooo = gold.size - matched, 0, 0
+        elif config.strategy == TOP_DOWN:
+            stack, i, n = config.stack, config.i, config.n
+            # E: i with a completed item on top, else i + 1
+            E = i if stack and type(stack[-1]) is Completed else i + 1
+            targets = _td_targets(gold, taken, stack, n, i, E)
+            unreachable, fa, ooo = _top_down_analysis(
+                gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run, memo
+            )
+        else:
+            unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
+        # unreachable, false constituents, false opens, out of order, total
+        out.append(LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo))
+    return out
 
 
 def _top_down_move_losses(config, gold, taken, sunk, moves):
@@ -512,7 +530,7 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
         if kind == "shift":
             if later is None:
                 later = _td_targets(gold, taken, stack, n, i, i + 1)
-            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0))
+            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0, {}))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, TOP_DOWN)
             key = (lab, l, r)
@@ -536,7 +554,7 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
                 # a completed item is on top: E = i
                 taken[key] = had + 1
                 targets = _td_targets(gold, taken, stack[:cut], n, i, i)
-                total = sunk + sum(_top_down_analysis(gold, targets, matched + 1, n, cap, i, 0))
+                total = sunk + sum(_top_down_analysis(gold, targets, matched + 1, n, cap, i, 0, {}))
                 taken[key] = had
         else:  # nt
             if nt_base is None:
@@ -634,7 +652,13 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     _check_strategies(config, gold)
     if label_alphabet is None:
         label_alphabet = gold.labels
-    moves = legal_transitions(config, label_alphabet)
+    return _optimal(config, gold, legal_transitions(config, label_alphabet))
+
+
+def _optimal(config, gold, moves):
+    """The moves of moves, all legal in config, that keep its loss, in
+    their order: optimal_transitions for a caller that already holds the
+    legal moves."""
     if not moves:
         return []
     base, totals = _move_losses(config, gold, moves)

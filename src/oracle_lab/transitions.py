@@ -7,7 +7,6 @@ completed.  Configurations are immutable; apply() returns a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 TOP_DOWN = "top-down"
@@ -92,9 +91,11 @@ def move_table(label_alphabet) -> tuple:
     return table
 
 
-@dataclass(frozen=True, slots=True)
-class Constituent:
-    """Labeled span over the token sequence."""
+class Constituent(NamedTuple):
+    """Labeled span over the token sequence.  Constituents and stack items
+    are named tuples: every reduce builds one of each, and a frozen
+    dataclass takes two to three times as long to build.  A constituent
+    equals and hashes as its key, so it looks up gold counts directly."""
 
     label: str
     l: int
@@ -108,8 +109,7 @@ class Constituent:
         return f"({self.label},{self.l},{self.r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Completed:
+class Completed(NamedTuple):
     """Stack element for a finished item over tokens [l, r): a shifted word
     or a reduced constituent.  The subtree itself is not kept; the
     configuration's built constituents are the parse's only record, and
@@ -124,8 +124,7 @@ class Completed:
         return f"{self.symbol}[{self.l},{self.r}]"
 
 
-@dataclass(frozen=True, slots=True)
-class OpenNT:
+class OpenNT(NamedTuple):
     """Stack element for a pushed, not yet reduced non-terminal."""
 
     label: str

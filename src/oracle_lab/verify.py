@@ -12,9 +12,11 @@ import heapq
 import math
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .oracle import GoldReference, loss
+from .oracle import GoldReference, losses
+from .oracle import loss  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     TOP_DOWN,
     Completed,
@@ -377,9 +379,7 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     sunk_of = [0]
     back = [[]]
     terminal_pen = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         a = 0
         while a < len(keys):
             c = reps[a]
@@ -399,10 +399,21 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
                     back.append([])
                 back[b].append((a, w))
             a += 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return keys, reps, sunk_of, back, terminal_pen
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector and restore it as it was.  The census
+    allocates millions of objects, none of them garbage, that it would
+    otherwise walk again and again."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _batch_future(back, terminal_pen):
@@ -473,13 +484,15 @@ def sweep(
             report.graph_s += t2 - t1
             report.classes += len(reps)
             report.edges += sum(map(len, back))
-            for c, sunk, fut in zip(reps, sunk_of, future):
+            with _collector_paused():
+                formulas = losses(reps, gold)
+            for c, lb, sunk, fut in zip(reps, formulas, sunk_of, future):
                 if fut is None:
                     raise RuntimeError(
                         "no terminal configuration reachable from"
                         f" {fingerprint(c)}; the legality guards are suspect"
                     )
-                formula = loss(c, gold).total
+                formula = lb.total
                 brute = sunk + fut
                 report.configs_checked += 1
                 if formula != brute:
@@ -494,8 +507,9 @@ def sweep(
             )
         cache = {}
         # deepest states first so shallower searches can reuse their answers
-        for c in reversed(configs):
-            formula = loss(c, gold).total
+        configs.reverse()
+        for c, lb in zip(configs, losses(configs, gold)):
+            formula = lb.total
             brute = brute_force_loss(c, gold, local, cache)
             report.configs_checked += 1
             if formula != brute:

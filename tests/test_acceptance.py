@@ -71,6 +71,7 @@ def test_criterion_01_formula_equals_brute_force_everywhere():
         assert report.passed, report.summary()
         checked += report.configs_checked
     walk_s = time.perf_counter() - t0
+    census_s = {s: [0.0, 0.0] for s in STRATEGIES}  # graph and formula seconds
     for n in (1, 2, 3):
         census = list(enumerate_trees(n, list(CENSUS_LABELS)))
         for strategy in STRATEGIES:
@@ -82,9 +83,12 @@ def test_criterion_01_formula_equals_brute_force_everywhere():
             )
             assert report.passed, report.summary()
             checked += report.configs_checked
+            census_s[strategy][0] += report.graph_s
+            census_s[strategy][1] += report.formula_s
     elapsed = time.perf_counter() - t0
+    split = ", ".join(f"{s} graph {g:.1f}s formula {f:.1f}s" for s, (g, f) in census_s.items())
     print(f"criterion 1: {checked} configurations, formula == brute force,"
-          f" {elapsed:.0f}s (walks {walk_s:.1f}s, census {elapsed - walk_s:.1f}s)")
+          f" {elapsed:.0f}s (walks {walk_s:.1f}s, census {elapsed - walk_s:.1f}s: {split})")
     assert elapsed < 300
 
 

@@ -15,7 +15,9 @@ from oracle_lab.oracle import (
     _move_losses,
     _tally,
     _td_targets,
+    _top_down_analysis,
     loss,
+    losses,
     optimal_transitions,
 )
 from oracle_lab.transitions import (
@@ -226,6 +228,76 @@ def test_top_down_loss_is_exact_where_the_cap_cannot_derive_the_tree():
     )
     assert report.passed, report.summary()
     assert report.configs_checked == 43_112
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_losses_match_loss_one_by_one(strategy):
+    """One `losses` batch per gold tree against one `loss` call per
+    configuration, field for field: the exhaustive classes of every tree
+    over at most two tokens and of every 27th three-token tree, under caps
+    1-3 in one batch, and walks on 10-40 token trees that stack opens up
+    to the cap."""
+    alphabet = ("X", "Y")
+    batches = []
+    for t in [t for n in (1, 2, 3) for t in list(enumerate_trees(n, ["X", "Y"]))[:: 27 if n == 3 else 1]]:
+        gold = GoldReference.from_tree(t, strategy)
+        configs = []
+        for cap in (1, 2, 3):
+            bounds = SearchBounds(max_consecutive_nt=cap, label_alphabet=alphabet)
+            configs += _exhaustive_graph(t, gold, strategy, bounds, alphabet)[1]
+        batches.append((gold, configs))
+    census = sum(len(configs) for _, configs in batches)
+    rng = random.Random(f"losses|{strategy}")
+    stacked = 0
+    for _ in range(16):
+        t = random_tree(rng.randint(10, 40), ["X", "Y"], rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, strategy)
+        configs = []
+        for cap in (2, 3):
+            c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
+            for _ in range(6 * c.n):
+                configs.append(c)
+                opens = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
+                stacked += max(opens.values(), default=0) >= 2
+                moves = legal_transitions(c, ("D",) + alphabet)
+                if not moves:
+                    break
+                nts = [m for m in moves if m.kind == "nt"]
+                c = apply(c, rng.choice(nts if nts and rng.random() < 0.6 else moves))
+        batches.append((gold, configs))
+    for gold, configs in batches:
+        assert losses(configs, gold) == [loss(c, gold) for c in configs]
+    assert census >= (140_000 if strategy == TOP_DOWN else 18_000), census
+    if strategy == TOP_DOWN:
+        assert stacked >= 1_000, stacked
+
+
+def test_losses_key_on_the_position_and_the_nt_headroom():
+    """Three configurations of one gold whose opens search the same
+    targets: NT_X at i = 0 and NT_X SH NT_Y at i = 1 with one NT of
+    headroom each, and NT_X SH NT_Y NT_Y at i = 1 with none (NT_Y is
+    forced junk).  Each pair differs in one part of the batch's key, and
+    each pass and close gives its own (cost, junk), so a key without the
+    position or without the headroom hands one configuration another's."""
+    t = parse_bracketed("(X w0 (Z w1 w2))")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    configs = []
+    for names in ("NT_X", "NT_X SH NT_Y", "NT_X SH NT_Y NT_Y"):
+        c = initial_config(t.tokens, TOP_DOWN, max_consecutive_nt=2)
+        for name in names.split():
+            c = apply(c, parse_transition(name))
+        configs.append(c)
+    assert losses(configs, gold) == [loss(c, gold) for c in configs]
+    assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
+    found = []
+    for c in configs:
+        taken, sunk = _tally(c, gold)
+        targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
+        assert targets[0] == [("X", 0, (3,), (1,))]
+        memo = {}
+        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run, memo)
+        found += memo.values()
+    assert found == [(0, 0), (-1, 0), (0, 0)]  # each pass and close's (cost, junk)
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
