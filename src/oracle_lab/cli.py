@@ -13,15 +13,10 @@ import sys
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
 from .oracle import GoldReference, loss
-from .transitions import (
-    STRATEGIES,
-    TOP_DOWN,
-    apply,
-    initial_config,
-)
+from .transitions import STRATEGIES, apply, initial_config
 from .trees import (
     TreeError,
-    check_derivable,
+    check_derivable_corpus,
     gold_sequence,
     load_corpus,
     parse_bracketed,
@@ -52,6 +47,8 @@ def _open_out(args):
 
 def cmd_oracle_trace(args):
     trees = load_corpus(args.trees)
+    # every tree, before the first row is written
+    check_derivable_corpus(trees, args.strategy)
     out = _open_out(args)
     try:
         for idx, tree in enumerate(trees):
@@ -87,7 +84,10 @@ def _check_corpus(args):
         ]
     if args.trees is None:
         raise ValueError("need a corpus file or --generate N")
-    return load_corpus(args.trees)
+    trees = load_corpus(args.trees)
+    if not trees:
+        raise ValueError(f"{args.trees}: no trees to check")
+    return trees
 
 
 def cmd_check(args):
@@ -103,12 +103,9 @@ def cmd_check(args):
                 f"tree {idx}: {len(tree.tokens)} tokens exceeds"
                 f" --max-tokens {bounds.max_tokens}"
             )
-        # only the gold-prefix policy replays the gold derivation (sweep)
-        if args.strategy == TOP_DOWN and args.policy == "gold-prefix":
-            try:
-                check_derivable(tree, bounds.max_consecutive_nt)
-            except TreeError as e:
-                raise TreeError(f"tree {idx}: {e}") from None
+    # only the gold-prefix policy replays the gold derivation (sweep)
+    if args.policy == "gold-prefix":
+        check_derivable_corpus(trees, args.strategy, bounds.max_consecutive_nt)
     report = sweep(
         trees,
         args.strategy,

@@ -1,6 +1,9 @@
 """Linear model over symbolic features, trained with averaged online
 updates against the oracle, plus greedy decoding.
 
+Static and dynamic training run one loop and differ only in the optimal
+moves they ask for; an audit hook sees every update opportunity of either.
+
 Stands in for the neural scorer in the experiments: small, deterministic,
 and it exercises the oracle through exactly the same interface.
 """
@@ -10,14 +13,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .oracle import GoldReference, _optimal, loss
 from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     Completed,
-    DEFAULT_NT_CAP,
     OpenNT,
-    TOP_DOWN,
     _construct,
     apply,
     initial_config,
@@ -29,8 +31,7 @@ from .transitions import (
 from .trees import (
     ConstituentTree,
     Internal,
-    TreeError,
-    check_derivable,
+    check_derivable_corpus,
     constituent_set,
     forest_from_built,
     gold_sequence,
@@ -245,48 +246,35 @@ def train(
 ) -> Model:
     """Train a greedy parser on gold trees.
 
-    With p_explore == 0 training is static: it follows the gold sequence.
-    Otherwise it is dynamic: it consults the oracle at every visited
-    configuration, updates toward its best-scoring optimal transition, and
-    explores the model's own mistake with probability p_explore.  audit,
-    if given, is called with (sentence, step, config, target, loss_delta)
-    at every dynamic update opportunity.
+    Static training (p_explore == 0) takes the next gold move as the only
+    optimal one and follows the whole gold sequence.  Dynamic training asks
+    the oracle and follows the model's own mistake with probability
+    p_explore.  audit, if given, is called with (sentence, step, config,
+    target, loss_delta) at every update opportunity, in either mode.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    nt_cap = DEFAULT_NT_CAP
-    if strategy == TOP_DOWN:
-        for idx, tree in enumerate(corpus):
-            try:
-                check_derivable(tree, nt_cap)
-            except TreeError as e:
-                raise TreeError(f"tree {idx}: {e}") from None
+    check_derivable_corpus(corpus, strategy)
     alphabet = tuple(sorted({c.label for t in corpus for c in constituent_set(t)}))
     learner = _Learner(_columns(alphabet))
     coin = random.Random(f"{policy.seed}|explore")
+
+    def explore():
+        return coin.random() < policy.p_explore
+
     golds = [GoldReference.from_tree(t, strategy) for t in corpus]
+    static = policy.p_explore == 0
+    seqs = [gold_sequence(t, strategy) if static else None for t in corpus]
     for epoch in range(epochs):
         order = list(range(len(corpus)))
         random.Random(f"{seed}|shuffle|{epoch}").shuffle(order)
-        for s_idx in order:
-            tree = corpus[s_idx]
-            if policy.p_explore == 0:
-                _static_pass(tree, strategy, alphabet, learner, nt_cap)
-            else:
-                _dynamic_pass(
-                    tree,
-                    golds[s_idx],
-                    strategy,
-                    alphabet,
-                    learner,
-                    policy,
-                    coin,
-                    nt_cap,
-                    s_idx,
-                    audit,
-                )
+        for s in order:
+            note = None if audit is None else partial(audit, s)
+            _train_sentence(
+                corpus[s].tokens, golds[s], seqs[s], alphabet, learner, explore, note
+            )
     return Model(
         weights=learner.averaged(),
         label_alphabet=alphabet,
@@ -294,29 +282,24 @@ def train(
     )
 
 
-def _static_pass(tree, strategy, alphabet, learner, nt_cap):
-    c = initial_config(tree.tokens, strategy, nt_cap)
-    for g_t in gold_sequence(tree, strategy):
-        moves = legal_transitions(c, alphabet)
-        feats = features(c)
-        guess, _ = _pick(moves, learner.w, feats, learner.columns)
-        learner.tick()
-        if guess != g_t:
-            learner.update(feats, g_t, guess)
-        c = apply(c, g_t)
+def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
+    """One training pass over a sentence.
 
-
-def _dynamic_pass(
-    tree, gold, strategy, alphabet, learner, policy, coin, nt_cap, s_idx, audit
-):
-    c = initial_config(tree.tokens, strategy, nt_cap)
-    cap = _step_cap(c.n, nt_cap)
+    With seq, its gold sequence, the optimal moves at step k are [seq[k]]
+    and the pass takes every move of seq; without it they come from the
+    oracle and the pass stops at the step cap.  Each step updates toward
+    the first best-scoring optimal move when the model's guess is not
+    optimal, calls audit(step, config, target, loss_delta) if given, and
+    takes the target, or the non-optimal guess when explore() says so."""
+    c = initial_config(tokens, gold.strategy)
+    cap = _step_cap(c.n, c.max_consecutive_nt) if seq is None else len(seq)
     step = 0
     while not is_terminal(c) and step < cap:
         moves = legal_transitions(c, alphabet)
         feats = features(c)
         guess, scores = _pick(moves, learner.w, feats, learner.columns)
-        optimal = _optimal(c, gold, moves)  # optimal_transitions on the moves above
+        # dynamic: optimal_transitions on the moves above
+        optimal = _optimal(c, gold, moves) if seq is None else [seq[step]]
         # the first best-scoring optimal move: optimal keeps the tie-break order
         target = max(optimal, key=scores.__getitem__)
         learner.tick()
@@ -324,10 +307,10 @@ def _dynamic_pass(
             learner.update(feats, target, guess)
         if audit is not None:
             delta = loss(apply(c, target), gold).total - loss(c, gold).total
-            audit(s_idx, step, c, target, delta)
-        # both moves came from legal_transitions(c), so _construct's
-        # precondition holds
-        if guess not in optimal and coin.random() < policy.p_explore:
+            audit(step, c, target, delta)
+        # both moves are legal in c (scores holds only the moves of
+        # legal_transitions), so _construct's precondition holds
+        if guess not in optimal and explore():
             c = _construct(c, guess)
         else:
             c = _construct(c, target)

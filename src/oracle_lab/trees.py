@@ -16,6 +16,7 @@ from .transitions import (
     IN_ORDER,
     REDUCE,
     SHIFT,
+    TOP_DOWN,
     Constituent,
     nt,
 )
@@ -264,6 +265,17 @@ def check_derivable(tree: ConstituentTree, cap=DEFAULT_NT_CAP):
             f" over the cap of {cap}"
         )
     return tree
+
+
+def check_derivable_corpus(trees, strategy, cap=DEFAULT_NT_CAP):
+    """check_derivable on every tree of a top-down corpus; the error names
+    the first tree that fails by its index.  Only top-down needs it."""
+    if strategy == TOP_DOWN:
+        for idx, tree in enumerate(trees):
+            try:
+                check_derivable(tree, cap)
+            except TreeError as e:
+                raise TreeError(f"tree {idx}: {e}") from None
 
 
 def _checked_labels(labels) -> list:

@@ -206,16 +206,13 @@ def test_criterion_08_training_behaves():
     for strategy in STRATEGIES:
         for p in (0.0, 0.1):
             deltas = []
-            kwargs = dict(epochs=10, seed=0)
-            if p:
-                kwargs["audit"] = lambda s, step, c, tgt, d: deltas.append(d)
             m = train(train_c, strategy, ExplorationPolicy(p_explore=p, seed=0),
-                      **kwargs)
+                      epochs=10, seed=0,
+                      audit=lambda s, step, c, tgt, d: deltas.append(d))
             m2 = train(train_c, strategy, ExplorationPolicy(p_explore=p, seed=0),
                        epochs=10, seed=0)
             assert m.weights == m2.weights  # bit-for-bit deterministic
-            if p:
-                assert deltas and set(deltas) == {0}  # targets never add loss
+            assert deltas and set(deltas) == {0}  # targets never add loss
             tr = prf(train_c, [parse(m, t.tokens) for t in train_c])
             he = prf(held_c, [parse(m, t.tokens) for t in held_c])
             assert tr.f1 >= 95.0, (strategy, p, tr.f1)

@@ -1,6 +1,7 @@
 import importlib
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
-from oracle_lab.cli import main
+from oracle_lab.cli import build_parser, main
 from oracle_lab.trees import load_corpus, parse_bracketed, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,6 +145,40 @@ def test_check_rejects_deep_chains(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_check_rejects_a_corpus_with_no_trees(tmp_path, capsys, text):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(text, encoding="utf-8")
+    assert main(["check", "--strategy", "top-down", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {corpus}: no trees to check\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_oracle_trace_checks_the_nt_cap_before_writing(tmp_path, capsys, out):
+    deep = "(X w0 w1)"
+    for _ in range(9):
+        deep = f"(X {deep})"
+    corpus = tmp_path / "deep.txt"
+    # a derivable tree first: nothing of it is written either
+    corpus.write_text(EXAMPLE_TREE + "\n" + deep + "\n", encoding="utf-8")
+    args = ["oracle-trace", "--strategy", "top-down", str(corpus)]
+    out_path = tmp_path / "trace.tsv"
+    if out:
+        args += ["--out", str(out_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "oracle-lab: tree 1: top-down derivation needs 10 consecutive NT"
+        " transitions, over the cap of 8\n"
+    )
+    assert captured.out == ""
+    assert not out_path.exists()
+    # in-order never opens two NTs in a row
+    assert main(["oracle-trace", "--strategy", "in-order", str(corpus)]) == 0
+
+
 def test_only_gold_prefix_needs_a_derivable_tree(tmp_path, capsys):
     """Two spans start at 0, so a cap of 1 cannot derive the tree; the
     loss stays exact under any cap, so the walks still check it."""
@@ -183,13 +218,29 @@ def test_deep_trees_do_not_crash(tmp_path, capsys):
 
     # the top-down derivation opens all 1100 NTs in a row, over the cap of 8
     assert main(["oracle-trace", "--strategy", "top-down", str(left_path)]) == 2
-    assert "consecutive non-terminal cap" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"oracle-lab: tree 0: top-down derivation needs {depth} consecutive NT"
+        " transitions, over the cap of 8\n"
+    )
+    assert captured.out == ""
 
     # 1100 opens on the stack at once, one per left end
     assert main(["oracle-trace", "--strategy", "top-down", str(right_path)]) == 0
     rows = trace_rows(capsys.readouterr().out)
     assert len(rows) == 3 * depth + 1
     assert all(r[4] == "0" for r in rows)
+
+
+def test_readme_commands_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [line for line in text.splitlines() if line.startswith("oracle-lab ")]
+    assert len(commands) >= 7
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 
@@ -7,10 +6,10 @@ from oracle_lab.model import (
     ExplorationPolicy,
     Model,
     _columns,
-    _dynamic_pass,
     _Learner,
     _pick,
     _step_cap,
+    _train_sentence,
     features,
     parse,
     parse_with_info,
@@ -32,6 +31,7 @@ from oracle_lab.transitions import (
 )
 from oracle_lab.trees import (
     constituent_set,
+    gold_sequence,
     parse_bracketed,
     serialize,
     synthetic_corpus,
@@ -158,17 +158,14 @@ def test_dynamic_target_is_the_first_best_optimal_move():
     learner.w["bias"] = dense(alphabet, {nt("D"): 5.0, nt("X"): 2.0, nt("Y"): 2.0})
     learner.u["bias"] = dense(alphabet, {})
     seen = []
-    _dynamic_pass(
-        tree,
+    _train_sentence(
+        tree.tokens,
         gold,
-        TOP_DOWN,
+        None,  # dynamic: the oracle gives the optimal moves
         alphabet,
         learner,
-        ExplorationPolicy(),
-        random.Random(0),
-        8,
-        0,
-        lambda s, step, c, target, d: seen.append(
+        lambda: False,
+        lambda step, c, target, d: seen.append(
             (target, list(learner.w["bias"]), list(learner.u["bias"]))
         ),
     )
@@ -326,6 +323,61 @@ def test_dynamic_updates_never_target_loss_increasing_moves():
     )
     assert deltas
     assert set(deltas) == {0}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_static_training_audits_every_gold_move(strategy):
+    corpus = synthetic_corpus(5, ["X", "Y"], seed=3)
+    seen = []
+    train(
+        corpus,
+        strategy,
+        ExplorationPolicy(),
+        epochs=2,
+        audit=lambda s, step, c, target, d: seen.append((s, step, target, d)),
+    )
+    golds = [gold_sequence(t, strategy) for t in corpus]
+    assert len(seen) == 2 * sum(map(len, golds))
+    # per sentence and epoch, one call per gold move, in order, targeting it
+    runs = {}
+    for s, step, target, d in seen:
+        assert d == 0
+        runs.setdefault(s, []).append((step, target))
+    for s, got in runs.items():
+        seq = list(enumerate(golds[s]))
+        assert got == seq + seq
+
+
+def in_order_unary_chain(depth):
+    """(X (X ... (X w0))), depth X nodes over one word."""
+    text = "(X w0)"
+    for _ in range(depth - 1):
+        text = f"(X {text})"
+    return parse_bracketed(text)
+
+
+# the model file static training wrote on the 30-deep chain when it had a
+# loop of its own, without a step cap
+UNARY_CHAIN_SHA256 = "c643d5c397954d137fefb72b0289e783fab2488428af1a4e7d23b1094566c9a6"
+
+
+def test_static_training_follows_the_whole_gold_sequence(tmp_path):
+    chain = in_order_unary_chain(30)
+    seq = gold_sequence(chain, IN_ORDER)
+    # 62 gold moves, far past the step cap of one word
+    assert len(seq) == 62 > _step_cap(1, 8)
+    steps = []
+    m = train(
+        [chain],
+        IN_ORDER,
+        ExplorationPolicy(),
+        epochs=3,
+        audit=lambda s, step, c, target, d: steps.append((step, target)),
+    )
+    assert steps == 3 * list(enumerate(seq))
+    path = tmp_path / "m.model"
+    m.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == UNARY_CHAIN_SHA256
 
 
 def test_trained_model_parses_its_training_data():
