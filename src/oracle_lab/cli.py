@@ -70,6 +70,15 @@ def cmd_oracle_trace(args):
     return 0
 
 
+def _load_trees(path, purpose):
+    """The trees of a corpus file; a file that holds none is an input
+    error that names it."""
+    trees = load_corpus(path)
+    if not trees:
+        raise ValueError(f"{path}: no trees to {purpose}")
+    return trees
+
+
 def _check_corpus(args):
     if args.generate is not None:
         if args.trees is not None:
@@ -84,10 +93,7 @@ def _check_corpus(args):
         ]
     if args.trees is None:
         raise ValueError("need a corpus file or --generate N")
-    trees = load_corpus(args.trees)
-    if not trees:
-        raise ValueError(f"{args.trees}: no trees to check")
-    return trees
+    return _load_trees(args.trees, "check")
 
 
 def cmd_check(args):
@@ -118,7 +124,7 @@ def cmd_check(args):
 
 
 def cmd_train(args):
-    corpus = load_corpus(args.trees)
+    corpus = _load_trees(args.trees, "train on")
     policy = ExplorationPolicy(p_explore=args.explore_p, seed=args.seed)
     model = train(
         corpus,
@@ -180,8 +186,8 @@ def cmd_parse(args):
 
 
 def cmd_eval(args):
-    gold = load_corpus(args.gold)
-    pred = load_corpus(args.pred)
+    gold = _load_trees(args.gold, "score")
+    pred = _load_trees(args.pred, "score")
     overall = prf(gold, pred)
     table = arity_breakdown(gold, pred)
     print(render_report(overall, table, tsv=args.tsv))

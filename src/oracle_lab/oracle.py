@@ -32,15 +32,19 @@ right ends at or past i that an analysis reads, only those at i itself can
 have been built.  So the cost of a call follows the stack and the built
 constituents, not the size of the gold tree.
 
-`losses` analyses many configurations of one gold tree in one batch.  For
-a fixed gold (and so a fixed n), a top-down pass and its close read only
-the buffer position i, the NT headroom max(0, cap - nt_run) and the
-searched targets from `_td_targets`, so the batch memoises their (cost,
-junk) on that triple: the census checks hundreds of thousands of classes
-per tree with a few hundred distinct triples.  The matched spans, the gold
-counts at i and past it and the forced junk are added per configuration.
-The memo dies with the call; kept on the `GoldReference`, it would replay
-stored answers to a caller that asks about the same gold again.
+A top-down pass adds one layer per searched open, bottom to top, and
+layer k depends only on the buffer position i and the first k searched
+targets from `_td_targets` (for a fixed gold, and so a fixed n).  Its close
+reads the last layer, the gold spans at i and the NT headroom
+max(0, cap - nt_run).  Two shares rest on this.  `losses` analyses many
+configurations of one gold tree in one batch and memoises each pass and
+close's (cost, junk) on (i, headroom, searched targets): the census checks
+hundreds of thousands of classes per tree with a few hundred distinct
+triples.  The matched spans, the gold counts at i and past it and the
+forced junk are added per configuration.  The memo dies with the call;
+kept on the `GoldReference`, it would replay stored answers to a caller
+that asks about the same gold again.  The other share is between moves,
+below.
 
 `optimal_transitions` judges every legal move from one analysis of the
 configuration, without building a successor or calling `loss` per move
@@ -65,22 +69,16 @@ lost, are the same for every label.  The slot costs nothing for a label of
 the innermost span in that pool (`_innermost_labels`) and one loss for any
 other, so one analysis with one label gives every label's total.
 
-Top-down also shares the analysis between moves where the pass would
-redo the same work.  The pass's layers depend on the opens below and on
-E, the earliest end a target may have, which is i with a completed item
-on top and i + 1 otherwise:
-
-- Every NT successor has an open on top, so E = i + 1.  One pass over the
-  current opens with that E serves every NT label; when the top item is
-  already open it is the configuration's own pass.  Each label then adds
-  one layer for its open, and the terminal term with one less NT of
-  headroom.  A label with no remaining gold span at (label, i) makes its
-  open forced junk and adds no layer, so all such labels share a verdict.
-- REDUCE needs a completed item on top, so E = i before and after it.
-  When no lower open has the popped open's (label, left index), the
-  constituent's delta touches nothing the lower layers read, and the
-  successor's pass is the configuration's own pass stopped below the
-  popped open.  Otherwise the successor is analysed afresh.
+Top-down, REDUCE and NT keep i, so each successor's pass resumes from the
+configuration's own: its targets are those `loss` would search on it, and
+its pass starts from layer k of the configuration's pass, where k is the
+length of the longest prefix of whole target entries the two share.  A
+target entry is the open's label and left index with its ends and their
+multiplicities, so a reduce that builds a span a lower open could still
+end on changes that open's entry, and its layer is redone.  The opens
+below an NT's pushed one search from E = i + 1, as the SHIFT successor's
+do, so their targets are found once for every label.  SHIFT moves i, and
+its successor is analysed afresh.
 """
 
 from __future__ import annotations
@@ -287,7 +285,7 @@ def _td_targets(gold, taken, stack, n, i, E):
         if type(s) is not OpenNT:
             continue
         opens += 1
-        e = ends.get((s.label, s.index))
+        e = ends.get(s)  # an open is its own key (label, index)
         if e is None:  # forced junk, in one lookup
             continue
         rs, ms = e
@@ -295,14 +293,14 @@ def _td_targets(gold, taken, stack, n, i, E):
         if k == len(rs):
             continue
         if rs[k] == i:
-            m = ms[k] - taken.get((s.label, s.index, i), 0)
+            m = ms[k] - taken.get(s + (i,), 0)
             if m:
-                searched.append((s.label, s.index, rs[k:], (m,) + ms[k + 1 :]))
+                searched.append(s + (rs[k:], (m,) + ms[k + 1 :]))
                 continue
             k += 1
             if k == len(rs):
                 continue
-        searched.append((s.label, s.index, rs[k:], ms[k:]))
+        searched.append(s + (rs[k:], ms[k:]))
     return searched, opens - len(searched)
 
 
@@ -504,82 +502,65 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
     cap = config.max_consecutive_nt
     matched = len(config.built) - sunk
     at = gold.right_ends.get(i, ())
+    # E: i with a completed item on top, else i + 1
+    E = i if stack and type(stack[-1]) is Completed else i + 1
+    searched, forced = _td_targets(gold, taken, stack, n, i, E)
+    layers = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)
 
-    def close(layer, pl, avail):
-        # pl: the left index of the last searched open, None if none
-        return _td_close(layer, pl == i, at, avail)[0]
+    def future(targets, avail):
+        # forced junk plus the close of the pass at i over targets, resumed
+        # from the last layer of this configuration's pass that they share
+        succ, junk = targets
+        k = 0
+        for mine, theirs in zip(searched, succ):
+            if mine is not theirs and mine != theirs:
+                break
+            k += 1
+        layer = layers[k]
+        if k < len(succ):
+            layer = _td_pass(succ[k:], i, layer, succ[k - 1][1] if k else None)[-1]
+        return junk + _td_close(layer, bool(succ) and succ[-1][1] == i, at, avail)[0]
 
     # the terms NT leaves alone; REDUCE adds one to sunk, or takes one off
     # the spans lost left of i when the span it builds is missing
     fixed = sunk + gold.left[i] - matched + gold.capped(i, cap)
-    start = {(n, n + 1, ()): (0, 0)}
-    top_completed = bool(stack) and type(stack[-1]) is Completed
-    # the pre-pass with E = i + 1 is the configuration's own when an open is
-    # on top, and that of every NT successor and of the shift successor,
-    # at whose i + 1 nothing built ends
-    later = None if top_completed else _td_targets(gold, taken, stack, n, i, i + 1)
-    searched, forced = later or _td_targets(gold, taken, stack, n, i, i)
-    layers = _td_pass(searched, i, start, None)
-    pl = searched[-1][1] if searched else None
-    base = fixed + forced + close(layers[-1], pl, max(0, cap - config.nt_run))
-
+    base = fixed + future((searched, forced), max(0, cap - config.nt_run))
+    # the targets of the opens below a SHIFT or NT successor, at E = i + 1:
+    # the configuration's own with an open on top, as nothing built ends
+    # past i; neither move is legal at i = n
+    later = _td_targets(gold, taken, stack, n, i, i + 1) if E == i < n else (searched, forced)
+    # the earliest end a pushed open searches: n for the bottom one, else
+    # E = i + 1
+    lo = i + 1 if searched or forced else n
+    pushed = {}  # the pushed open's target entries -> the NT successor's total
     totals = []
-    nt_base = None
     for t in moves:
         kind = t.kind
         if kind == "shift":
-            if later is None:
-                later = _td_targets(gold, taken, stack, n, i, i + 1)
             total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0, {}))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, TOP_DOWN)
             key = (lab, l, r)
             had = taken.get(key, 0)
             v = gold.count.get(key, 0) - had  # still missing
-            # the first child starts at the open's index, so the pass read
-            # the popped open at (lab, l); junk leaves the tally of gold
-            # spans as it is
-            if not v or all(
-                type(s) is not OpenNT or s.label != lab or s.index != l
-                for s in stack[:cut]
-            ):
-                popped = bool(searched) and searched[-1][:2] == (lab, l)
-                k = len(searched) - popped
-                below = searched[k - 1][1] if k else None
-                # one more junk built, or one fewer gold span lost left of i
-                total = fixed + (-1 if v else 1) + forced - (not popped)
-                total += close(layers[k], below, cap)
-            else:
-                # the successor's opens are those below the popped one, and
-                # a completed item is on top: E = i
+            if v:
                 taken[key] = had + 1
-                targets = _td_targets(gold, taken, stack[:cut], n, i, i)
-                total = sunk + sum(_top_down_analysis(gold, targets, matched + 1, n, cap, i, 0, {}))
-                taken[key] = had
+            # one fewer gold span lost left of i, or one more junk built; a
+            # completed item is on top, so E = i
+            total = fixed + (-1 if v else 1)
+            total += future(_td_targets(gold, taken, stack[:cut], n, i, i), cap)
+            taken[key] = had
         else:  # nt
-            if nt_base is None:
-                if later is None:
-                    later = _td_targets(gold, taken, stack, n, i, i + 1)
-                nt_searched, nt_forced = later
-                if top_completed:
-                    nt_layer = _td_pass(nt_searched, i, start, None)[-1]
-                    nt_pl = nt_searched[-1][1] if nt_searched else None
-                else:
-                    nt_layer, nt_pl = layers[-1], pl
-                bottom = not nt_searched and not nt_forced  # no open yet
-                nt_avail = max(0, cap - config.nt_run - 1)
-                nt_base = fixed + nt_forced
-                junk_total = None
-            # the spans at i all end at or past E = i + 1, and none is built
+            # the pushed open's entry, as `_td_targets` would make it: the
+            # gold spans at (label, i) from lo on, none of them built.  The
+            # labels without one (forced junk) share a total.
             rs, ms = gold.ends.get((t.label, i), ((), ()))
-            k = bisect_left(rs, n if bottom else i + 1)
-            if k == len(rs):
-                if junk_total is None:
-                    junk_total = nt_base + 1 + close(nt_layer, nt_pl, nt_avail)
-                total = junk_total
-            else:
-                layer = _td_pass([(t.label, i, rs[k:], ms[k:])], i, nt_layer, nt_pl)[-1]
-                total = nt_base + close(layer, i, nt_avail)
+            k = bisect_left(rs, lo)
+            top = ((t.label, i, rs[k:], ms[k:]),) if k < len(rs) else ()
+            if top not in pushed:
+                avail = max(0, cap - config.nt_run - 1)
+                pushed[top] = fixed + future((later[0] + list(top), later[1] + (not top)), avail)
+            total = pushed[top]
         totals.append(total)
     return base, totals
 
@@ -645,9 +626,9 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     runs on the fields a built successor would have, or reuses the part of
     the configuration's own analysis that those fields leave unchanged, so
     each move's successor loss is the one `loss(apply(config, move))`
-    gives, and so is the verdict.  The NT labels share one analysis: their
-    successors differ only in the label of the open on top, which the
-    analyses read in one place.
+    gives, and so is the verdict.  The NT labels share the analysis of
+    everything below the pushed open: their successors differ only in its
+    label.
     """
     _check_strategies(config, gold)
     if label_alphabet is None:

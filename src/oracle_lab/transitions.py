@@ -125,7 +125,9 @@ class Completed(NamedTuple):
 
 
 class OpenNT(NamedTuple):
-    """Stack element for a pushed, not yet reduced non-terminal."""
+    """Stack element for a pushed, not yet reduced non-terminal.  It
+    equals and hashes as (label, index), so it looks up gold spans by
+    label and left end directly."""
 
     label: str
     index: int  # buffer position at push time
@@ -278,58 +280,29 @@ def _construct(config: Configuration, t: Transition) -> Configuration:
     """apply() minus the legality check, for callers that have already
     filtered through legal_transitions."""
     kind = t.kind
-    hist = (config.history + (t,))[-2:]
+    stack, i, finished, built = config.stack, config.i, config.finished, config.built
+    nt_run = 0
     if kind == "shift":
-        i = config.i
-        item = Completed(config.tokens[i], i, i + 1, is_word=True)
-        return Configuration(
-            config.strategy,
-            config.tokens,
-            config.stack + (item,),
-            i + 1,
-            config.finished,
-            config.built,
-            0,
-            hist,
-            config.max_consecutive_nt,
-        )
-    if kind == "nt":
-        item = OpenNT(t.label, config.i)
-        return Configuration(
-            config.strategy,
-            config.tokens,
-            config.stack + (item,),
-            config.i,
-            config.finished,
-            config.built,
-            config.nt_run + 1,
-            hist,
-            config.max_consecutive_nt,
-        )
-    if kind == "finish":
-        return Configuration(
-            config.strategy,
-            config.tokens,
-            config.stack,
-            config.i,
-            True,
-            config.built,
-            0,
-            hist,
-            config.max_consecutive_nt,
-        )
-
-    # reduce
-    cut, label, l, r = _reduce_target(config.stack, config.strategy)
+        stack += (Completed(config.tokens[i], i, i + 1, is_word=True),)
+        i += 1
+    elif kind == "nt":
+        stack += (OpenNT(t.label, i),)
+        nt_run = config.nt_run + 1
+    elif kind == "finish":
+        finished = True
+    else:  # reduce
+        cut, label, l, r = _reduce_target(stack, config.strategy)
+        stack = stack[:cut] + (Completed(label, l, r),)
+        built += (Constituent(label, l, r),)
     return Configuration(
         config.strategy,
         config.tokens,
-        config.stack[:cut] + (Completed(label, l, r),),
-        config.i,
-        config.finished,
-        config.built + (Constituent(label, l, r),),
-        0,
-        hist,
+        stack,
+        i,
+        finished,
+        built,
+        nt_run,
+        (config.history + (t,))[-2:],
         config.max_consecutive_nt,
     )
 

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
+from oracle_lab.transitions import DEFAULT_NT_CAP, apply, initial_config, parse_transition
 from oracle_lab.trees import parse_bracketed, random_tree
 
 settings.register_profile(
@@ -29,6 +30,15 @@ EXAMPLE_IN_ORDER = (
 @pytest.fixture
 def example_tree():
     return parse_bracketed(EXAMPLE_TREE)
+
+
+def replay(tokens, strategy, names, cap=DEFAULT_NT_CAP):
+    """The configuration the space-separated transition names reach from
+    the initial one over tokens, under the NT cap."""
+    c = initial_config(tokens, strategy, max_consecutive_nt=cap)
+    for name in names.split():
+        c = apply(c, parse_transition(name))
+    return c
 
 
 def trees(max_tokens=5, labels=("X", "Y", "Z")):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
+from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN, replay
 from oracle_lab.cli import main
 from oracle_lab.evaluation import arity_breakdown, prf
 from oracle_lab.model import ExplorationPolicy, _step_cap, parse, train
@@ -23,7 +23,6 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
-    parse_transition,
 )
 from oracle_lab.trees import (
     constituent_set,
@@ -46,13 +45,6 @@ POOL_SIZE = 1000
 
 def _pool(count=POOL_SIZE):
     return [random_tree(1 + s % 6, list(WALK_LABELS), s) for s in range(count)]
-
-
-def _replay(tree, strategy, names):
-    c = initial_config(tree.tokens, strategy)
-    for name in names.split():
-        c = apply(c, parse_transition(name))
-    return c
 
 
 def test_criterion_01_formula_equals_brute_force_everywhere():
@@ -255,7 +247,7 @@ def test_criterion_10_each_loss_term_is_load_bearing():
     # an over-eagerly opened VP is a false open
     tree = parse_bracketed(EXAMPLE_TREE)
     gold = GoldReference.from_tree(tree, TOP_DOWN)
-    c = _replay(tree, TOP_DOWN, "NT_VP")
+    c = replay(tree.tokens, TOP_DOWN, "NT_VP")
     bounds = SearchBounds()  # alphabet defaults to the gold labels + distractor
     brute = brute_force_loss(c, gold, bounds)
     lb = loss(c, gold)
@@ -265,7 +257,7 @@ def test_criterion_10_each_loss_term_is_load_bearing():
     # gold labels opened in the wrong nesting order
     t = parse_bracketed("(R (X (Y w0 w1) w2) w3)")
     gold = GoldReference.from_tree(t, TOP_DOWN)
-    c = _replay(t, TOP_DOWN, "NT_R NT_Y NT_X")
+    c = replay(t.tokens, TOP_DOWN, "NT_R NT_Y NT_X")
     bounds = SearchBounds(label_alphabet=("R", "X", "Y"))
     brute = brute_force_loss(c, gold, bounds)
     lb = loss(c, gold)

@@ -155,6 +155,32 @@ def test_check_rejects_a_corpus_with_no_trees(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_train_rejects_a_corpus_with_no_trees(tmp_path, capsys, text):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(text, encoding="utf-8")
+    model = tmp_path / "m.model"
+    assert main(["train", "--strategy", "top-down", str(corpus), "--out", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {corpus}: no trees to train on\n"
+    assert captured.out == ""
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("empty_side", ["gold", "pred", "both"])
+def test_eval_rejects_a_corpus_with_no_trees(tmp_path, capsys, empty_side):
+    full = tmp_path / "full.txt"
+    full.write_text(EXAMPLE_TREE + "\n", encoding="utf-8")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n", encoding="utf-8")
+    gold = full if empty_side == "pred" else empty
+    pred = full if empty_side == "gold" else empty
+    assert main(["eval", str(gold), str(pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {empty}: no trees to score\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_oracle_trace_checks_the_nt_cap_before_writing(tmp_path, capsys, out):
     deep = "(X w0 w1)"

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import replay
 from oracle_lab.model import (
     ExplorationPolicy,
     Model,
@@ -41,13 +42,6 @@ from oracle_lab.trees import (
 def dense(alphabet, weights):
     """A dense weight row over alphabet's move table from {move: weight}."""
     return [weights.get(t, 0.0) for t in move_table(alphabet)]
-
-
-def replay(tokens, strategy, names):
-    c = initial_config(tokens, strategy)
-    for name in names.split():
-        c = apply(c, parse_transition(name))
-    return c
 
 
 def test_features_of_the_initial_config():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import trees
+from conftest import replay, trees
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
@@ -30,7 +30,6 @@ from oracle_lab.transitions import (
     is_terminal,
     legal_transitions,
     nt,
-    parse_transition,
 )
 from oracle_lab.trees import (
     TreeError,
@@ -41,13 +40,6 @@ from oracle_lab.trees import (
     random_tree,
 )
 from oracle_lab.verify import SearchBounds, _exhaustive_graph, brute_force_loss, sweep
-
-
-def replay(tree, strategy, names):
-    c = initial_config(tree.tokens, strategy)
-    for name in names.split():
-        c = apply(c, parse_transition(name))
-    return c
 
 
 def test_strategy_mismatch_is_rejected(example_tree):
@@ -72,7 +64,7 @@ def test_gold_prefixes_have_zero_loss(example_tree):
 def test_junk_wrap_is_one_false_open():
     t = parse_bracketed("(X w0 w1)")
     gold = GoldReference.from_tree(t, IN_ORDER)
-    c = replay(t, IN_ORDER, "SH NT_Y")
+    c = replay(t.tokens, IN_ORDER, "SH NT_Y")
     lb = loss(c, gold)
     assert (lb.unreachable, lb.false_constituents, lb.false_open_nts, lb.out_of_order) == (
         0,
@@ -88,19 +80,19 @@ def test_junk_wrap_is_one_false_open():
 def test_out_of_order_counts_inversions():
     t = parse_bracketed("(R (X (Y w0 w1) w2) w3)")
     gold = GoldReference.from_tree(t, TOP_DOWN)
-    c = replay(t, TOP_DOWN, "NT_R NT_Y NT_X")
+    c = replay(t.tokens, TOP_DOWN, "NT_R NT_Y NT_X")
     lb = loss(c, gold)
     bounds = SearchBounds(label_alphabet=("R", "X", "Y"))
     assert lb.total == brute_force_loss(c, gold, bounds)
     # gold-ordered variant has no inversion
-    c2 = replay(t, TOP_DOWN, "NT_R NT_X NT_Y")
+    c2 = replay(t.tokens, TOP_DOWN, "NT_R NT_X NT_Y")
     assert loss(c2, gold).total == 0
 
 
 def test_wrong_constituent_is_a_sunk_cost():
     t = parse_bracketed("(X w0 w1)")
     gold = GoldReference.from_tree(t, IN_ORDER)
-    c = replay(t, IN_ORDER, "SH NT_Y SH RE")
+    c = replay(t.tokens, IN_ORDER, "SH NT_Y SH RE")
     lb = loss(c, gold)
     assert lb.false_constituents == 1
     assert lb.unreachable == 0  # X(0,2) can still wrap the junk
@@ -110,7 +102,7 @@ def test_wrong_constituent_is_a_sunk_cost():
 def test_terminal_loss_is_symmetric_difference():
     t = parse_bracketed("(X w0 w1)")
     gold = GoldReference.from_tree(t, IN_ORDER)
-    c = replay(t, IN_ORDER, "SH NT_Y SH RE FI")
+    c = replay(t.tokens, IN_ORDER, "SH NT_Y SH RE FI")
     lb = loss(c, gold)
     assert (lb.unreachable, lb.false_constituents) == (1, 1)
     assert lb.total == 2
@@ -210,7 +202,7 @@ def test_top_down_tie_goes_to_the_first_assignment():
     same.  Junk is tried first, so the tie keeps the junk split."""
     t = parse_bracketed("(X w0 (X (Y w1 w2) w3))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
-    c = replay(t, TOP_DOWN, "NT_Y SH NT_Y")
+    c = replay(t.tokens, TOP_DOWN, "NT_Y SH NT_Y")
     assert loss(c, gold) == LossBreakdown(
         unreachable=1, false_constituents=0, false_open_nts=1, out_of_order=1, total=3
     )
@@ -281,12 +273,10 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     position or without the headroom hands one configuration another's."""
     t = parse_bracketed("(X w0 (Z w1 w2))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
-    configs = []
-    for names in ("NT_X", "NT_X SH NT_Y", "NT_X SH NT_Y NT_Y"):
-        c = initial_config(t.tokens, TOP_DOWN, max_consecutive_nt=2)
-        for name in names.split():
-            c = apply(c, parse_transition(name))
-        configs.append(c)
+    configs = [
+        replay(t.tokens, TOP_DOWN, names, cap=2)
+        for names in ("NT_X", "NT_X SH NT_Y", "NT_X SH NT_Y NT_Y")
+    ]
     assert losses(configs, gold) == [loss(c, gold) for c in configs]
     assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
     found = []
@@ -396,11 +386,17 @@ def test_optimal_set_on_every_census_class(strategy, cap):
 def test_optimal_set_with_opens_stacked_to_the_cap(cap):
     """Top-down on 10-40 token trees, pushing NTs until the cap stops them,
     then shifting and reducing under the stacked opens.  Only here do an
-    NT pushed over a completed item (its successor's pass ends earlier, at
-    E = i + 1) and a reduce that keeps the layers below the popped open
-    meet deep stacks with several opens sharing a left index."""
-    rng = random.Random(f"stacked|{cap}")
+    NT pushed over a completed item (its successor's opens search targets
+    from E = i + 1) and a reduce under other opens with its (label, left
+    index) meet deep stacks with several opens sharing a left index."""
     alphabet = ("D", "X", "Y")
+    # the reduce builds X(0,1) under two more X opens at 0: the middle one
+    # loses that target, and with X(0,2) the bottom one's it closes as
+    # junk, so its layer differs though its (label, left index) does not
+    t = parse_bracketed("(X (X w0) w1)")
+    c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_X SH", cap=3)
+    assert_move_losses_match(c, GoldReference.from_tree(t, TOP_DOWN), alphabet)
+    rng = random.Random(f"stacked|{cap}")
     seen = Counter()
     for _ in range(30):
         t = random_tree(rng.randint(10, 40), ["X", "Y"], rng.randrange(1 << 30))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import trees
+from conftest import replay, trees
 from oracle_lab.transitions import (
     FINISH,
     IN_ORDER,
@@ -25,15 +25,7 @@ from oracle_lab.transitions import (
     parse_transition,
     transition_order_key,
 )
-from oracle_lab.trees import gold_sequence, parse_bracketed, random_tree
-
-
-def replay(text, strategy, names):
-    t = parse_bracketed(text)
-    c = initial_config(t.tokens, strategy)
-    for name in names.split():
-        c = apply(c, parse_transition(name))
-    return c
+from oracle_lab.trees import gold_sequence, random_tree
 
 
 def test_transition_names_round_trip():
@@ -74,7 +66,7 @@ def test_top_down_initial_moves():
 
 
 def test_top_down_guard_reasons():
-    c = replay("(X a b)", TOP_DOWN, "NT_X SH")
+    c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
     assert _illegal_reason(c, REDUCE) == (
         "closing the last open non-terminal would strand buffer words"
     )
@@ -106,14 +98,14 @@ def test_in_order_initial_moves():
 
 
 def test_in_order_shift_needs_an_open_nt():
-    c = replay("(X a b)", IN_ORDER, "SH")
+    c = replay(("a", "b"), IN_ORDER, "SH")
     assert _illegal_reason(c, SHIFT) == (
         "a second unattachable item would strand the parse"
     )
 
 
 def test_in_order_finish_guards():
-    c = replay("(X a b)", IN_ORDER, "SH NT_X SH")
+    c = replay(("a", "b"), IN_ORDER, "SH NT_X SH")
     assert _illegal_reason(c, FINISH) == "stack is not a single completed constituent"
     c = apply(c, REDUCE)
     assert _illegal_reason(c, FINISH) is None
@@ -133,13 +125,13 @@ def test_finish_needs_full_span():
 
 
 def test_bare_word_is_not_terminal():
-    c = replay("(X a)", IN_ORDER, "SH")
+    c = replay(("a",), IN_ORDER, "SH")
     assert not is_terminal(c)
     assert legal_transitions(c, ["X"]) == [nt("X")]
 
 
 def test_top_down_terminal():
-    c = replay("(X a)", TOP_DOWN, "NT_X SH RE")
+    c = replay(("a",), TOP_DOWN, "NT_X SH RE")
     assert is_terminal(c)
     assert legal_transitions(c, ["X"]) == []
 
@@ -151,20 +143,20 @@ def test_apply_rejects_illegal_moves():
 
 
 def test_reduce_gathers_children_top_down():
-    c = replay("(X a b)", TOP_DOWN, "NT_X SH SH RE")
+    c = replay(("a", "b"), TOP_DOWN, "NT_X SH SH RE")
     (item,) = c.stack
     assert (item.symbol, item.l, item.r) == ("X", 0, 2)
     assert [c.key for c in c.built] == [("X", 0, 2)]
 
 
 def test_reduce_takes_left_child_from_below_in_order():
-    c = replay("(X a b)", IN_ORDER, "SH NT_X SH RE")
+    c = replay(("a", "b"), IN_ORDER, "SH NT_X SH RE")
     (item,) = c.stack
     assert (item.symbol, item.l, item.r) == ("X", 0, 2)
 
 
 def test_fingerprint_ignores_built_and_history():
-    c = replay("(X a b)", TOP_DOWN, "NT_X SH SH RE")
+    c = replay(("a", "b"), TOP_DOWN, "NT_X SH SH RE")
     stripped = Configuration(
         strategy=c.strategy,
         tokens=c.tokens,
@@ -178,7 +170,7 @@ def test_fingerprint_ignores_built_and_history():
 
 
 def test_history_keeps_last_two():
-    c = replay("(X a b)", TOP_DOWN, "NT_X SH SH")
+    c = replay(("a", "b"), TOP_DOWN, "NT_X SH SH")
     assert c.history == (SHIFT, SHIFT)
 
 
@@ -224,7 +216,7 @@ def test_one_move_table_per_alphabet():
     assert move_table(["A", "B", "C"]) is table
     assert list(table) == sorted(table, key=transition_order_key)
     assert move_table(("C", "A", "B")) == table
-    c = replay("(X a b)", TOP_DOWN, "NT_X")
+    c = replay(("a", "b"), TOP_DOWN, "NT_X")
     expected = [SHIFT, nt("A"), nt("B"), nt("C")]
     for alphabet in (("A", "B", "C"), ["A", "B", "C"], ("C", "A", "B"), ["B", "C", "A"]):
         assert legal_transitions(c, alphabet) == expected

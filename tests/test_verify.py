@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import replay
 from oracle_lab.oracle import GoldReference, loss
 from oracle_lab.transitions import (
     IN_ORDER,
@@ -15,7 +16,6 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
-    parse_transition,
 )
 from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, random_tree
 from oracle_lab.verify import (
@@ -31,13 +31,6 @@ from oracle_lab.verify import (
     sweep,
 )
 import oracle_lab.verify as verify_mod
-
-
-def replay(tree, strategy, names):
-    c = initial_config(tree.tokens, strategy)
-    for name in names.split():
-        c = apply(c, parse_transition(name))
-    return c
 
 
 def plain_min_loss(config, gold, bounds, alphabet):
@@ -152,7 +145,7 @@ def test_brute_force_pop_budget(monkeypatch):
 
 def test_check_config_on_a_gold_prefix(example_tree):
     gold = GoldReference.from_tree(example_tree, TOP_DOWN)
-    c = replay(example_tree, TOP_DOWN, "NT_S NT_NP SH SH RE")
+    c = replay(example_tree.tokens, TOP_DOWN, "NT_S NT_NP SH SH RE")
     assert loss(c, gold).total == brute_force_loss(c, gold, SearchBounds())
 
 
