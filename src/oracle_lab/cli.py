@@ -46,7 +46,7 @@ def _open_out(args):
 
 
 def cmd_oracle_trace(args):
-    trees = load_corpus(args.trees)
+    trees = _load_trees(args.trees, "trace")
     # every tree, before the first row is written
     check_derivable_corpus(trees, args.strategy)
     out = _open_out(args)

@@ -18,7 +18,6 @@ from functools import partial
 from .oracle import GoldReference, _optimal, loss
 from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
-    Completed,
     OpenNT,
     _construct,
     apply,
@@ -50,29 +49,24 @@ def features(config) -> list:
 
     Top 3 stack items (symbol, open/closed, width so far), next 2 buffer
     words, last 2 transitions, open-NT count, and a few conjunctions.
+    Stack items are read by index: an open is (label, index), a completed
+    item (symbol, l, r, is_word).
     """
-    stack, i, tokens = config.stack, config.i, config.tokens
-    s = []
-    for k in (1, 2, 3):
-        if k > len(stack):
-            s.append("_")
-            continue
-        item = stack[-k]
-        if type(item) is Completed:
-            s.append(f"C|{item.symbol}|{item.r - item.l}")
-        else:
-            s.append(f"O|{item.label}|{i - item.index}")
+    _, tokens, stack, i, _, _, _, history, _ = config
+    s = ["_", "_", "_"]
+    opens = 0
+    for k, item in enumerate(reversed(stack)):
+        if type(item) is OpenNT:
+            opens += 1
+            if k < 3:
+                s[k] = f"O|{item[0]}|{i - item[1]}"
+        elif k < 3:
+            s[k] = f"C|{item[0]}|{item[2] - item[1]}"
     s0, s1, s2 = s
     n = len(tokens)
     b0 = tokens[i] if i < n else "_"
     b1 = tokens[i + 1] if i + 1 < n else "_"
-    hist = config.history
-    h0 = str(hist[-1]) if hist else "_"
-    h1 = str(hist[-2]) if len(hist) > 1 else "_"
-    opens = 0
-    for e in stack:
-        if type(e) is OpenNT:
-            opens += 1
+    h0, h1 = _history_names(history)
     return [
         "bias",
         "s0=" + s0,
@@ -87,6 +81,21 @@ def features(config) -> list:
         f"s0^s1={s0}^{s1}",
         f"h0^s0={h0}^{s0}",
     ]
+
+
+_HISTORY_NAMES = {}
+
+
+def _history_names(history):
+    """The names of the last move and the one before, "_" where there is
+    none; cached per history, since Transition.__str__ is Python code."""
+    names = _HISTORY_NAMES.get(history)
+    if names is None:
+        names = _HISTORY_NAMES[history] = (
+            str(history[-1]) if history else "_",
+            str(history[-2]) if len(history) > 1 else "_",
+        )
+    return names
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,16 @@ def _columns(label_alphabet):
     return {t: k for k, t in enumerate(move_table(label_alphabet))}
 
 
+def _first_best(moves, totals, columns):
+    """The first of moves whose column total is highest: moves keep the
+    tie-break order, so a tie goes to the move listed first."""
+    scores = [totals[columns[t]] for t in moves]
+    return moves[scores.index(max(scores))]
+
+
 def _pick(moves, weights, feats, columns):
-    """The best-scoring move and every move's score, {move: score}.
+    """The best-scoring move and every column's score, as (best, totals):
+    move t scores totals[columns[t]].
 
     weights maps a feature to its dense row, one weight per column, and
     columns maps a move to its column.  The rows of the features present
@@ -117,13 +134,9 @@ def _pick(moves, weights, feats, columns):
     differ from plain adds in its last bits.)  moves come from
     legal_transitions, already in tie-break order, so the best move is the
     first one with the highest score."""
-    rows = [row for row in map(weights.get, feats) if row is not None]
-    if rows:
-        totals = list(map(sum, zip(*rows)))
-        scores = {t: totals[columns[t]] for t in moves}
-    else:
-        scores = dict.fromkeys(moves, 0.0)
-    return max(moves, key=scores.__getitem__), scores
+    rows = list(filter(None, map(weights.get, feats)))  # a row is never empty
+    totals = list(map(sum, zip(*rows))) if rows else [0.0] * len(columns)
+    return _first_best(moves, totals, columns), totals
 
 
 @dataclass
@@ -297,18 +310,18 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     while not is_terminal(c) and step < cap:
         moves = legal_transitions(c, alphabet)
         feats = features(c)
-        guess, scores = _pick(moves, learner.w, feats, learner.columns)
+        guess, totals = _pick(moves, learner.w, feats, learner.columns)
         # dynamic: optimal_transitions on the moves above
         optimal = _optimal(c, gold, moves) if seq is None else [seq[step]]
-        # the first best-scoring optimal move: optimal keeps the tie-break order
-        target = max(optimal, key=scores.__getitem__)
+        # optimal keeps the tie-break order
+        target = _first_best(optimal, totals, learner.columns)
         learner.tick()
         if guess not in optimal:
             learner.update(feats, target, guess)
         if audit is not None:
             delta = loss(apply(c, target), gold).total - loss(c, gold).total
             audit(step, c, target, delta)
-        # both moves are legal in c (scores holds only the moves of
+        # both moves are legal in c (both come from the moves of
         # legal_transitions), so _construct's precondition holds
         if guess not in optimal and explore():
             c = _construct(c, guess)

@@ -3,6 +3,12 @@
 Two strategies are supported: "top-down" pushes a non-terminal before any
 of its children exist; "in-order" pushes it after its first child has been
 completed.  Configurations are immutable; apply() returns a new one.
+
+Moves, constituents, stack items and configurations are named tuples, so
+code elsewhere reads their fields by name.  The per-step code
+(_construct, _move_flags, is_terminal) reads them by unpacking or index
+instead, and builds them with tuple.__new__: a NamedTuple's own __new__
+is a Python-level function that takes about twice as long per item.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ STRATEGIES = (TOP_DOWN, IN_ORDER)
 # gold tree whose derivation needs more; random_tree never draws one.
 DEFAULT_NT_CAP = 8
 
+# builds a named tuple from a tuple of its fields, without its __new__
+_new = tuple.__new__
+
 
 class Transition(NamedTuple):
-    """A move: its kind and, for an NT, the label.  A named tuple, so that
-    hashing and equality, which model scoring does millions of times per
-    training run, run in C."""
+    """A move: its kind and, for an NT, the label.  It hashes and compares
+    as the tuple (kind, label)."""
 
     kind: str  # "shift" | "nt" | "reduce" | "finish"
     label: str | None = None
@@ -92,10 +100,8 @@ def move_table(label_alphabet) -> tuple:
 
 
 class Constituent(NamedTuple):
-    """Labeled span over the token sequence.  Constituents and stack items
-    are named tuples: every reduce builds one of each, and a frozen
-    dataclass takes two to three times as long to build.  A constituent
-    equals and hashes as its key, so it looks up gold counts directly."""
+    """Labeled span over the token sequence.  A constituent equals and
+    hashes as its key, so it looks up gold counts directly."""
 
     label: str
     l: int
@@ -137,8 +143,8 @@ class OpenNT(NamedTuple):
 
 
 class Configuration(NamedTuple):
-    """A parser state.  A named tuple: the brute-force searches build one per
-    state class, and a frozen dataclass takes five times as long to build."""
+    """A parser state.  The step code unpacks it in field order, so a new
+    field must be added to every such unpack."""
 
     strategy: str
     tokens: tuple
@@ -174,16 +180,16 @@ def is_terminal(config: Configuration) -> bool:
     """One completed constituent covering the sentence, empty buffer, and
     (in-order only) the finish flag set.  A bare shifted word does not count
     as a finished parse."""
-    if len(config.stack) != 1 or config.i != config.n:
+    stack = config.stack
+    # most configurations fail here, so the rest is read only after
+    if len(stack) != 1 or type(stack[0]) is not Completed:
         return False
-    top = config.stack[0]
-    if not isinstance(top, Completed) or top.is_word:
+    strategy, tokens, _, i, finished, _, _, _, _ = config
+    _, l, r, is_word = stack[0]
+    n = len(tokens)
+    if is_word or l != 0 or r != n or i != n:
         return False
-    if top.l != 0 or top.r != config.n:
-        return False
-    if config.strategy == IN_ORDER:
-        return config.finished
-    return True
+    return finished if strategy == IN_ORDER else True
 
 
 def _move_flags(config: Configuration):
@@ -193,21 +199,20 @@ def _move_flags(config: Configuration):
     label."""
     if is_terminal(config):
         return ("configuration is terminal",) * 4
-    if config.finished:
+    strategy, tokens, stack, i, finished, _, nt_run, _, cap = config
+    if finished:
         return ("finish flag already set",) * 4
-    stack = config.stack
     top = stack[-1] if stack else None
     opens = 0
     for e in stack:
         if type(e) is OpenNT:
             opens += 1
     top_done = type(top) is Completed
-    i = config.i
-    n = config.n
+    n = len(tokens)
     nt_ok = None
-    if config.nt_run >= config.max_consecutive_nt:
+    if nt_run >= cap:
         nt_ok = "consecutive non-terminal cap reached"
-    if config.strategy == TOP_DOWN:
+    if strategy == TOP_DOWN:
         if i >= n:
             shift = "buffer exhausted"
             nt_ok = "non-terminal opened on an empty buffer can never close"
@@ -236,9 +241,9 @@ def _move_flags(config: Configuration):
         red = None if opens else "no open non-terminal"
         if i < n:
             fin = "buffer not empty"
-        elif len(stack) != 1 or not top_done or top.is_word:
+        elif len(stack) != 1 or not top_done or top[3]:  # is_word
             fin = "stack is not a single completed constituent"
-        elif top.l != 0 or top.r != n:
+        elif top[1] != 0 or top[2] != n:  # l, r
             fin = "constituent does not span the sentence"
         else:
             fin = None
@@ -279,31 +284,25 @@ def apply(config: Configuration, t: Transition) -> Configuration:
 def _construct(config: Configuration, t: Transition) -> Configuration:
     """apply() minus the legality check, for callers that have already
     filtered through legal_transitions."""
-    kind = t.kind
-    stack, i, finished, built = config.stack, config.i, config.finished, config.built
-    nt_run = 0
-    if kind == "shift":
-        stack += (Completed(config.tokens[i], i, i + 1, is_word=True),)
-        i += 1
-    elif kind == "nt":
-        stack += (OpenNT(t.label, i),)
-        nt_run = config.nt_run + 1
-    elif kind == "finish":
-        finished = True
-    else:  # reduce
-        cut, label, l, r = _reduce_target(stack, config.strategy)
-        stack = stack[:cut] + (Completed(label, l, r),)
-        built += (Constituent(label, l, r),)
-    return Configuration(
-        config.strategy,
-        config.tokens,
-        stack,
-        i,
-        finished,
-        built,
-        nt_run,
-        (config.history + (t,))[-2:],
-        config.max_consecutive_nt,
+    strategy, tokens, stack, i, finished, built, nt_run, history, cap = config
+    kind, label = t
+    if kind == "nt":
+        stack += (_new(OpenNT, (label, i)),)
+        nt_run += 1
+    else:
+        nt_run = 0
+        if kind == "shift":
+            stack += (_new(Completed, (tokens[i], i, i + 1, True)),)
+            i += 1
+        elif kind == "finish":
+            finished = True
+        else:  # reduce
+            cut, label, l, r = _reduce_target(stack, strategy)
+            stack = stack[:cut] + (_new(Completed, (label, l, r, False)),)
+            built += (_new(Constituent, (label, l, r)),)
+    return _new(
+        Configuration,
+        (strategy, tokens, stack, i, finished, built, nt_run, history[-1:] + (t,), cap),
     )
 
 
@@ -311,20 +310,21 @@ def _reduce_target(stack, strategy):
     """What a reduce on stack builds: (cut, label, l, r).  The topmost open
     NT closes as a constituent labelled label over tokens [l, r), which
     replaces stack[cut:].  Legality is not checked: the stack must hold an
-    open NT with its first child in place."""
+    open NT with its first child in place.  Items are read by index: an
+    open is (label, index), a completed item (symbol, l, r, is_word)."""
     k = len(stack) - 1
     while type(stack[k]) is not OpenNT:
         k -= 1
     # the first child: below the open NT in-order, above it top-down
     if strategy == IN_ORDER:
         cut = k - 1
-        l = stack[k - 1].l
+        l = stack[k - 1][1]
     else:
         cut = k
-        l = stack[k + 1].l
+        l = stack[k + 1][1]
     # an in-order unary wrap has the open NT itself on top
-    r = stack[-1].r if k < len(stack) - 1 else stack[k - 1].r
-    return cut, stack[k].label, l, r
+    r = stack[-1][2] if k < len(stack) - 1 else stack[k - 1][2]
+    return cut, stack[k][0], l, r
 
 
 def fingerprint(config: Configuration):

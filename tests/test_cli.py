@@ -167,6 +167,22 @@ def test_train_rejects_a_corpus_with_no_trees(tmp_path, capsys, text):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_oracle_trace_rejects_a_corpus_with_no_trees(tmp_path, capsys, text, out):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(text, encoding="utf-8")
+    args = ["oracle-trace", "--strategy", "top-down", str(corpus)]
+    out_path = tmp_path / "trace.tsv"
+    if out:
+        args += ["--out", str(out_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {corpus}: no trees to trace\n"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("empty_side", ["gold", "pred", "both"])
 def test_eval_rejects_a_corpus_with_no_trees(tmp_path, capsys, empty_side):
     full = tmp_path / "full.txt"

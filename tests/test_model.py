@@ -76,6 +76,52 @@ def test_features_read_stack_buffer_and_history():
     ]
 
 
+# (strategy, tokens, moves replayed, the features of the configuration
+# reached), written out: stacks of 1 to 4 items with an open or a completed
+# top, histories of 1 and 2 moves, the buffer at its last word and past it.
+# The initial configuration, with no stack and no history, is pinned above.
+FEATURE_CASES = [
+    (TOP_DOWN, "a b c", "NT_S", [
+        "bias", "s0=O|S|0", "s1=_", "s2=_", "b0=a", "b1=b", "h0=NT_S", "h1=_",
+        "open=1", "s0^b0=O|S|0^a", "s0^s1=O|S|0^_", "h0^s0=NT_S^O|S|0",
+    ]),
+    (TOP_DOWN, "a b c", "NT_S SH", [
+        "bias", "s0=C|a|1", "s1=O|S|1", "s2=_", "b0=b", "b1=c", "h0=SH", "h1=NT_S",
+        "open=1", "s0^b0=C|a|1^b", "s0^s1=C|a|1^O|S|1", "h0^s0=SH^C|a|1",
+    ]),
+    (TOP_DOWN, "a b c", "NT_S NT_X SH SH", [
+        "bias", "s0=C|b|1", "s1=C|a|1", "s2=O|X|2", "b0=c", "b1=_", "h0=SH", "h1=SH",
+        "open=2", "s0^b0=C|b|1^c", "s0^s1=C|b|1^C|a|1", "h0^s0=SH^C|b|1",
+    ]),
+    (TOP_DOWN, "a b c", "NT_S NT_X SH SH RE SH", [
+        "bias", "s0=C|c|1", "s1=C|X|2", "s2=O|S|3", "b0=_", "b1=_", "h0=SH", "h1=RE",
+        "open=1", "s0^b0=C|c|1^_", "s0^s1=C|c|1^C|X|2", "h0^s0=SH^C|c|1",
+    ]),
+    (IN_ORDER, "a b c", "SH", [
+        "bias", "s0=C|a|1", "s1=_", "s2=_", "b0=b", "b1=c", "h0=SH", "h1=_",
+        "open=0", "s0^b0=C|a|1^b", "s0^s1=C|a|1^_", "h0^s0=SH^C|a|1",
+    ]),
+    (IN_ORDER, "a b c", "SH NT_X", [
+        "bias", "s0=O|X|0", "s1=C|a|1", "s2=_", "b0=b", "b1=c", "h0=NT_X", "h1=SH",
+        "open=1", "s0^b0=O|X|0^b", "s0^s1=O|X|0^C|a|1", "h0^s0=NT_X^O|X|0",
+    ]),
+    (IN_ORDER, "a b c", "SH NT_X SH NT_Y", [
+        "bias", "s0=O|Y|0", "s1=C|b|1", "s2=O|X|1", "b0=c", "b1=_", "h0=NT_Y", "h1=SH",
+        "open=2", "s0^b0=O|Y|0^c", "s0^s1=O|Y|0^C|b|1", "h0^s0=NT_Y^O|Y|0",
+    ]),
+    (IN_ORDER, "a b", "SH NT_X SH RE FI", [
+        "bias", "s0=C|X|2", "s1=_", "s2=_", "b0=_", "b1=_", "h0=FI", "h1=RE",
+        "open=0", "s0^b0=C|X|2^_", "s0^s1=C|X|2^_", "h0^s0=FI^C|X|2",
+    ]),
+]
+
+
+@pytest.mark.parametrize("strategy, tokens, names, expected", FEATURE_CASES)
+def test_features_are_these_strings(strategy, tokens, names, expected):
+    c = replay(tuple(tokens.split()), strategy, names)
+    assert features(c) == expected
+
+
 def test_history_touches_only_history_features():
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
     bare = initial_config(("a", "b"), TOP_DOWN)
@@ -115,10 +161,10 @@ def test_equal_nt_scores_pick_the_first_label():
         strategy=TOP_DOWN,
     )
     c = replay(("a", "b"), TOP_DOWN, "NT_X")
-    best, scores = _pick(
-        legal_transitions(c, alphabet), m.weights, features(c), m.columns
-    )
-    assert scores == {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0}
+    moves = legal_transitions(c, alphabet)
+    best, totals = _pick(moves, m.weights, features(c), m.columns)
+    assert {t: totals[m.columns[t]] for t in moves} == {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0}
+    assert totals == dense(alphabet, {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0})
     assert best == m.predict(c) == nt("X")
 
 
@@ -134,10 +180,9 @@ def test_a_tie_between_shift_and_an_nt_gives_shift():
         strategy=TOP_DOWN,
     )
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
-    best, scores = _pick(
-        legal_transitions(c, alphabet), m.weights, features(c), m.columns
-    )
-    assert scores == {SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25}
+    moves = legal_transitions(c, alphabet)
+    best, totals = _pick(moves, m.weights, features(c), m.columns)
+    assert {t: totals[m.columns[t]] for t in moves} == {SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25}
     assert best == SHIFT
 
 
@@ -445,8 +490,11 @@ def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explo
                 break
             moves = legal_transitions(c, back.label_alphabet)
             feats = features(c)
-            best, scores = _pick(moves, back.weights, feats, back.columns)
+            best, totals = _pick(moves, back.weights, feats, back.columns)
+            scores = {t: totals[back.columns[t]] for t in moves}
             assert scores == {t: sum(flat.get((f, t), 0.0) for f in feats) for t in moves}
+            # the first legal move with the highest score
+            assert best == max(moves, key=scores.__getitem__)
             c = apply(c, best)
             steps += 1
     assert steps > 100

@@ -13,6 +13,7 @@ from oracle_lab.transitions import (
     TOP_DOWN,
     Completed,
     Configuration,
+    Constituent,
     OpenNT,
     _illegal_reason,
     apply,
@@ -191,6 +192,39 @@ def test_random_walks_never_strand(t, seed, strategy):
             assert c.nt_run <= 1  # an in-order NT needs a completed item on top
     if is_terminal(c):
         assert legal_transitions(c, ["X", "Y"]) == []
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_walks_build_named_items_of_the_right_types(strategy):
+    """apply builds every item and configuration by tuple.__new__; a plain
+    tuple, or an int where is_word's bool belongs, would still compare
+    equal, so the types are checked one by one."""
+    steps = 0
+    for seed in range(40):
+        rng = random.Random(f"{seed}|typed-walk")
+        tokens = random_tree(rng.randint(1, 6), ["X", "Y"], seed).tokens
+        c = initial_config(tokens, strategy, max_consecutive_nt=3)
+        for _ in range(60):
+            if is_terminal(c):
+                break
+            t = rng.choice(legal_transitions(c, ["X", "Y"]))
+            nxt = apply(c, t)
+            assert type(nxt) is Configuration
+            for e in nxt.stack:
+                assert type(e) in (OpenNT, Completed)
+                if type(e) is Completed:
+                    assert type(e.is_word) is bool
+            assert all(type(b) is Constituent for b in nxt.built)
+            assert nxt.history == (c.history + (t,))[-2:]
+            assert nxt.nt_run == (c.nt_run + 1 if t.kind == "nt" else 0)
+            assert (nxt.strategy, nxt.tokens, nxt.max_consecutive_nt) == (
+                c.strategy,
+                c.tokens,
+                c.max_consecutive_nt,
+            )
+            c = nxt
+            steps += 1
+    assert steps > 300
 
 
 @given(trees(max_tokens=5), st.sampled_from(["top-down", "in-order"]))
