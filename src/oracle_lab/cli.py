@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .evaluation import arity_breakdown, prf, render_report
@@ -18,9 +17,8 @@ from .trees import (
     TreeError,
     check_derivable_corpus,
     gold_sequence,
-    load_corpus,
     parse_bracketed,
-    random_tree,
+    read_lines,
     save_corpus,
     serialize,
     synthetic_corpus,
@@ -46,7 +44,7 @@ def _open_out(args):
 
 
 def cmd_oracle_trace(args):
-    trees = _load_trees(args.trees, "trace")
+    trees = _read_items(args.trees, "trees to trace")
     # every tree, before the first row is written
     check_derivable_corpus(trees, args.strategy)
     out = _open_out(args)
@@ -70,13 +68,14 @@ def cmd_oracle_trace(args):
     return 0
 
 
-def _load_trees(path, purpose):
-    """The trees of a corpus file; a file that holds none is an input
-    error that names it."""
-    trees = load_corpus(path)
-    if not trees:
-        raise ValueError(f"{path}: no trees to {purpose}")
-    return trees
+def _read_items(path, what, parse=parse_bracketed):
+    """What parse reads from each non-blank line of a file, by default
+    the trees of a corpus file; a file that holds none is an input error
+    that names it, as "no <what>"."""
+    items = read_lines(path, parse)
+    if not items:
+        raise ValueError(f"{path}: no {what}")
+    return items
 
 
 def _check_corpus(args):
@@ -85,15 +84,11 @@ def _check_corpus(args):
             raise ValueError("give a corpus file or --generate, not both")
         if args.generate < 1:
             raise ValueError(f"--generate needs at least 1 tree, got {args.generate}")
-        rng = random.Random(f"{args.seed}|gen-check")
         labels = args.labels.split(",")
-        return [
-            random_tree(rng.randint(1, args.max_tokens), labels, rng.randrange(1 << 30))
-            for _ in range(args.generate)
-        ]
+        return synthetic_corpus(args.generate, labels, seed=args.seed, max_tokens=args.max_tokens)
     if args.trees is None:
         raise ValueError("need a corpus file or --generate N")
-    return _load_trees(args.trees, "check")
+    return _read_items(args.trees, "trees to check")
 
 
 def cmd_check(args):
@@ -124,7 +119,7 @@ def cmd_check(args):
 
 
 def cmd_train(args):
-    corpus = _load_trees(args.trees, "train on")
+    corpus = _read_items(args.trees, "trees to train on")
     policy = ExplorationPolicy(p_explore=args.explore_p, seed=args.seed)
     model = train(
         corpus,
@@ -141,23 +136,9 @@ def cmd_train(args):
     return 0
 
 
-def _read_sentences(path):
-    """Token lists from a file of either bracketed trees or plain token
-    lines, detected per line."""
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("("):
-                try:
-                    sentences.append(parse_bracketed(line).tokens)
-                except TreeError as e:
-                    raise TreeError(f"{path}:{lineno}: {e}") from e
-            else:
-                sentences.append(tuple(line.split()))
-    return sentences
+def _sentence_tokens(line):
+    """A sentence file's line is a bracketed tree or plain tokens."""
+    return parse_bracketed(line).tokens if line.startswith("(") else tuple(line.split())
 
 
 def cmd_parse(args):
@@ -167,7 +148,7 @@ def cmd_parse(args):
             f"--strategy {args.strategy} does not match model"
             f" strategy {model.strategy}"
         )
-    sentences = _read_sentences(args.sentences)
+    sentences = _read_items(args.sentences, "sentences to parse", _sentence_tokens)
     out = _open_out(args)
     try:
         for idx, tokens in enumerate(sentences):
@@ -186,8 +167,8 @@ def cmd_parse(args):
 
 
 def cmd_eval(args):
-    gold = _load_trees(args.gold, "score")
-    pred = _load_trees(args.pred, "score")
+    gold = _read_items(args.gold, "trees to score")
+    pred = _read_items(args.pred, "trees to score")
     overall = prf(gold, pred)
     table = arity_breakdown(gold, pred)
     print(render_report(overall, table, tsv=args.tsv))

@@ -3,6 +3,9 @@
 Simplifications relative to canonical evalb runs on treebank data: exact
 label match, no punctuation or label-equivalence parameter file.  The
 corpora here are synthetic, so none of that machinery earns its keep.
+
+Both scorers count a tree's spans through one counter, _span_counter:
+prf's matches and the arity table's pooled matches are the same number.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .trees import constituents_with_arity
+from .trees import constituent_set, constituents_with_arity
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +67,7 @@ def _check_aligned(gold, pred):
 
 
 def _span_counter(tree):
-    return Counter((c.label, c.l, c.r) for c, _ in constituents_with_arity(tree))
+    return Counter(constituent_set(tree))  # a Constituent is its own (label, l, r) key
 
 
 def prf(gold, pred) -> PRF:
@@ -89,29 +92,18 @@ def arity_breakdown(gold, pred) -> ArityTable:
     side's own tree.  Matches where the two sides disagree on arity count
     toward no bucket; the discrepancy against the pooled score is logged."""
     _check_aligned(gold, pred)
-    matched = {b: 0 for b in ARITY_BUCKETS}
-    predicted = {b: 0 for b in ARITY_BUCKETS}
-    gold_total = {b: 0 for b in ARITY_BUCKETS}
+    counts = Counter()  # (field, bucket) -> spans
     pooled = 0
     for g, p in zip(gold, pred):
-        gc = {b: Counter() for b in ARITY_BUCKETS}
-        pc = {b: Counter() for b in ARITY_BUCKETS}
-        for c, arity in constituents_with_arity(g):
-            gc[_bucket(arity)][(c.label, c.l, c.r)] += 1
-        for c, arity in constituents_with_arity(p):
-            pc[_bucket(arity)][(c.label, c.l, c.r)] += 1
-        for b in ARITY_BUCKETS:
-            matched[b] += sum((gc[b] & pc[b]).values())
-            predicted[b] += sum(pc[b].values())
-            gold_total[b] += sum(gc[b].values())
-        all_g = Counter()
-        all_p = Counter()
-        for b in ARITY_BUCKETS:
-            all_g.update(gc[b])
-            all_p.update(pc[b])
-        pooled += sum((all_g & all_p).values())
+        gc, pc = (  # one (arity bucket, Constituent) counter per side
+            Counter((_bucket(a), c) for c, a in constituents_with_arity(t)) for t in (g, p)
+        )
+        for field, spans in (("matched", gc & pc), ("predicted", pc), ("gold", gc)):
+            for (b, _), k in spans.items():
+                counts[field, b] += k
+        pooled += sum((_span_counter(g) & _span_counter(p)).values())
     rows = {
-        b: PRF.from_counts(matched[b], predicted[b], gold_total[b])
+        b: PRF.from_counts(counts["matched", b], counts["predicted", b], counts["gold", b])
         for b in ARITY_BUCKETS
     }
     table = ArityTable(rows=rows, pooled_matched=pooled)

@@ -30,10 +30,12 @@ from .transitions import (
 from .trees import (
     ConstituentTree,
     Internal,
+    _checked_labels,
     check_derivable_corpus,
     constituent_set,
     forest_from_built,
     gold_sequence,
+    open_text,
 )
 
 MODEL_FORMAT = "oracle-lab-model v1"
@@ -172,7 +174,7 @@ class Model:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().rstrip("\n")
             if not header.startswith(MODEL_FORMAT + " "):
                 raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
@@ -185,6 +187,10 @@ class Model:
                 raise ValueError(f"{path}: empty label set")
             if len(set(labels)) < len(labels):
                 raise ValueError(f"{path}: repeated label in labels header")
+            try:
+                _checked_labels(labels)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
             columns = _columns(labels)
             weights = {}
             seen = set()

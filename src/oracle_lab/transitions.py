@@ -111,9 +111,6 @@ class Constituent(NamedTuple):
     def key(self):
         return (self.label, self.l, self.r)
 
-    def __str__(self):
-        return f"({self.label},{self.l},{self.r})"
-
 
 class Completed(NamedTuple):
     """Stack element for a finished item over tokens [l, r): a shifted word

@@ -4,6 +4,7 @@ and tree generators for testing.
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from collections import Counter
@@ -403,18 +404,35 @@ def enumerate_trees(n: int, labels):
         yield ConstituentTree(tokens, root)
 
 
+def open_text(path):
+    """A UTF-8 text file's contents as a line-by-line readable stream,
+    newlines translated as open() translates them; ValueError names the
+    file and the byte offset if its bytes are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text at byte {e.start}") from None
+
+
+def read_lines(path, parse):
+    """parse(line) for each non-blank line of a text file, stripped, in
+    order; a TreeError from parse is re-raised naming path:line."""
+    out = []
+    for lineno, line in enumerate(open_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(parse(line))
+        except TreeError as e:
+            raise TreeError(f"{path}:{lineno}: {e}") from e
+    return out
+
+
 def load_corpus(path):
-    trees = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trees.append(parse_bracketed(line))
-            except TreeError as e:
-                raise TreeError(f"{path}:{lineno}: {e}") from e
-    return trees
+    return read_lines(path, parse_bracketed)
 
 
 def save_corpus(trees, path):

@@ -1,17 +1,25 @@
+import contextlib
 import importlib
+import io
 import os
 import re
 import shlex
 import shutil
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
+import oracle_lab.cli
 from oracle_lab.cli import build_parser, main
-from oracle_lab.trees import load_corpus, parse_bracketed, serialize
+from oracle_lab.trees import load_corpus, parse_bracketed, serialize, synthetic_corpus
+from oracle_lab.verify import SearchBounds, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 SMOKE_ARGS = ["check", "--strategy", "in-order", "--generate", "2", "--max-tokens", "3"]
@@ -386,6 +394,144 @@ def test_parse_rejects_repeated_labels(tmp_path, capsys):
     sents.write_text("w0 w1\n", encoding="utf-8")
     assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
     assert f"{model}: repeated label in labels header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", ["X (", "X(", ")"])
+def test_parse_rejects_a_model_label_that_cannot_be_written_out(tmp_path, capsys, labels):
+    model = tmp_path / "m.model"
+    model.write_text(f"oracle-lab-model v1 top-down\nlabels: {labels}\n", encoding="utf-8")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w0 w1\n", encoding="utf-8")
+    assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"oracle-lab: {model}: bad label ")
+    assert "parentheses" in captured.err
+    assert captured.out == ""
+
+
+@settings(max_examples=40)
+@example(labels=["X", "("])
+@given(labels=st.lists(st.text(string.printable, max_size=3), min_size=1, max_size=3,
+                       unique=True))
+def test_parse_writes_only_trees_that_read_back(labels):
+    """Whatever labels a model file lists, it is rejected, or every tree
+    parse writes with it reads back with the sentence's tokens."""
+    sentences = [("w0", "w1", "w2"), ("w0",), ("w1", "w0")]
+    rows = "".join(f"b0=w{k}\tNT_{lab}\t1.0\n" for k, lab in enumerate(labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        model, sents, pred = (Path(tmp, name) for name in ("m.model", "s.txt", "p.txt"))
+        sents.write_text("".join(" ".join(t) + "\n" for t in sentences), encoding="utf-8")
+        for strategy in ("top-down", "in-order"):
+            model.write_text(
+                f"oracle-lab-model v1 {strategy}\nlabels: {' '.join(labels)}\n{rows}",
+                encoding="utf-8",
+            )
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["parse", "--strategy", strategy, str(model), str(sents),
+                             "--out", str(pred)])
+            if code == 2:
+                assert err.getvalue().startswith(f"oracle-lab: {model}")
+                continue
+            assert code == 0
+            assert [t.tokens for t in load_corpus(pred)] == sentences
+
+
+def test_parse_names_the_line_of_a_malformed_tree(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("oracle-lab-model v1 top-down\nlabels: X\n", encoding="utf-8")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w0 w1\n\n(X w0 w1)\n(X w0\n", encoding="utf-8")
+    out = tmp_path / "pred.txt"
+    args = ["parse", "--strategy", "top-down", str(model), str(sents), "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {sents}:4: unclosed parenthesis at offset 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_parse_rejects_a_sentence_file_with_no_sentences(tmp_path, capsys, text, out):
+    model = tmp_path / "m.model"
+    model.write_text("oracle-lab-model v1 top-down\nlabels: X\n", encoding="utf-8")
+    sents = tmp_path / "empty.txt"
+    sents.write_text(text, encoding="utf-8")
+    args = ["parse", "--strategy", "top-down", str(model), str(sents)]
+    out_path = tmp_path / "pred.txt"
+    if out:
+        args += ["--out", str(out_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {sents}: no sentences to parse\n"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_check_generate_checks_the_trees_gen_draws(monkeypatch, capsys):
+    seen = []
+
+    def recording_sweep(trees, *args, **kwargs):
+        seen.append(trees)
+        return sweep(trees, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_lab.cli, "sweep", recording_sweep)
+    args = ["check", "--strategy", "top-down", "--generate", "5", "--seed", "9",
+            "--max-tokens", "4", "--labels", "A,B"]
+    assert main(args) == 0
+    expected = synthetic_corpus(5, ["A", "B"], seed=9, max_tokens=4)
+    assert [serialize(t) for t in seen[0]] == [serialize(t) for t in expected]
+    report = sweep(expected, "top-down", SearchBounds(max_tokens=4, max_consecutive_nt=3),
+                   walk_policy="random-walk", seed=9)
+    assert capsys.readouterr().out.startswith(
+        f"PASS: {report.configs_checked} configurations checked, 0 mismatches,"
+    )
+
+
+MODEL_HEAD = b"oracle-lab-model v1 top-down\nlabels: X\n"
+CORPUS = b"(X w0 w1)\n"
+
+# Each file argument of each subcommand; {bad} is the file under test.
+FILE_ARGUMENTS = {
+    "oracle-trace": ["oracle-trace", "--strategy", "top-down", "{bad}"],
+    "check": ["check", "--strategy", "top-down", "{bad}"],
+    "train": ["train", "--strategy", "top-down", "{bad}", "--out", "{out}"],
+    "parse-model": ["parse", "--strategy", "top-down", "{bad}", "{corpus}"],
+    "parse-sentences": ["parse", "--strategy", "top-down", "{model}", "{bad}"],
+    "eval-gold": ["eval", "{bad}", "{corpus}"],
+    "eval-pred": ["eval", "{corpus}", "{bad}"],
+}
+
+# file contents per kind of file: None is a missing file
+BAD_INPUTS = {
+    "missing": {"corpus": None, "model": None},
+    "empty": {"corpus": b"", "model": b""},
+    "malformed": {"corpus": CORPUS + b"(X w0\n", "model": MODEL_HEAD + b"bias\tSH\n"},
+    "not-utf8": {"corpus": CORPUS + b"(X w\xff0)\n", "model": MODEL_HEAD + b"b\xff\tSH\t1.0\n"},
+}
+
+
+@pytest.mark.parametrize("bad_input", list(BAD_INPUTS))
+@pytest.mark.parametrize("argument", list(FILE_ARGUMENTS))
+def test_every_file_argument_keeps_the_exit_code_contract(tmp_path, capsys, argument, bad_input):
+    """A missing, empty, malformed or non-UTF-8 file exits 2 with one
+    line that names it, and writes nothing."""
+    files = {"corpus": tmp_path / "corpus.txt", "model": tmp_path / "m.model",
+             "bad": tmp_path / "bad.txt", "out": tmp_path / "out.model"}
+    files["corpus"].write_bytes(CORPUS)
+    files["model"].write_bytes(MODEL_HEAD)
+    content = BAD_INPUTS[bad_input]["model" if argument == "parse-model" else "corpus"]
+    if content is not None:
+        files["bad"].write_bytes(content)
+    args = [a.format(**files) for a in FILE_ARGUMENTS[argument]]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("oracle-lab: ")
+    assert str(files["bad"]) in captured.err
+    assert "Traceback" not in captured.err
+    assert not files["out"].exists()
 
 
 @pytest.mark.parametrize("epochs", ["0", "-1"])

@@ -106,6 +106,18 @@ def test_arity_buckets_partition_both_sides(n, seed_a, seed_b):
     assert table.cross_arity_matches >= 0
 
 
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 500), st.integers(0, 500)),
+                min_size=1, max_size=4))
+def test_arity_table_and_prf_share_one_span_count(pairs):
+    gold = [random_tree(n, ["X", "Y"], a) for n, a, _ in pairs]
+    pred = [random_tree(n, ["X", "Y"], b) for n, _, b in pairs]
+    overall, table = prf(gold, pred), arity_breakdown(gold, pred)
+    assert table.pooled_matched == overall.matched
+    assert sum(r.gold for r in table.rows.values()) == overall.gold
+    assert sum(r.predicted for r in table.rows.values()) == overall.predicted
+    assert 0 <= table.cross_arity_matches <= overall.matched
+
+
 def test_render_report_formats(example_tree):
     overall = prf([example_tree], [example_tree])
     table = arity_breakdown([example_tree], [example_tree])

@@ -216,6 +216,20 @@ def test_load_corpus_reports_file_and_line(tmp_path):
     assert str(err.value).startswith(f"{path}:2:")
 
 
+def test_load_corpus_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"(X w0)\n(Y w\xff1)\n")
+    with pytest.raises(ValueError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: not UTF-8 text at byte 11"
+
+
+def test_load_corpus_skips_blank_lines_and_reads_any_newline(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"  (X w0)\r\n\n\t\r(Y w1 w2)\r(Z w3)")
+    assert [serialize(t) for t in load_corpus(path)] == ["(X w0)", "(Y w1 w2)", "(Z w3)"]
+
+
 def test_check_derivable_rejects_deep_chains():
     text = "(A (B (C (D w0 w1))))"
     t = parse_bracketed(text)
