@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import groupby
 
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
-from .oracle import GoldReference, loss
+from .oracle import GoldReference, losses
 from .transitions import STRATEGIES, apply, initial_config
 from .trees import (
     TreeError,
@@ -43,6 +45,14 @@ def _open_out(args):
     return sys.stdout
 
 
+def _derivation(tree, strategy):
+    """(step, transition, configuration after it) along the gold derivation."""
+    c = initial_config(tree.tokens, strategy)
+    for step, t in enumerate(gold_sequence(tree, strategy), start=1):
+        c = apply(c, t)
+        yield step, t, c
+
+
 def cmd_oracle_trace(args):
     trees = _read_items(args.trees, "trees to trace")
     # every tree, before the first row is written
@@ -53,15 +63,17 @@ def cmd_oracle_trace(args):
             if idx:
                 out.write("\n")
             gold = GoldReference.from_tree(tree, args.strategy)
-            c = initial_config(tree.tokens, args.strategy)
-            for step, t in enumerate(gold_sequence(tree, args.strategy), start=1):
-                c = apply(c, t)
-                lb = loss(c, gold)
-                out.write(
-                    f"{step}\t{t}\t{c.stack_summary()}\t{c.i}\t{lb.total}"
-                    f"\t{lb.unreachable}\t{lb.false_constituents}"
-                    f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
-                )
+            # one `losses` batch per buffer position: the top-down memo keys
+            # on the position first, so the batches share every layer one
+            # batch per tree would, and each memo is freed before the next
+            for _, run in groupby(_derivation(tree, args.strategy), key=lambda row: row[2].i):
+                run = list(run)
+                for (step, t, c), lb in zip(run, losses([row[2] for row in run], gold)):
+                    out.write(
+                        f"{step}\t{t}\t{c.stack_summary()}\t{c.i}\t{lb.total}"
+                        f"\t{lb.unreachable}\t{lb.false_constituents}"
+                        f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
+                    )
     finally:
         if out is not sys.stdout:
             out.close()
@@ -118,8 +130,23 @@ def cmd_check(args):
     return 0 if report.passed else 1
 
 
+def _check_out(path):
+    """An input error that names path, before any work, when no file can be
+    written there: its directory is missing or not writable, or it is a
+    directory.  Nothing is created, so a file already there survives a
+    run that fails later."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"{path}: no such directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"{path}: not writable")
+
+
 def cmd_train(args):
     corpus = _read_items(args.trees, "trees to train on")
+    _check_out(args.out)
     policy = ExplorationPolicy(p_explore=args.explore_p, seed=args.seed)
     model = train(
         corpus,

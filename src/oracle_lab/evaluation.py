@@ -10,13 +10,10 @@ prf's matches and the arity table's pooled matches are the same number.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
 from .trees import constituent_set, constituents_with_arity
-
-log = logging.getLogger(__name__)
 
 ARITY_BUCKETS = (1, 2, 3, 4, 5)  # bucket 5 holds arity >= 5
 
@@ -90,7 +87,7 @@ def prf(gold, pred) -> PRF:
 def arity_breakdown(gold, pred) -> ArityTable:
     """PRF restricted to each child-count bucket, arity taken from each
     side's own tree.  Matches where the two sides disagree on arity count
-    toward no bucket; the discrepancy against the pooled score is logged."""
+    toward no bucket; `render_report` shows them as a cross-arity row."""
     _check_aligned(gold, pred)
     counts = Counter()  # (field, bucket) -> spans
     pooled = 0
@@ -106,38 +103,39 @@ def arity_breakdown(gold, pred) -> ArityTable:
         b: PRF.from_counts(counts["matched", b], counts["predicted", b], counts["gold", b])
         for b in ARITY_BUCKETS
     }
-    table = ArityTable(rows=rows, pooled_matched=pooled)
-    if table.cross_arity_matches:
-        log.info(
-            "%d matched spans bucketed differently on the two sides",
-            table.cross_arity_matches,
-        )
-    return table
+    return ArityTable(rows=rows, pooled_matched=pooled)
 
 
 def _row_name(b):
     return f"arity {b}+" if b == ARITY_BUCKETS[-1] else f"arity {b}"
 
 
+def _cells(r):
+    return (
+        f"{r.precision:.2f}", f"{r.recall:.2f}", f"{r.f1:.2f}",
+        str(r.matched), str(r.predicted), str(r.gold),
+    )
+
+
 def render_report(overall: PRF, arities: ArityTable | None = None, tsv=False) -> str:
-    """Overall score plus the arity table, fixed-width or TSV."""
-    rows = [("overall", overall)]
+    """Overall score plus the arity table, fixed-width or TSV.  When some
+    matched spans have a different arity bucket on the two sides, a
+    cross-arity row counts them: they are among the overall row's matches
+    and in no arity row's."""
+    rows = [("overall", _cells(overall))]
     if arities is not None:
-        rows += [(_row_name(b), arities.rows[b]) for b in ARITY_BUCKETS]
+        rows += [(_row_name(b), _cells(arities.rows[b])) for b in ARITY_BUCKETS]
+        if arities.cross_arity_matches:
+            cross = str(arities.cross_arity_matches)
+            rows.append(("cross-arity", ("-", "-", "-", cross, "-", "-")))
     if tsv:
         lines = ["section\tprecision\trecall\tf1\tmatched\tpredicted\tgold"]
-        for name, r in rows:
-            lines.append(
-                f"{name}\t{r.precision:.2f}\t{r.recall:.2f}\t{r.f1:.2f}"
-                f"\t{r.matched}\t{r.predicted}\t{r.gold}"
-            )
+        lines += ["\t".join((name,) + cells) for name, cells in rows]
     else:
-        lines = [
-            f"{'':10s}{'P':>8s}{'R':>8s}{'F1':>8s}{'match':>7s}{'pred':>7s}{'gold':>7s}"
-        ]
-        for name, r in rows:
+        width = max(10, *(len(name) for name, _ in rows))
+        lines = [f"{'':{width}s}{'P':>8s}{'R':>8s}{'F1':>8s}{'match':>7s}{'pred':>7s}{'gold':>7s}"]
+        for name, (p, r, f1, matched, pred, gold) in rows:
             lines.append(
-                f"{name:10s}{r.precision:8.2f}{r.recall:8.2f}{r.f1:8.2f}"
-                f"{r.matched:7d}{r.predicted:7d}{r.gold:7d}"
+                f"{name:{width}s}{p:>8s}{r:>8s}{f1:>8s}{matched:>7s}{pred:>7s}{gold:>7s}"
             )
     return "\n".join(lines)

@@ -313,8 +313,10 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     c = initial_config(tokens, gold.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt) if seq is None else len(seq)
     step = 0
-    while not is_terminal(c) and step < cap:
+    while step < cap:
         moves = legal_transitions(c, alphabet)
+        if not moves:  # only a terminal configuration has none
+            break
         feats = features(c)
         guess, totals = _pick(moves, learner.w, feats, learner.columns)
         # dynamic: optimal_transitions on the moves above
@@ -350,8 +352,12 @@ def parse_with_info(model: Model, tokens):
     c = initial_config(tuple(tokens), model.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt)
     steps = 0
-    while not is_terminal(c) and steps < cap:
-        c = _construct(c, model.predict(c))  # predict picks a legal move
+    while steps < cap:
+        moves = legal_transitions(c, model.label_alphabet)
+        if not moves:  # only a terminal configuration has none
+            break
+        best, _ = _pick(moves, model.weights, features(c), model.columns)
+        c = _construct(c, best)
         steps += 1
     info = {"steps": steps, "fallback": False, "wrap_label": None}
     forest = forest_from_built(c.tokens, c.built)

@@ -32,20 +32,6 @@ right ends at or past i that an analysis reads, only those at i itself can
 have been built.  So the cost of a call follows the stack and the built
 constituents, not the size of the gold tree.
 
-A top-down pass adds one layer per searched open, bottom to top, and
-layer k depends only on the buffer position i and the first k searched
-targets from `_td_targets` (for a fixed gold, and so a fixed n).  Its close
-reads the last layer, the gold spans at i and the NT headroom
-max(0, cap - nt_run).  Two shares rest on this.  `losses` analyses many
-configurations of one gold tree in one batch and memoises each pass and
-close's (cost, junk) on (i, headroom, searched targets): the census checks
-hundreds of thousands of classes per tree with a few hundred distinct
-triples.  The matched spans, the gold counts at i and past it and the
-forced junk are added per configuration.  The memo dies with the call;
-kept on the `GoldReference`, it would replay stored answers to a caller
-that asks about the same gold again.  The other share is between moves,
-below.
-
 `optimal_transitions` judges every legal move from one analysis of the
 configuration, without building a successor or calling `loss` per move
 (in the spirit of Goldberg & Nivre 2013, who derive move costs without
@@ -69,16 +55,25 @@ lost, are the same for every label.  The slot costs nothing for a label of
 the innermost span in that pool (`_innermost_labels`) and one loss for any
 other, so one analysis with one label gives every label's total.
 
-Top-down, REDUCE and NT keep i, so each successor's pass resumes from the
-configuration's own: its targets are those `loss` would search on it, and
-its pass starts from layer k of the configuration's pass, where k is the
-length of the longest prefix of whole target entries the two share.  A
-target entry is the open's label and left index with its ends and their
-multiplicities, so a reduce that builds a span a lower open could still
-end on changes that open's entry, and its layer is redone.  The opens
-below an NT's pushed one search from E = i + 1, as the SHIFT successor's
-do, so their targets are found once for every label.  SHIFT moves i, and
-its successor is analysed afresh.
+Every top-down total of one call, in `losses` or in `optimal_transitions`,
+reads its pass from one memo.  The pass adds one layer per searched open,
+bottom to top, and layer k depends only on the buffer position i and the
+first k searched targets from `_td_targets` (for a fixed gold, and so a
+fixed n); its close reads the last layer, the gold spans at i and the NT
+headroom max(0, cap - nt_run).  So the memo is a trie per i: the node for
+the first k targets holds layer k, its close under each headroom, and one
+child per next target entry.  A target entry is the open's label and left
+index with its ends and their multiplicities, so a reduce that builds a
+span a lower open could still end on changes that open's entry, and its
+layer is computed anew.  The census checks hundreds of thousands of
+classes per tree with at most a few hundred trie nodes, and a REDUCE or NT
+successor shares every layer of the configuration's own pass below the
+first open whose entry differs.  The opens below an NT's pushed one search
+from E = i + 1, as the SHIFT successor's do, so their targets are found
+once for every label.  The matched spans, the gold counts at i and past it
+and the forced junk are added per configuration.  The memo dies with the
+call; kept on the `GoldReference`, it would replay stored answers to a
+caller that asks about the same gold again.
 """
 
 from __future__ import annotations
@@ -172,8 +167,10 @@ class GoldReference:
 
 
 class LossBreakdown(NamedTuple):
-    """The loss of a configuration and its four addends.  A named tuple,
-    so that building one, once per `loss` call, runs in C."""
+    """The loss of a configuration and its four addends, read by name.
+    Building one calls the named tuple's __new__, a Python-level function
+    (as in `transitions`), once per configuration a `losses` call
+    analyses."""
 
     unreachable: int
     false_constituents: int
@@ -255,17 +252,29 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo):
     those choices, and each entry is the first cheapest way into its state.
     The answer is the first state whose cost plus the terminal term is
     least: the first cheapest assignment in that order.  This fixes the
-    split between unreachable spans and out-of-order junk.  The pass and
-    close are looked up in memo first, keyed as the module docstring says.
+    split between unreachable spans and out-of-order junk.
+
+    Each layer and close is read from memo, the call's trie (the module
+    docstring says why its key is exact): memo[i] is the root, each node a
+    dict that holds its layer under None, its close under each headroom
+    and its child under each next target entry.  Only what is missing is
+    computed, by `_td_layer` and `_td_close`.
     """
     searched, forced_junk = targets
+    node = memo.get(i)
+    if node is None:
+        node = memo[i] = {None: {(n, n + 1, ()): (0, 0)}}
+    pl = None  # the left index of the open below
+    for entry in searched:
+        child = node.get(entry)
+        if child is None:
+            child = node[entry] = {None: _td_layer(entry, i, node[None], pl)}
+        node = child
+        pl = entry[1]
     avail = max(0, cap - nt_run)
-    key = (i, avail, tuple(searched))
-    found = memo.get(key)
-    if found is None:
-        layer = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)[-1]
-        top_at_i = bool(searched) and searched[-1][1] == i
-        found = memo[key] = _td_close(layer, top_at_i, gold.right_ends.get(i, ()), avail)
+    found = node.get(avail)
+    if found is None:  # pl == i: the last searched open sits at i
+        found = node[avail] = _td_close(node[None], pl == i, gold.right_ends.get(i, ()), avail)
     cost, junk = found
     lost = gold.left[i] - matched + gold.capped(i, cap)
     return lost + cost - junk, forced_junk, junk
@@ -304,12 +313,12 @@ def _td_targets(gold, taken, stack, n, i, E):
     return searched, opens - len(searched)
 
 
-def _td_pass(searched, i, layer, pl):
-    """The forward pass: starting from layer, the states after an open with
-    left index pl (None before the first), add one layer per searched open.
-    Returns every layer, the given one first.  Each state is (bound, rho,
-    plateau) -> (cost, junk), with cost relative to losing every remaining
-    span left of i; each dict is in the order of its assignments.
+def _td_layer(entry, i, layer, pl):
+    """One step of the forward pass: the layer after the open with this
+    target entry, from layer, the states after an open with left index pl
+    (None before the first).  Each state is (bound, rho, plateau) -> (cost,
+    junk), with cost relative to losing every remaining span left of i;
+    each dict is in the order of its assignments.
 
     A state matches the open on an end r below its bound at one cost for
     every such r, and arrives at (r, r, (label,)); the end at i, which only
@@ -320,67 +329,63 @@ def _td_pass(searched, i, layer, pl):
     the sorted ends, taken from the top end down; they grow with r, so the
     ends a state sends are those from some point up to its bound.  The end
     at i keeps a running minimum per rho instead, in the states' order."""
-    layers = [layer]
-    for lab, idx, rs, ms in searched:
-        single = (lab,)
-        left = idx < i  # a match left of i saves that span's loss
-        keep = pl == idx  # the plateau carries over from the open below
-        credit = keep and idx == i  # a match at i undercut here credits it
-        top = len(rs)
-        # each state with its bound's index in rs and its match cost; and
-        # least[j], the least match cost of the states whose bound is past rs[j]
-        least = [_UNSEEN] * top
-        states = []
-        for key, val in layer.items():
-            hi = bisect_left(rs, key[0])  # rs[:hi] end below the bound
-            v = val[0] - len(key[2]) if credit else val[0] - left
-            if hi and v < least[hi - 1]:
-                least[hi - 1] = v
-            states.append((key, val, hi, v))
-        for j in range(top - 2, -1, -1):
-            if least[j + 1] < least[j]:
-                least[j] = least[j + 1]
-        k = 1 if left and rs[0] == i else 0  # targets end at or past i
-        sent = {}  # match cost -> the ends below this index are sent at it
-        at_i = {}  # rho -> the running minimum of the match cost at i
-        nxt = {}
-        get = nxt.get
-        for (bound, rho, used), (cost, junk), hi, v in states:
-            if not keep:
-                used = ()
-            # an arrival replaces only a dearer entry, and moves it to the
-            # end; junk first, then the ends ascending
-            state = (bound, rho, used)
+    lab, idx, rs, ms = entry
+    single = (lab,)
+    left = idx < i  # a match left of i saves that span's loss
+    keep = pl == idx  # the plateau carries over from the open below
+    credit = keep and idx == i  # a match at i undercut here credits it
+    top = len(rs)
+    # each state with its bound's index in rs and its match cost; and
+    # least[j], the least match cost of the states whose bound is past rs[j]
+    least = [_UNSEEN] * top
+    states = []
+    for key, val in layer.items():
+        hi = bisect_left(rs, key[0])  # rs[:hi] end below the bound
+        v = val[0] - len(key[2]) if credit else val[0] - left
+        if hi and v < least[hi - 1]:
+            least[hi - 1] = v
+        states.append((key, val, hi, v))
+    for j in range(top - 2, -1, -1):
+        if least[j + 1] < least[j]:
+            least[j] = least[j + 1]
+    k = 1 if left and rs[0] == i else 0  # targets end at or past i
+    sent = {}  # match cost -> the ends below this index are sent at it
+    at_i = {}  # rho -> the running minimum of the match cost at i
+    nxt = {}
+    get = nxt.get
+    for (bound, rho, used), (cost, junk), hi, v in states:
+        if not keep:
+            used = ()
+        # an arrival replaces only a dearer entry, and moves it to the
+        # end; junk first, then the ends ascending
+        state = (bound, rho, used)
+        seen = get(state)
+        if seen is None:
+            nxt[state] = (cost + 1, junk + 1)
+        elif cost + 1 < seen[0]:
+            del nxt[state]
+            nxt[state] = (cost + 1, junk + 1)
+        arrivals = []
+        if k and hi and v < at_i.get(rho, _UNSEEN):
+            at_i[rho] = v
+            arrivals.append(((i, rho, single), (v, junk)))
+        s = sent.get(v, k)
+        if hi > s:
+            sent[v] = hi
+            to = (v, junk)
+            for r in rs[bisect_left(least, v, s, hi) : hi]:
+                arrivals.append(((r, r, single), to))
+        if hi < top and rs[hi] == bound and used.count(lab) < ms[hi]:
+            plateau = tuple(sorted(used + single))
+            arrivals.append(((bound, bound if bound > i else rho, plateau), (cost - left, junk)))
+        for state, to in arrivals:
             seen = get(state)
             if seen is None:
-                nxt[state] = (cost + 1, junk + 1)
-            elif cost + 1 < seen[0]:
+                nxt[state] = to
+            elif to[0] < seen[0]:
                 del nxt[state]
-                nxt[state] = (cost + 1, junk + 1)
-            arrivals = []
-            if k and hi and v < at_i.get(rho, _UNSEEN):
-                at_i[rho] = v
-                arrivals.append(((i, rho, single), (v, junk)))
-            s = sent.get(v, k)
-            if hi > s:
-                sent[v] = hi
-                to = (v, junk)
-                for r in rs[bisect_left(least, v, s, hi) : hi]:
-                    arrivals.append(((r, r, single), to))
-            if hi < top and rs[hi] == bound and used.count(lab) < ms[hi]:
-                plateau = tuple(sorted(used + single))
-                arrivals.append(((bound, bound if bound > i else rho, plateau), (cost - left, junk)))
-            for state, to in arrivals:
-                seen = get(state)
-                if seen is None:
-                    nxt[state] = to
-                elif to[0] < seen[0]:
-                    del nxt[state]
-                    nxt[state] = to
-        layer = nxt
-        layers.append(layer)
-        pl = idx
-    return layers
+                nxt[state] = to
+    return nxt
 
 
 def _td_close(layer, top_at_i, at, avail):
@@ -472,7 +477,7 @@ def losses(configs, gold: GoldReference) -> list:
     """The `LossBreakdown` of each configuration of one gold tree, in order.
     The top-down analyses share one memo, which lives for this call only;
     the module docstring says why its key is exact."""
-    memo = {}  # (i, NT headroom, searched targets) -> _td_close's (cost, junk)
+    memo = {}  # buffer position -> the root of its trie of pass layers
     out = []
     for config in configs:
         _check_strategies(config, gold)
@@ -497,47 +502,29 @@ def losses(configs, gold: GoldReference) -> list:
 
 def _top_down_move_losses(config, gold, taken, sunk, moves):
     """The configuration's loss total and each move's successor total, for
-    top-down; the module docstring says how the moves share the pass."""
+    top-down: `_top_down_analysis` on each one's targets, buffer position,
+    NT run and matched count, over one memo."""
     stack, i, n = config.stack, config.i, config.n
-    cap = config.max_consecutive_nt
+    cap, nt_run = config.max_consecutive_nt, config.nt_run
     matched = len(config.built) - sunk
-    at = gold.right_ends.get(i, ())
+    memo = {}
     # E: i with a completed item on top, else i + 1
     E = i if stack and type(stack[-1]) is Completed else i + 1
-    searched, forced = _td_targets(gold, taken, stack, n, i, E)
-    layers = _td_pass(searched, i, {(n, n + 1, ()): (0, 0)}, None)
-
-    def future(targets, avail):
-        # forced junk plus the close of the pass at i over targets, resumed
-        # from the last layer of this configuration's pass that they share
-        succ, junk = targets
-        k = 0
-        for mine, theirs in zip(searched, succ):
-            if mine is not theirs and mine != theirs:
-                break
-            k += 1
-        layer = layers[k]
-        if k < len(succ):
-            layer = _td_pass(succ[k:], i, layer, succ[k - 1][1] if k else None)[-1]
-        return junk + _td_close(layer, bool(succ) and succ[-1][1] == i, at, avail)[0]
-
-    # the terms NT leaves alone; REDUCE adds one to sunk, or takes one off
-    # the spans lost left of i when the span it builds is missing
-    fixed = sunk + gold.left[i] - matched + gold.capped(i, cap)
-    base = fixed + future((searched, forced), max(0, cap - config.nt_run))
+    targets = _td_targets(gold, taken, stack, n, i, E)
+    base = sunk + sum(_top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo))
     # the targets of the opens below a SHIFT or NT successor, at E = i + 1:
     # the configuration's own with an open on top, as nothing built ends
     # past i; neither move is legal at i = n
-    later = _td_targets(gold, taken, stack, n, i, i + 1) if E == i < n else (searched, forced)
+    later = _td_targets(gold, taken, stack, n, i, i + 1) if E == i < n else targets
     # the earliest end a pushed open searches: n for the bottom one, else
     # E = i + 1
-    lo = i + 1 if searched or forced else n
+    lo = i + 1 if targets[0] or targets[1] else n
     pushed = {}  # the pushed open's target entries -> the NT successor's total
     totals = []
     for t in moves:
         kind = t.kind
         if kind == "shift":
-            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0, {}))
+            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0, memo))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, TOP_DOWN)
             key = (lab, l, r)
@@ -545,10 +532,11 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
             v = gold.count.get(key, 0) - had  # still missing
             if v:
                 taken[key] = had + 1
-            # one fewer gold span lost left of i, or one more junk built; a
+            # one more gold span matched, or one more junk built; a
             # completed item is on top, so E = i
-            total = fixed + (-1 if v else 1)
-            total += future(_td_targets(gold, taken, stack[:cut], n, i, i), cap)
+            succ = _td_targets(gold, taken, stack[:cut], n, i, i)
+            total = sunk + (not v)
+            total += sum(_top_down_analysis(gold, succ, matched + bool(v), n, cap, i, 0, memo))
             taken[key] = had
         else:  # nt
             # the pushed open's entry, as `_td_targets` would make it: the
@@ -558,8 +546,10 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
             k = bisect_left(rs, lo)
             top = ((t.label, i, rs[k:], ms[k:]),) if k < len(rs) else ()
             if top not in pushed:
-                avail = max(0, cap - config.nt_run - 1)
-                pushed[top] = fixed + future((later[0] + list(top), later[1] + (not top)), avail)
+                succ = (later[0] + list(top), later[1] + (not top))
+                pushed[top] = sunk + sum(
+                    _top_down_analysis(gold, succ, matched, n, cap, i, nt_run + 1, memo)
+                )
             total = pushed[top]
         totals.append(total)
     return base, totals
@@ -623,12 +613,10 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     Every move is judged from one tally of the built constituents, with no
     successor configuration built and no call to `loss`; the module
     docstring gives each move's rule.  Each rule runs the analysis `loss`
-    runs on the fields a built successor would have, or reuses the part of
-    the configuration's own analysis that those fields leave unchanged, so
-    each move's successor loss is the one `loss(apply(config, move))`
-    gives, and so is the verdict.  The NT labels share the analysis of
-    everything below the pushed open: their successors differ only in its
-    label.
+    runs on the fields a built successor would have, so each move's
+    successor loss is the one `loss(apply(config, move))` gives, and so is
+    the verdict.  The NT labels share the analysis of everything below the
+    pushed open: their successors differ only in its label.
     """
     _check_strategies(config, gold)
     if label_alphabet is None:

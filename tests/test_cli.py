@@ -548,6 +548,35 @@ def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
     assert not model.exists()
 
 
+@pytest.mark.parametrize(
+    "out, reason",
+    [("nodir/m.model", "no such directory {dir}"), ("", "is a directory")],
+)
+def test_train_checks_out_before_training(tmp_path, capsys, monkeypatch, out, reason):
+    """An --out that cannot be written exits 2, naming it, before the
+    first epoch."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(CORPUS)
+    path = tmp_path / out
+    monkeypatch.setattr(oracle_lab.cli, "train", lambda *a, **k: pytest.fail("trained"))
+    assert main(["train", "--strategy", "top-down", str(corpus), "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle-lab: {path}: {reason.format(dir=path.parent)}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_train_keeps_an_existing_model_when_it_fails(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(CORPUS)
+    model = tmp_path / "m.model"
+    model.write_bytes(MODEL_HEAD)
+    args = ["train", "--strategy", "top-down", str(corpus), "--out", str(model)]
+    assert main(args + ["--epochs", "0"]) == 2
+    assert "epochs must be at least 1" in capsys.readouterr().err
+    assert model.read_bytes() == MODEL_HEAD
+
+
 def test_gen_rejects_a_negative_count(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     assert main(["gen", "-3", "--out", str(corpus)]) == 2

@@ -63,6 +63,21 @@ def test_arity_disagreement_counts_in_no_bucket():
     assert table.cross_arity_matches == 1
 
 
+def test_report_shows_the_cross_arity_matches():
+    """The arity rows and the cross-arity row add up to the overall
+    matches, in both formats."""
+    gold = parse_bracketed("(X (Y w0 w1) w2)")
+    pred = parse_bracketed("(X w0 w1 w2)")
+    overall, table = prf([gold], [pred]), arity_breakdown([gold], [pred])
+    tsv = render_report(overall, table, tsv=True).splitlines()
+    assert len(tsv) == 1 + 1 + len(ARITY_BUCKETS) + 1
+    assert tsv[-1] == "cross-arity\t-\t-\t-\t1\t-\t-"
+    assert sum(int(line.split("\t")[4]) for line in tsv[2:]) == overall.matched
+    fixed = render_report(overall, table).splitlines()
+    assert fixed[-1].split() == ["cross-arity", "-", "-", "-", "1", "-", "-"]
+    assert len({len(line) for line in fixed}) == 1  # the columns line up
+
+
 def test_misaligned_corpora_are_rejected(example_tree):
     with pytest.raises(ValueError, match="corpus length mismatch"):
         prf([example_tree], [])

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import replay, trees
+from oracle_lab import oracle
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
@@ -268,9 +269,10 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     """Three configurations of one gold whose opens search the same
     targets: NT_X at i = 0 and NT_X SH NT_Y at i = 1 with one NT of
     headroom each, and NT_X SH NT_Y NT_Y at i = 1 with none (NT_Y is
-    forced junk).  Each pair differs in one part of the batch's key, and
-    each pass and close gives its own (cost, junk), so a key without the
-    position or without the headroom hands one configuration another's."""
+    forced junk).  Each pair differs in one part of the memo's key, and
+    each close gives its own (cost, junk), so a trie without a root per
+    position or without a close per headroom hands one configuration
+    another's."""
     t = parse_bracketed("(X w0 (Z w1 w2))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     configs = [
@@ -279,15 +281,73 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     ]
     assert losses(configs, gold) == [loss(c, gold) for c in configs]
     assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
+    memo = {}  # one trie for the three, as in one `losses` call
     found = []
     for c in configs:
         taken, sunk = _tally(c, gold)
         targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
-        assert targets[0] == [("X", 0, (3,), (1,))]
-        memo = {}
+        entry = ("X", 0, (3,), (1,))
+        assert targets[0] == [entry]
         _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run, memo)
-        found += memo.values()
-    assert found == [(0, 0), (-1, 0), (0, 0)]  # each pass and close's (cost, junk)
+        # the close under the headroom, in the node for the one target
+        found.append(memo[c.i][entry][max(0, 2 - c.nt_run)])
+    assert found == [(0, 0), (-1, 0), (0, 0)]  # each close's (cost, junk)
+
+
+def _layer_calls(monkeypatch):
+    """The (i, target entry) of every `_td_layer` call from here on."""
+    calls = []
+    real = oracle._td_layer
+
+    def counted(entry, i, layer, pl):
+        calls.append((i, entry))
+        return real(entry, i, layer, pl)
+
+    monkeypatch.setattr(oracle, "_td_layer", counted)
+    return calls
+
+
+def _prefixes(c, gold):
+    """(i, first k searched targets) for every k >= 1: the layers `loss`
+    reads on c."""
+    if is_terminal(c) or c.finished:
+        return set()
+    taken, _ = _tally(c, gold)
+    E = c.i if c.stack and isinstance(c.stack[-1], Completed) else c.i + 1
+    searched, _ = _td_targets(gold, taken, c.stack, c.n, c.i, E)
+    return {(c.i, tuple(searched[:k])) for k in range(1, len(searched) + 1)}
+
+
+def assert_each_layer_once(calls, prefixes):
+    assert len(calls) == len(prefixes)
+    assert set(calls) == {(i, p[-1]) for i, p in prefixes}
+
+
+def test_each_layer_is_computed_once_per_call(monkeypatch):
+    """Within one `_move_losses` call and within one `losses` call, the
+    layer of each distinct (i, target prefix) is computed exactly once:
+    the base, every successor and every configuration read one trie."""
+    t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    calls = _layer_calls(monkeypatch)
+    # stacked opens, two of them at 0 with label X; the reduce builds
+    # Y(0, 2) under them, and each NT label pushes its own open
+    c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
+    moves = legal_transitions(c, ("D", "X", "Y"))
+    assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
+    want = loss(c, gold).total, [loss(apply(c, m), gold).total for m in moves]
+    calls.clear()
+    assert _move_losses(c, gold, moves) == want
+    prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
+    assert_each_layer_once(calls, prefixes)
+    assert len(calls) < sum(len(_prefixes(apply(c, m), gold)) for m in moves)
+
+    configs = [initial_config(t.tokens, TOP_DOWN)]
+    for g_t in gold_sequence(t, TOP_DOWN):
+        configs.append(apply(configs[-1], g_t))
+    calls.clear()
+    assert [lb.total for lb in losses(configs, gold)] == [0] * len(configs)
+    assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c in configs)))
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
