@@ -53,6 +53,19 @@ def _derivation(tree, strategy):
         yield step, t, c
 
 
+def _stack_column(stack, summaries):
+    """Configuration.stack_summary() of a configuration with this stack,
+    reading each item's summary from summaries, where it is kept: a row
+    of a deep derivation repeats every item of the row before."""
+    parts = []
+    for e in stack:
+        s = summaries.get(e)
+        if s is None:
+            s = summaries[e] = e.summary()
+        parts.append(s)
+    return " ".join(parts)
+
+
 def cmd_oracle_trace(args):
     trees = _read_items(args.trees, "trees to trace")
     # every tree, before the first row is written
@@ -63,6 +76,7 @@ def cmd_oracle_trace(args):
             if idx:
                 out.write("\n")
             gold = GoldReference.from_tree(tree, args.strategy)
+            summaries = {}  # stack item -> its summary, for this tree
             # one `losses` batch per buffer position: the top-down memo keys
             # on the position first, so the batches share every layer one
             # batch per tree would, and each memo is freed before the next
@@ -70,7 +84,7 @@ def cmd_oracle_trace(args):
                 run = list(run)
                 for (step, t, c), lb in zip(run, losses([row[2] for row in run], gold)):
                     out.write(
-                        f"{step}\t{t}\t{c.stack_summary()}\t{c.i}\t{lb.total}"
+                        f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"
                         f"\t{lb.unreachable}\t{lb.false_constituents}"
                         f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
                     )

@@ -309,9 +309,14 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     oracle and the pass stops at the step cap.  Each step updates toward
     the first best-scoring optimal move when the model's guess is not
     optimal, calls audit(step, config, target, loss_delta) if given, and
-    takes the target, or the non-optimal guess when explore() says so."""
+    takes the target, or the non-optimal guess when explore() says so.
+
+    The oracle calls of one pass share one top-down memo, as the calls of
+    one `losses` batch do.  The path never moves left, so the trie of each
+    buffer position is dropped once the path has shifted past it."""
     c = initial_config(tokens, gold.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt) if seq is None else len(seq)
+    memo = {}  # buffer position -> the root of its trie of pass layers
     step = 0
     while step < cap:
         moves = legal_transitions(c, alphabet)
@@ -320,7 +325,7 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
         feats = features(c)
         guess, totals = _pick(moves, learner.w, feats, learner.columns)
         # dynamic: optimal_transitions on the moves above
-        optimal = _optimal(c, gold, moves) if seq is None else [seq[step]]
+        optimal = _optimal(c, gold, moves, memo) if seq is None else [seq[step]]
         # optimal keeps the tie-break order
         target = _first_best(optimal, totals, learner.columns)
         learner.tick()
@@ -335,6 +340,7 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
             c = _construct(c, guess)
         else:
             c = _construct(c, target)
+        memo.pop(c.i - 1, None)  # a move advances i by at most one
         step += 1
 
 

@@ -56,7 +56,8 @@ the innermost span in that pool (`_innermost_labels`) and one loss for any
 other, so one analysis with one label gives every label's total.
 
 Every top-down total of one call, in `losses` or in `optimal_transitions`,
-reads its pass from one memo.  The pass adds one layer per searched open,
+reads its pass from one memo, and so does every total of one dynamic
+training pass over a sentence.  The pass adds one layer per searched open,
 bottom to top, and layer k depends only on the buffer position i and the
 first k searched targets from `_td_targets` (for a fixed gold, and so a
 fixed n); its close reads the last layer, the gold spans at i and the NT
@@ -71,9 +72,16 @@ successor shares every layer of the configuration's own pass below the
 first open whose entry differs.  The opens below an NT's pushed one search
 from E = i + 1, as the SHIFT successor's do, so their targets are found
 once for every label.  The matched spans, the gold counts at i and past it
-and the forced junk are added per configuration.  The memo dies with the
-call; kept on the `GoldReference`, it would replay stored answers to a
-caller that asks about the same gold again.
+and the forced junk are added per configuration.
+
+A `losses` or `optimal_transitions` call builds its own memo, which dies
+with the call.  A dynamic training pass (`model._train_sentence`) keeps one
+for its whole path, as each step's configuration is a successor of the
+last one's and reads the layers that step's call built.  Along a path i
+never goes down, so the pass drops the trie of each position once it has
+shifted past it, and the memo holds the tries of i and i + 1 at most.  It
+is not kept across sentences or epochs, where its memory would grow with
+the corpus.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ from .transitions import (
     Completed,
     Configuration,
     OpenNT,
+    _new,
     _reduce_target,
     apply,  # noqa: F401 -- a module attribute the benchmark's tracer wraps
     is_terminal,
@@ -500,14 +509,13 @@ def losses(configs, gold: GoldReference) -> list:
     return out
 
 
-def _top_down_move_losses(config, gold, taken, sunk, moves):
+def _top_down_move_losses(config, gold, taken, sunk, moves, memo):
     """The configuration's loss total and each move's successor total, for
     top-down: `_top_down_analysis` on each one's targets, buffer position,
-    NT run and matched count, over one memo."""
+    NT run and matched count, over memo."""
     stack, i, n = config.stack, config.i, config.n
     cap, nt_run = config.max_consecutive_nt, config.nt_run
     matched = len(config.built) - sunk
-    memo = {}
     # E: i with a completed item on top, else i + 1
     E = i if stack and type(stack[-1]) is Completed else i + 1
     targets = _td_targets(gold, taken, stack, n, i, E)
@@ -558,7 +566,8 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
 def _in_order_move_losses(config, gold, taken, sunk, moves):
     """The configuration's loss total and each move's successor total, for
     in-order; the module docstring says how the NT labels share one
-    analysis."""
+    analysis.  The successor's new item is built as `transitions._construct`
+    builds it, with tuple.__new__."""
     stack, i = config.stack, config.i
     matched = len(config.built) - sunk
     base = sunk + sum(_in_order_analysis(gold, taken, matched, stack, i))
@@ -569,7 +578,7 @@ def _in_order_move_losses(config, gold, taken, sunk, moves):
         if kind == "finish":
             total = sunk + gold.size - matched
         elif kind == "shift":
-            succ = stack + (Completed(config.tokens[i], i, i + 1, True),)
+            succ = stack + (_new(Completed, (config.tokens[i], i, i + 1, True)),)
             total = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i + 1))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, IN_ORDER)
@@ -578,14 +587,14 @@ def _in_order_move_losses(config, gold, taken, sunk, moves):
             v = gold.count.get(key, 0) - had  # still missing
             if v:
                 taken[key] = had + 1
-            succ = stack[:cut] + (Completed(lab, l, r),)
+            succ = stack[:cut] + (_new(Completed, (lab, l, r, False)),)
             total = sunk + (not v)
             total += sum(_in_order_analysis(gold, taken, matched + bool(v), succ, i))
             taken[key] = had
         else:  # nt
             if innermost is None:
                 innermost = _innermost_labels(gold, taken, stack[-1].l, i)
-                succ = stack + (OpenNT(t.label, i),)
+                succ = stack + (_new(OpenNT, (t.label, i)),)
                 # the total with a new open that costs one
                 nt_junk = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i))
                 nt_junk += t.label in innermost
@@ -621,24 +630,26 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     _check_strategies(config, gold)
     if label_alphabet is None:
         label_alphabet = gold.labels
-    return _optimal(config, gold, legal_transitions(config, label_alphabet))
+    return _optimal(config, gold, legal_transitions(config, label_alphabet), {})
 
 
-def _optimal(config, gold, moves):
+def _optimal(config, gold, moves, memo):
     """The moves of moves, all legal in config, that keep its loss, in
     their order: optimal_transitions for a caller that already holds the
-    legal moves."""
+    legal moves.  memo is as for `_move_losses`."""
     if not moves:
         return []
-    base, totals = _move_losses(config, gold, moves)
+    base, totals = _move_losses(config, gold, moves, memo)
     return [t for t, total in zip(moves, totals) if total == base]
 
 
-def _move_losses(config, gold, moves):
+def _move_losses(config, gold, moves, memo):
     """(loss(config).total, [loss(apply(config, t)).total for t in moves])
     for a configuration with legal moves, from one tally of the built
-    constituents."""
+    constituents.  memo is the top-down trie the totals read and add to,
+    {} for a call of its own; a caller may share it between the calls of
+    one gold tree, as the module docstring says."""
     taken, sunk = _tally(config, gold)
     if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, taken, sunk, moves)
+        return _top_down_move_losses(config, gold, taken, sunk, moves, memo)
     return _in_order_move_losses(config, gold, taken, sunk, moves)

@@ -7,13 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import replay, trees
-from oracle_lab import oracle
+from oracle_lab import model, oracle
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
     _innermost_labels,
     _missing_from,
     _move_losses,
+    _optimal,
     _tally,
     _td_targets,
     _top_down_analysis,
@@ -337,7 +338,7 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
     want = loss(c, gold).total, [loss(apply(c, m), gold).total for m in moves]
     calls.clear()
-    assert _move_losses(c, gold, moves) == want
+    assert _move_losses(c, gold, moves, {}) == want
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
     assert_each_layer_once(calls, prefixes)
     assert len(calls) < sum(len(_prefixes(apply(c, m), gold)) for m in moves)
@@ -348,6 +349,74 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     calls.clear()
     assert [lb.total for lb in losses(configs, gold)] == [0] * len(configs)
     assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c in configs)))
+
+
+@pytest.mark.parametrize("explored", [False, True])
+def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
+    """Along one dynamic training pass over a sentence, the layer of each
+    distinct (i, target prefix) is computed exactly once: every oracle
+    call on the path reads one trie.  Before every step that trie holds no
+    position but the configuration's i and i + 1.  Without exploration the
+    pass follows a zero-loss path; with it, every wrong guess is taken."""
+    t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    alphabet = ("D", "X", "Y")
+    steps = []  # (configuration, moves, memo) of each oracle call
+    real = model._optimal
+
+    def recorded(c, gold, moves, memo):
+        assert set(memo) <= {c.i, c.i + 1}, (c.i, sorted(memo))
+        steps.append((c, moves, memo))
+        return real(c, gold, moves, memo)
+
+    monkeypatch.setattr(model, "_optimal", recorded)
+    calls = _layer_calls(monkeypatch)
+    learner = model._Learner(model._columns(alphabet))
+    model._train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
+    assert len({id(memo) for _, _, memo in steps}) == 1
+    # the layers each call reads: its configuration's and its successors'
+    read = [
+        _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
+        for c, moves, _ in steps
+    ]
+    assert_each_layer_once(calls, set().union(*read))
+    assert len(calls) < sum(map(len, read))  # a memo per call computes these
+    totals = [lb.total for lb in losses([c for c, _, _ in steps], gold)]
+    assert (max(totals) > 0) == explored
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
+    """One memo fed to `_optimal` along a whole path, with each position
+    dropped once the path has shifted past it, as a training pass drops
+    it: at every step the optimal set is the one a fresh
+    `optimal_transitions` call gives, and the loss-preserving moves.  The
+    path takes random moves, about half of them optimal."""
+    rng = random.Random(f"path|{strategy}|{cap}")
+    for _ in range(60):
+        labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
+        t = random_tree(rng.randint(1, 12), labels, rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, strategy)
+        alphabet = sorted(labels + ["D"])
+        c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
+        memo = {}
+        path = []
+        for _ in range(8 * c.n + 2 * cap):
+            moves = legal_transitions(c, alphabet)
+            if not moves:
+                break
+            got = _optimal(c, gold, moves, memo)
+            fresh = optimal_transitions(c, gold, alphabet)
+            assert got == fresh == loss_preserving_moves(c, gold, alphabet), (t, path)
+            if rng.random() < 0.5:
+                m = rng.choice(got)
+            else:
+                pick = rng.choice(sorted({m.kind for m in moves}))
+                m = rng.choice([m for m in moves if m.kind == pick])
+            path.append(str(m))
+            c = apply(c, m)
+            memo.pop(c.i - 1, None)
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
@@ -399,7 +468,7 @@ def assert_move_losses_match(c, gold, alphabet):
         assert optimal_transitions(c, gold, alphabet) == []
         return
     want = [loss(apply(c, m), gold).total for m in moves]
-    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack_summary()
+    assert _move_losses(c, gold, moves, {}) == (loss(c, gold).total, want), c.stack_summary()
     assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
 
 
