@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import groupby
 
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
-from .oracle import GoldReference, losses
+from .oracle import GoldReference, _breakdown
 from .transitions import STRATEGIES, apply, initial_config
 from .trees import (
     TreeError,
@@ -45,14 +44,6 @@ def _open_out(args):
     return sys.stdout
 
 
-def _derivation(tree, strategy):
-    """(step, transition, configuration after it) along the gold derivation."""
-    c = initial_config(tree.tokens, strategy)
-    for step, t in enumerate(gold_sequence(tree, strategy), start=1):
-        c = apply(c, t)
-        yield step, t, c
-
-
 def _stack_column(stack, summaries):
     """Configuration.stack_summary() of a configuration with this stack,
     reading each item's summary from summaries, where it is kept: a row
@@ -77,17 +68,16 @@ def cmd_oracle_trace(args):
                 out.write("\n")
             gold = GoldReference.from_tree(tree, args.strategy)
             summaries = {}  # stack item -> its summary, for this tree
-            # one `losses` batch per buffer position: the top-down memo keys
-            # on the position first, so the batches share every layer one
-            # batch per tree would, and each memo is freed before the next
-            for _, run in groupby(_derivation(tree, args.strategy), key=lambda row: row[2].i):
-                run = list(run)
-                for (step, t, c), lb in zip(run, losses([row[2] for row in run], gold)):
-                    out.write(
-                        f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"
-                        f"\t{lb.unreachable}\t{lb.false_constituents}"
-                        f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
-                    )
+            c = initial_config(tree.tokens, args.strategy)
+            for step, t in enumerate(gold_sequence(tree, args.strategy), start=1):
+                c = apply(c, t)
+                gold.forget_before(c.i)
+                lb = _breakdown(c, gold)
+                out.write(
+                    f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"
+                    f"\t{lb.unreachable}\t{lb.false_constituents}"
+                    f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
+                )
     finally:
         if out is not sys.stdout:
             out.close()

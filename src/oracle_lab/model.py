@@ -155,11 +155,6 @@ class Model:
     def __post_init__(self):
         self.columns = _columns(self.label_alphabet)
 
-    def predict(self, config):
-        moves = legal_transitions(config, self.label_alphabet)
-        best, _ = _pick(moves, self.weights, features(config), self.columns)
-        return best
-
     def save(self, path):
         table = move_table(self.label_alphabet)
         rows = sorted(
@@ -311,21 +306,22 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     optimal, calls audit(step, config, target, loss_delta) if given, and
     takes the target, or the non-optimal guess when explore() says so.
 
-    The oracle calls of one pass share one top-down memo, as the calls of
-    one `losses` batch do.  The path never moves left, so the trie of each
-    buffer position is dropped once the path has shifted past it."""
+    The oracle calls of one pass read and extend the gold's top-down
+    tries, as the calls of one `losses` batch do: each step drops the
+    positions the path has shifted past, and the pass drops the rest at
+    its end (`GoldReference`'s rule).  With audit, each step's `loss`
+    calls are public and leave the gold with no tries, so the next step
+    starts from none."""
     c = initial_config(tokens, gold.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt) if seq is None else len(seq)
-    memo = {}  # buffer position -> the root of its trie of pass layers
-    step = 0
-    while step < cap:
+    for step in range(cap):
         moves = legal_transitions(c, alphabet)
         if not moves:  # only a terminal configuration has none
             break
         feats = features(c)
         guess, totals = _pick(moves, learner.w, feats, learner.columns)
         # dynamic: optimal_transitions on the moves above
-        optimal = _optimal(c, gold, moves, memo) if seq is None else [seq[step]]
+        optimal = _optimal(c, gold, moves) if seq is None else [seq[step]]
         # optimal keeps the tie-break order
         target = _first_best(optimal, totals, learner.columns)
         learner.tick()
@@ -340,8 +336,8 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
             c = _construct(c, guess)
         else:
             c = _construct(c, target)
-        memo.pop(c.i - 1, None)  # a move advances i by at most one
-        step += 1
+        gold.forget_before(c.i)
+    gold.forget()
 
 
 def parse(model: Model, tokens) -> ConstituentTree:

@@ -55,33 +55,33 @@ lost, are the same for every label.  The slot costs nothing for a label of
 the innermost span in that pool (`_innermost_labels`) and one loss for any
 other, so one analysis with one label gives every label's total.
 
-Every top-down total of one call, in `losses` or in `optimal_transitions`,
-reads its pass from one memo, and so does every total of one dynamic
-training pass over a sentence.  The pass adds one layer per searched open,
-bottom to top, and layer k depends only on the buffer position i and the
-first k searched targets from `_td_targets` (for a fixed gold, and so a
-fixed n); its close reads the last layer, the gold spans at i and the NT
-headroom max(0, cap - nt_run).  So the memo is a trie per i: the node for
-the first k targets holds layer k, its close under each headroom, and one
-child per next target entry.  A target entry is the open's label and left
-index with its ends and their multiplicities, so a reduce that builds a
-span a lower open could still end on changes that open's entry, and its
-layer is computed anew.  The census checks hundreds of thousands of
-classes per tree with at most a few hundred trie nodes, and a REDUCE or NT
-successor shares every layer of the configuration's own pass below the
-first open whose entry differs.  The opens below an NT's pushed one search
-from E = i + 1, as the SHIFT successor's do, so their targets are found
-once for every label.  The matched spans, the gold counts at i and past it
-and the forced junk are added per configuration.
+Every top-down total reads its pass from one memo, which the gold's
+`GoldReference` owns (its docstring gives the lifetime rule).  The pass
+adds one layer per searched open, bottom to top, and layer k depends only
+on the buffer position i and the first k searched targets from
+`_td_targets` (for a fixed gold, and so a fixed n); its close reads the
+last layer, the gold spans at i and the NT headroom max(0, cap - nt_run).
+So the memo is a trie per i: the node for the first k targets holds
+layer k, its close under each headroom, and one child per next target
+entry.  A target entry is the open's label and left index with its ends
+and their multiplicities, so a reduce that builds a span a lower open
+could still end on changes that open's entry, and its layer is computed
+anew.  The census checks hundreds of thousands of classes per tree with at
+most a few hundred trie nodes, and a REDUCE or NT successor shares every
+layer of the configuration's own pass below the first open whose entry
+differs.  The opens below an NT's pushed one search from E = i + 1, as the
+SHIFT successor's do, so their targets are found once for every label.
+The matched spans, the gold counts at i and past it and the forced junk
+are added per configuration.
 
-A `losses` or `optimal_transitions` call builds its own memo, which dies
-with the call.  A dynamic training pass (`model._train_sentence`) keeps one
-for its whole path, as each step's configuration is a successor of the
-last one's and reads the layers that step's call built.  Along a path i
-never goes down, so the pass drops the trie of each position once it has
-shifted past it, and the memo holds the tries of i and i + 1 at most.  It
-is not kept across sentences or epochs, where its memory would grow with
-the corpus.
+So the configurations of one `losses` call share layers, and so do a
+configuration and the successors `_move_losses` judges.  A path walked
+through private calls (a dynamic training pass, `model._train_sentence`,
+or `oracle-trace`) shares them from step to step, as each step reads the
+layers the step before built.  Along a path i never goes down, so the
+path drops the tries left of its position and holds those of i and i + 1
+at most.  No tries outlive a public call, a path or a sentence: kept
+longer, their memory would grow with the corpus.
 """
 
 from __future__ import annotations
@@ -127,6 +127,15 @@ class GoldReference:
 
     A loss call subtracts only the configuration's built constituents from
     this; the module docstring says why that is all it needs.
+
+    It also owns the top-down memo: a trie of pass layers per buffer
+    position, which `_top_down_analysis` reads and extends.  The tries are
+    exact for this gold whoever reads them, so their lifetime is a matter
+    of memory alone.  The rule: a public call (`loss`, `losses`,
+    `optimal_transitions`) leaves none behind, whether it returns or
+    raises.  A caller that walks a path through private calls drops the
+    positions the path has passed with `forget_before(i)`, and the rest
+    with `forget()` at the path's end if the gold outlives the path.
     """
 
     def __init__(self, strategy, constituents):
@@ -155,10 +164,22 @@ class GoldReference:
         self.left = list(accumulate(starts, initial=0))
         self._starts = starts
         self._capped = {}
+        self._tries = {}  # buffer position -> the root of its trie
 
     @classmethod
     def from_tree(cls, tree, strategy):
         return cls(strategy, constituent_set(tree))
+
+    def forget_before(self, i):
+        """Drop the tries of the positions left of i.  A path holds two at
+        most, and none without top-down oracle calls, so the loop is short
+        and usually not entered."""
+        while self._tries and min(self._tries) < i:
+            del self._tries[min(self._tries)]
+
+    def forget(self):
+        """Drop every trie."""
+        self._tries = {}
 
     def capped(self, i, cap):
         """Gold spans right of i that the cap can never open: top-down opens
@@ -219,7 +240,7 @@ def _tally(config: Configuration, gold: GoldReference):
     return taken, sunk
 
 
-def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo):
+def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
     """Minimum future loss for top-down, by one forward pass over the open
     NTs from the bottom of the stack to the top.  Returns (unreachable,
     forced junk, out-of-order junk) for a configuration at buffer position
@@ -263,16 +284,17 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo):
     least: the first cheapest assignment in that order.  This fixes the
     split between unreachable spans and out-of-order junk.
 
-    Each layer and close is read from memo, the call's trie (the module
-    docstring says why its key is exact): memo[i] is the root, each node a
-    dict that holds its layer under None, its close under each headroom
-    and its child under each next target entry.  Only what is missing is
-    computed, by `_td_layer` and `_td_close`.
+    Each layer and close is read from the gold's tries, whose lifetime
+    `GoldReference` rules (the module docstring says why their key is
+    exact): the trie at i is the root, each node a dict that holds its
+    layer under None, its close under each headroom and its child under
+    each next target entry.  Only what is missing is computed, by
+    `_td_layer` and `_td_close`.
     """
     searched, forced_junk = targets
-    node = memo.get(i)
+    node = gold._tries.get(i)
     if node is None:
-        node = memo[i] = {None: {(n, n + 1, ()): (0, 0)}}
+        node = gold._tries[i] = {None: {(n, n + 1, ()): (0, 0)}}
     pl = None  # the left index of the open below
     for entry in searched:
         child = node.get(entry)
@@ -479,47 +501,54 @@ def _in_order_analysis(gold, taken, matched, stack, i):
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
     """Minimum achievable Hamming loss from this configuration, decomposed:
     `losses` of this one configuration."""
-    return losses((config,), gold)[0]
+    try:
+        return _breakdown(config, gold)
+    finally:
+        gold.forget()
 
 
 def losses(configs, gold: GoldReference) -> list:
     """The `LossBreakdown` of each configuration of one gold tree, in order.
-    The top-down analyses share one memo, which lives for this call only;
-    the module docstring says why its key is exact."""
-    memo = {}  # buffer position -> the root of its trie of pass layers
-    out = []
-    for config in configs:
-        _check_strategies(config, gold)
-        taken, sunk = _tally(config, gold)
-        matched = len(config.built) - sunk
-        if is_terminal(config) or config.finished:
-            unreachable, fa, ooo = gold.size - matched, 0, 0
-        elif config.strategy == TOP_DOWN:
-            stack, i, n = config.stack, config.i, config.n
-            # E: i with a completed item on top, else i + 1
-            E = i if stack and type(stack[-1]) is Completed else i + 1
-            targets = _td_targets(gold, taken, stack, n, i, E)
-            unreachable, fa, ooo = _top_down_analysis(
-                gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run, memo
-            )
-        else:
-            unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
-        # unreachable, false constituents, false opens, out of order, total
-        out.append(LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo))
-    return out
+    The top-down analyses share the gold's tries, which this call leaves
+    empty."""
+    try:
+        return [_breakdown(config, gold) for config in configs]
+    finally:
+        gold.forget()
 
 
-def _top_down_move_losses(config, gold, taken, sunk, moves, memo):
+def _breakdown(config, gold):
+    """`loss` on the gold's tries, which it leaves in place."""
+    _check_strategies(config, gold)
+    taken, sunk = _tally(config, gold)
+    matched = len(config.built) - sunk
+    if is_terminal(config) or config.finished:
+        unreachable, fa, ooo = gold.size - matched, 0, 0
+    elif config.strategy == TOP_DOWN:
+        stack, i, n = config.stack, config.i, config.n
+        # E: i with a completed item on top, else i + 1
+        E = i if stack and type(stack[-1]) is Completed else i + 1
+        targets = _td_targets(gold, taken, stack, n, i, E)
+        unreachable, fa, ooo = _top_down_analysis(
+            gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run
+        )
+    else:
+        unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
+    # unreachable, false constituents, false opens, out of order, total
+    return LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)
+
+
+def _top_down_move_losses(config, gold, taken, sunk, moves):
     """The configuration's loss total and each move's successor total, for
     top-down: `_top_down_analysis` on each one's targets, buffer position,
-    NT run and matched count, over memo."""
+    NT run and matched count."""
     stack, i, n = config.stack, config.i, config.n
     cap, nt_run = config.max_consecutive_nt, config.nt_run
     matched = len(config.built) - sunk
     # E: i with a completed item on top, else i + 1
     E = i if stack and type(stack[-1]) is Completed else i + 1
     targets = _td_targets(gold, taken, stack, n, i, E)
-    base = sunk + sum(_top_down_analysis(gold, targets, matched, n, cap, i, nt_run, memo))
+    base = sunk + sum(_top_down_analysis(gold, targets, matched, n, cap, i, nt_run))
     # the targets of the opens below a SHIFT or NT successor, at E = i + 1:
     # the configuration's own with an open on top, as nothing built ends
     # past i; neither move is legal at i = n
@@ -532,7 +561,7 @@ def _top_down_move_losses(config, gold, taken, sunk, moves, memo):
     for t in moves:
         kind = t.kind
         if kind == "shift":
-            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0, memo))
+            total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0))
         elif kind == "reduce":
             cut, lab, l, r = _reduce_target(stack, TOP_DOWN)
             key = (lab, l, r)
@@ -544,7 +573,7 @@ def _top_down_move_losses(config, gold, taken, sunk, moves, memo):
             # completed item is on top, so E = i
             succ = _td_targets(gold, taken, stack[:cut], n, i, i)
             total = sunk + (not v)
-            total += sum(_top_down_analysis(gold, succ, matched + bool(v), n, cap, i, 0, memo))
+            total += sum(_top_down_analysis(gold, succ, matched + bool(v), n, cap, i, 0))
             taken[key] = had
         else:  # nt
             # the pushed open's entry, as `_td_targets` would make it: the
@@ -556,7 +585,7 @@ def _top_down_move_losses(config, gold, taken, sunk, moves, memo):
             if top not in pushed:
                 succ = (later[0] + list(top), later[1] + (not top))
                 pushed[top] = sunk + sum(
-                    _top_down_analysis(gold, succ, matched, n, cap, i, nt_run + 1, memo)
+                    _top_down_analysis(gold, succ, matched, n, cap, i, nt_run + 1)
                 )
             total = pushed[top]
         totals.append(total)
@@ -630,26 +659,29 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     _check_strategies(config, gold)
     if label_alphabet is None:
         label_alphabet = gold.labels
-    return _optimal(config, gold, legal_transitions(config, label_alphabet), {})
+    try:
+        return _optimal(config, gold, legal_transitions(config, label_alphabet))
+    finally:
+        gold.forget()
 
 
-def _optimal(config, gold, moves, memo):
+def _optimal(config, gold, moves):
     """The moves of moves, all legal in config, that keep its loss, in
     their order: optimal_transitions for a caller that already holds the
-    legal moves.  memo is as for `_move_losses`."""
+    legal moves.  The gold's tries are as `_move_losses` leaves them."""
     if not moves:
         return []
-    base, totals = _move_losses(config, gold, moves, memo)
+    base, totals = _move_losses(config, gold, moves)
     return [t for t, total in zip(moves, totals) if total == base]
 
 
-def _move_losses(config, gold, moves, memo):
+def _move_losses(config, gold, moves):
     """(loss(config).total, [loss(apply(config, t)).total for t in moves])
     for a configuration with legal moves, from one tally of the built
-    constituents.  memo is the top-down trie the totals read and add to,
-    {} for a call of its own; a caller may share it between the calls of
-    one gold tree, as the module docstring says."""
+    constituents.  The top-down totals read and extend the gold's tries,
+    and leave them in place for the caller to drop by `GoldReference`'s
+    rule."""
     taken, sunk = _tally(config, gold)
     if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, taken, sunk, moves, memo)
+        return _top_down_move_losses(config, gold, taken, sunk, moves)
     return _in_order_move_losses(config, gold, taken, sunk, moves)

@@ -101,15 +101,12 @@ def move_table(label_alphabet) -> tuple:
 
 class Constituent(NamedTuple):
     """Labeled span over the token sequence.  A constituent equals and
-    hashes as its key, so it looks up gold counts directly."""
+    hashes as its (label, l, r) tuple, so it is its own key for gold
+    counts."""
 
     label: str
     l: int
     r: int
-
-    @property
-    def key(self):
-        return (self.label, self.l, self.r)
 
 
 class Completed(NamedTuple):

@@ -170,12 +170,11 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     alphabet = bounds.label_alphabet or default_alphabet(gold)
     rem0 = dict(gold.count)
     sunk0 = 0
-    for c in config.built:
-        k = c.key
-        if rem0.get(k, 0):
-            rem0[k] -= 1
-            if not rem0[k]:
-                del rem0[k]
+    for c in config.built:  # a Constituent is its own key (label, l, r)
+        if rem0.get(c, 0):
+            rem0[c] -= 1
+            if not rem0[c]:
+                del rem0[c]
         else:
             sunk0 += 1
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import replay, trees
-from oracle_lab import model, oracle
+from oracle_lab import cli, model, oracle
 from oracle_lab.oracle import (
     GoldReference,
     LossBreakdown,
@@ -270,7 +270,7 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     """Three configurations of one gold whose opens search the same
     targets: NT_X at i = 0 and NT_X SH NT_Y at i = 1 with one NT of
     headroom each, and NT_X SH NT_Y NT_Y at i = 1 with none (NT_Y is
-    forced junk).  Each pair differs in one part of the memo's key, and
+    forced junk).  Each pair differs in one part of the tries' key, and
     each close gives its own (cost, junk), so a trie without a root per
     position or without a close per headroom hands one configuration
     another's."""
@@ -282,16 +282,15 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     ]
     assert losses(configs, gold) == [loss(c, gold) for c in configs]
     assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
-    memo = {}  # one trie for the three, as in one `losses` call
-    found = []
+    found = []  # the three read the gold's tries, as in one `losses` call
     for c in configs:
         taken, sunk = _tally(c, gold)
         targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
         entry = ("X", 0, (3,), (1,))
         assert targets[0] == [entry]
-        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run, memo)
+        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run)
         # the close under the headroom, in the node for the one target
-        found.append(memo[c.i][entry][max(0, 2 - c.nt_run)])
+        found.append(gold._tries[c.i][entry][max(0, 2 - c.nt_run)])
     assert found == [(0, 0), (-1, 0), (0, 0)]  # each close's (cost, junk)
 
 
@@ -338,10 +337,11 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
     want = loss(c, gold).total, [loss(apply(c, m), gold).total for m in moves]
     calls.clear()
-    assert _move_losses(c, gold, moves, {}) == want
+    assert _move_losses(c, gold, moves) == want
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
     assert_each_layer_once(calls, prefixes)
     assert len(calls) < sum(len(_prefixes(apply(c, m), gold)) for m in moves)
+    gold.forget()
 
     configs = [initial_config(t.tokens, TOP_DOWN)]
     for g_t in gold_sequence(t, TOP_DOWN):
@@ -351,36 +351,94 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c in configs)))
 
 
+def test_public_calls_leave_the_gold_with_no_tries(monkeypatch):
+    """`loss`, `losses` and `optimal_transitions` leave the gold with no
+    tries, and so does a `losses` batch that raises partway through: a
+    public call's tries live for that call alone.  So repeating a call
+    computes the same layers again, where tries kept across calls would
+    let the repeat compute none."""
+    t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    calls = _layer_calls(monkeypatch)
+    c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
+    configs = [initial_config(t.tokens, TOP_DOWN)]
+    for g_t in gold_sequence(t, TOP_DOWN):
+        configs.append(apply(configs[-1], g_t))
+    for call in (
+        lambda: loss(c, gold),
+        lambda: losses(configs, gold),
+        lambda: optimal_transitions(c, gold, ("D", "X", "Y")),
+    ):
+        layers = []
+        for _ in range(2):
+            calls.clear()
+            call()
+            assert not gold._tries
+            layers.append(list(calls))
+        assert layers[0] and layers[0] == layers[1]
+    calls.clear()
+    with pytest.raises(ValueError, match="strategy mismatch"):
+        losses(configs + [initial_config(t.tokens, IN_ORDER)] + configs, gold)
+    assert calls and not gold._tries
+
+
+def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
+    """`oracle-trace` on a top-down tree computes the layer of each
+    distinct (i, target prefix) along its derivation exactly once, and
+    holds no tries but those at the configuration's i and i + 1."""
+    text = "(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))"
+    path = tmp_path / "tree.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    seen = []  # (configuration, gold) of each row
+    real = cli._breakdown
+
+    def recorded(c, gold):
+        assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
+        seen.append((c, gold))
+        return real(c, gold)
+
+    monkeypatch.setattr(cli, "_breakdown", recorded)
+    calls = _layer_calls(monkeypatch)
+    assert cli.main(["oracle-trace", "--strategy", "top-down", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == len(seen) == len(gold_sequence(parse_bracketed(text), TOP_DOWN))
+    gold = seen[0][1]
+    assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c, _ in seen)))
+
+
 @pytest.mark.parametrize("explored", [False, True])
 def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     """Along one dynamic training pass over a sentence, the layer of each
     distinct (i, target prefix) is computed exactly once: every oracle
-    call on the path reads one trie.  Before every step that trie holds no
-    position but the configuration's i and i + 1.  Without exploration the
-    pass follows a zero-loss path; with it, every wrong guess is taken."""
+    call on the path reads the gold's tries.  Before every step they hold
+    no position but the configuration's i and i + 1, and every step after
+    the first finds the trie at its i that the step before built; the pass
+    leaves none.  Without exploration the pass follows a zero-loss path;
+    with it, every wrong guess is taken."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     alphabet = ("D", "X", "Y")
-    steps = []  # (configuration, moves, memo) of each oracle call
+    steps = []  # (configuration, moves, whether its i had a trie) per call
     real = model._optimal
 
-    def recorded(c, gold, moves, memo):
-        assert set(memo) <= {c.i, c.i + 1}, (c.i, sorted(memo))
-        steps.append((c, moves, memo))
-        return real(c, gold, moves, memo)
+    def recorded(c, gold, moves):
+        assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
+        steps.append((c, moves, c.i in gold._tries))
+        return real(c, gold, moves)
 
     monkeypatch.setattr(model, "_optimal", recorded)
     calls = _layer_calls(monkeypatch)
     learner = model._Learner(model._columns(alphabet))
     model._train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
-    assert len({id(memo) for _, _, memo in steps}) == 1
+    assert [warm for _, _, warm in steps] == [False] + [True] * (len(steps) - 1)
+    assert not gold._tries
     # the layers each call reads: its configuration's and its successors'
     read = [
         _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
         for c, moves, _ in steps
     ]
     assert_each_layer_once(calls, set().union(*read))
-    assert len(calls) < sum(map(len, read))  # a memo per call computes these
+    assert len(calls) < sum(map(len, read))  # tries per call compute these
     totals = [lb.total for lb in losses([c for c, _, _ in steps], gold)]
     assert (max(totals) > 0) == explored
 
@@ -388,27 +446,28 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
-    """One memo fed to `_optimal` along a whole path, with each position
-    dropped once the path has shifted past it, as a training pass drops
-    it: at every step the optimal set is the one a fresh
+    """The gold's tries read by `_optimal` along a whole path, with each
+    position dropped once the path has shifted past it, as a training pass
+    drops it: at every step the optimal set is the one a fresh
     `optimal_transitions` call gives, and the loss-preserving moves.  The
+    fresh calls use a gold of their own, as they drop every trie.  The
     path takes random moves, about half of them optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
         t = random_tree(rng.randint(1, 12), labels, rng.randrange(1 << 30))
         gold = GoldReference.from_tree(t, strategy)
+        ref = GoldReference.from_tree(t, strategy)
         alphabet = sorted(labels + ["D"])
         c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
-        memo = {}
         path = []
         for _ in range(8 * c.n + 2 * cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
-            got = _optimal(c, gold, moves, memo)
-            fresh = optimal_transitions(c, gold, alphabet)
-            assert got == fresh == loss_preserving_moves(c, gold, alphabet), (t, path)
+            got = _optimal(c, gold, moves)
+            fresh = optimal_transitions(c, ref, alphabet)
+            assert got == fresh == loss_preserving_moves(c, ref, alphabet), (t, path)
             if rng.random() < 0.5:
                 m = rng.choice(got)
             else:
@@ -416,7 +475,7 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
                 m = rng.choice([m for m in moves if m.kind == pick])
             path.append(str(m))
             c = apply(c, m)
-            memo.pop(c.i - 1, None)
+            gold.forget_before(c.i)
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
@@ -468,7 +527,7 @@ def assert_move_losses_match(c, gold, alphabet):
         assert optimal_transitions(c, gold, alphabet) == []
         return
     want = [loss(apply(c, m), gold).total for m in moves]
-    assert _move_losses(c, gold, moves, {}) == (loss(c, gold).total, want), c.stack_summary()
+    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack_summary()
     assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
 
 
@@ -566,8 +625,8 @@ def assert_index_matches_a_fresh_count(c, gold, alphabet):
     configuration built."""
     rem = Counter(gold.count)
     for x in c.built:
-        if rem[x.key] > 0:
-            rem[x.key] -= 1
+        if rem[x] > 0:
+            rem[x] -= 1
     rem = +rem
     taken, sunk = _tally(c, gold)
     matched = len(c.built) - sunk

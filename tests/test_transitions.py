@@ -147,7 +147,7 @@ def test_reduce_gathers_children_top_down():
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH SH RE")
     (item,) = c.stack
     assert (item.symbol, item.l, item.r) == ("X", 0, 2)
-    assert [c.key for c in c.built] == [("X", 0, 2)]
+    assert list(c.built) == [("X", 0, 2)]
 
 
 def test_reduce_takes_left_child_from_below_in_order():

@@ -40,8 +40,8 @@ def plain_min_loss(config, gold, bounds, alphabet):
     rem0 = Counter(gold.count)
     sunk0 = 0
     for c in config.built:
-        if rem0[c.key] > 0:
-            rem0[c.key] -= 1
+        if rem0[c] > 0:
+            rem0[c] -= 1
         else:
             sunk0 += 1
     rem0 = +rem0
@@ -178,8 +178,8 @@ def _missing_and_sunk(config, gold):
     rem = Counter(gold.count)
     sunk = 0
     for x in config.built:
-        if rem[x.key] > 0:
-            rem[x.key] -= 1
+        if rem[x] > 0:
+            rem[x] -= 1
         else:
             sunk += 1
     return dict(+rem), sunk
@@ -208,7 +208,7 @@ def _built_successors(c, rem, alphabet):
         rem2 = dict(rem)
         w = 0
         if t.kind == "reduce":
-            made = c2.built[-1].key
+            made = c2.built[-1]
             if made in rem2:
                 rem2[made] -= 1
                 rem2 = {k: v for k, v in rem2.items() if v}
