@@ -13,7 +13,7 @@ import sys
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
 from .oracle import GoldReference, _breakdown
-from .transitions import STRATEGIES, apply, initial_config
+from .transitions import STRATEGIES, OpenNT, apply, initial_config
 from .trees import (
     TreeError,
     check_derivable_corpus,
@@ -45,14 +45,15 @@ def _open_out(args):
 
 
 def _stack_column(stack, summaries):
-    """Configuration.stack_summary() of a configuration with this stack,
-    reading each item's summary from summaries, where it is kept: a row
-    of a deep derivation repeats every item of the row before."""
+    """The stack as the trace prints it: an open as label(open,index), a
+    completed item as symbol[l,r].  Each item's text is kept in
+    summaries: a row of a deep derivation repeats every item of the row
+    before."""
     parts = []
     for e in stack:
         s = summaries.get(e)
-        if s is None:
-            s = summaries[e] = e.summary()
+        if s is None:  # an open is (label, index), a completed item (symbol, l, r, ...)
+            s = summaries[e] = "%s(open,%d)" % e if type(e) is OpenNT else "%s[%d,%d]" % e[:3]
         parts.append(s)
     return " ".join(parts)
 

@@ -4,8 +4,9 @@ Simplifications relative to canonical evalb runs on treebank data: exact
 label match, no punctuation or label-equivalence parameter file.  The
 corpora here are synthetic, so none of that machinery earns its keep.
 
-Both scorers count a tree's spans through one counter, _span_counter:
-prf's matches and the arity table's pooled matches are the same number.
+prf counts the matched spans; the arity table counts them again only per
+arity bucket, so the matches the two sides bucket differently are prf's
+matches less the table's.
 """
 
 from __future__ import annotations
@@ -43,14 +44,9 @@ class PRF:
 @dataclass(frozen=True)
 class ArityTable:
     """Per-arity PRF rows; a pair counts for a row only when both sides put
-    the constituent in that row, so cross_arity_matches can be nonzero."""
+    the constituent in that row, so some matches may count for no row."""
 
     rows: dict
-    pooled_matched: int
-
-    @property
-    def cross_arity_matches(self):
-        return self.pooled_matched - sum(r.matched for r in self.rows.values())
 
 
 def _check_aligned(gold, pred):
@@ -63,10 +59,6 @@ def _check_aligned(gold, pred):
             raise ValueError(f"sentence {idx}: token sequences differ")
 
 
-def _span_counter(tree):
-    return Counter(constituent_set(tree))  # a Constituent is its own (label, l, r) key
-
-
 def prf(gold, pred) -> PRF:
     """Micro-averaged labeled bracketing score over parallel corpora.
 
@@ -76,8 +68,8 @@ def prf(gold, pred) -> PRF:
     _check_aligned(gold, pred)
     matched = predicted = gold_total = 0
     for g, p in zip(gold, pred):
-        gc = _span_counter(g)
-        pc = _span_counter(p)
+        # a Constituent is its own (label, l, r) key
+        gc, pc = Counter(constituent_set(g)), Counter(constituent_set(p))
         matched += sum((gc & pc).values())
         predicted += sum(pc.values())
         gold_total += sum(gc.values())
@@ -90,7 +82,6 @@ def arity_breakdown(gold, pred) -> ArityTable:
     toward no bucket; `render_report` shows them as a cross-arity row."""
     _check_aligned(gold, pred)
     counts = Counter()  # (field, bucket) -> spans
-    pooled = 0
     for g, p in zip(gold, pred):
         gc, pc = (  # one (arity bucket, Constituent) counter per side
             Counter((_bucket(a), c) for c, a in constituents_with_arity(t)) for t in (g, p)
@@ -98,12 +89,11 @@ def arity_breakdown(gold, pred) -> ArityTable:
         for field, spans in (("matched", gc & pc), ("predicted", pc), ("gold", gc)):
             for (b, _), k in spans.items():
                 counts[field, b] += k
-        pooled += sum((_span_counter(g) & _span_counter(p)).values())
     rows = {
         b: PRF.from_counts(counts["matched", b], counts["predicted", b], counts["gold", b])
         for b in ARITY_BUCKETS
     }
-    return ArityTable(rows=rows, pooled_matched=pooled)
+    return ArityTable(rows=rows)
 
 
 def _row_name(b):
@@ -125,9 +115,9 @@ def render_report(overall: PRF, arities: ArityTable | None = None, tsv=False) ->
     rows = [("overall", _cells(overall))]
     if arities is not None:
         rows += [(_row_name(b), _cells(arities.rows[b])) for b in ARITY_BUCKETS]
-        if arities.cross_arity_matches:
-            cross = str(arities.cross_arity_matches)
-            rows.append(("cross-arity", ("-", "-", "-", cross, "-", "-")))
+        cross = overall.matched - sum(r.matched for r in arities.rows.values())
+        if cross:
+            rows.append(("cross-arity", ("-", "-", "-", str(cross), "-", "-")))
     if tsv:
         lines = ["section\tprecision\trecall\tf1\tmatched\tpredicted\tgold"]
         lines += ["\t".join((name,) + cells) for name, cells in rows]

@@ -180,8 +180,6 @@ class Model:
             labels = tuple(labels_line[len("labels: ") :].split())
             if not labels:
                 raise ValueError(f"{path}: empty label set")
-            if len(set(labels)) < len(labels):
-                raise ValueError(f"{path}: repeated label in labels header")
             try:
                 _checked_labels(labels)
             except ValueError as e:

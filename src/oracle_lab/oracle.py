@@ -470,7 +470,8 @@ def _in_order_analysis(gold, taken, matched, stack, i):
 
     The consecutive-NT cap never binds: an NT needs a completed item on
     top and leaves an open one, so two NTs are never consecutive and
-    nt_run never exceeds 1.
+    nt_run never exceeds 1.  Items are read by index, as in `_td_targets`:
+    an open is (label, index), a completed item (symbol, l, r, is_word).
     """
     lost = gold.left[i] - matched
     nearest = {}  # slot -> the innermost missing end there
@@ -478,14 +479,14 @@ def _in_order_analysis(gold, taken, matched, stack, i):
     for k, e in enumerate(stack):
         if type(e) is not OpenNT:
             continue
-        b = stack[k - 1].l  # the left end of the item directly below
+        b = stack[k - 1][1]  # the left end of the item directly below
         if b not in nearest:
             count, nearest[b] = _missing_from(gold, taken, b, i)
             lost -= count
         # the innermost missing end with the open's label
-        rs, ms = gold.ends.get((e.label, b), ((), ()))
+        rs, ms = gold.ends.get((e[0], b), ((), ()))
         j = bisect_left(rs, i)
-        if j < len(rs) and rs[j] == i and ms[j] == taken.get((e.label, b, i), 0):
+        if j < len(rs) and rs[j] == i and ms[j] == taken.get((e[0], b, i), 0):
             j += 1
         if j == len(rs):
             fa += 1
@@ -493,8 +494,8 @@ def _in_order_analysis(gold, taken, matched, stack, i):
             ooo += 1
     # the spans at the top item's left end, when it is completed, are free
     # via wraps
-    if stack and type(stack[-1]) is Completed and stack[-1].l not in nearest:
-        lost -= _missing_from(gold, taken, stack[-1].l, i)[0]
+    if stack and type(stack[-1]) is Completed and stack[-1][1] not in nearest:
+        lost -= _missing_from(gold, taken, stack[-1][1], i)[0]
     return lost, fa, ooo
 
 
@@ -622,7 +623,7 @@ def _in_order_move_losses(config, gold, taken, sunk, moves):
             taken[key] = had
         else:  # nt
             if innermost is None:
-                innermost = _innermost_labels(gold, taken, stack[-1].l, i)
+                innermost = _innermost_labels(gold, taken, stack[-1][1], i)
                 succ = stack + (_new(OpenNT, (t.label, i)),)
                 # the total with a new open that costs one
                 nt_junk = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i))

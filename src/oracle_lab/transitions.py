@@ -120,9 +120,6 @@ class Completed(NamedTuple):
     r: int
     is_word: bool = False
 
-    def summary(self):
-        return f"{self.symbol}[{self.l},{self.r}]"
-
 
 class OpenNT(NamedTuple):
     """Stack element for a pushed, not yet reduced non-terminal.  It
@@ -131,9 +128,6 @@ class OpenNT(NamedTuple):
 
     label: str
     index: int  # buffer position at push time
-
-    def summary(self):
-        return f"{self.label}(open,{self.index})"
 
 
 class Configuration(NamedTuple):
@@ -153,9 +147,6 @@ class Configuration(NamedTuple):
     @property
     def n(self):
         return len(self.tokens)
-
-    def stack_summary(self):
-        return " ".join(e.summary() for e in self.stack)
 
 
 def initial_config(tokens, strategy, max_consecutive_nt=DEFAULT_NT_CAP):
@@ -322,13 +313,9 @@ def _reduce_target(stack, strategy):
 
 
 def fingerprint(config: Configuration):
-    """Hashable identity of the parser state proper: stack shape, buffer
-    position, finish flag and the current NT run.  Built constituents and
-    history are excluded; past output never affects what is legal next."""
-    items = tuple(
-        ("w" if e.is_word else "c", e.symbol, e.l, e.r)
-        if isinstance(e, Completed)
-        else ("o", e.label, e.index)
-        for e in config.stack
-    )
-    return (config.strategy, items, config.i, config.finished, config.nt_run)
+    """Hashable identity of the parser state proper: stack, buffer
+    position, finish flag and the current NT run.  Stack items hash and
+    compare as tuples, so they stand for themselves.  Built constituents
+    and history are excluded; past output never affects what is legal
+    next."""
+    return (config.strategy, config.stack, config.i, config.finished, config.nt_run)

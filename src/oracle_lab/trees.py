@@ -280,16 +280,19 @@ def check_derivable_corpus(trees, strategy, cap=DEFAULT_NT_CAP):
 
 
 def _checked_labels(labels) -> list:
-    """labels as a list; ValueError if none, or one would not read back."""
+    """labels as a list; ValueError if none, if one would not read back,
+    or if one repeats."""
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
-    for lab in labels:
+    for k, lab in enumerate(labels):
         if _LABEL_RE.fullmatch(lab) is None:
             raise ValueError(
                 f"bad label {lab!r}: labels must be non-empty, without"
                 " whitespace or parentheses"
             )
+        if lab in labels[:k]:
+            raise ValueError(f"repeated label {lab!r}")
     return labels
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import operator
 import random
 import time
 from contextlib import contextmanager
@@ -245,10 +246,11 @@ def _gold_prefix_configs(tree, strategy, bounds):
     return out
 
 
-def _random_walk_configs(tree, strategy, bounds, alphabet, seed, tree_idx, walks):
-    """Seeded random walks from the initial configuration.  The move kind
-    is drawn uniformly and a label drawn within it, so a label-rich
-    alphabet does not drown the walk in consecutive junk opens."""
+def _random_walk_configs(tree, strategy, bounds, seed, tree_idx, walks):
+    """Seeded random walks from the initial configuration, over the moves
+    of bounds.label_alphabet.  The move kind is drawn uniformly and a
+    label drawn within it, so a label-rich alphabet does not drown the
+    walk in consecutive junk opens."""
     out = []
     for w in range(walks):
         rng = random.Random(f"{seed}|walk|{tree_idx}|{strategy}|{w}")
@@ -256,7 +258,7 @@ def _random_walk_configs(tree, strategy, bounds, alphabet, seed, tree_idx, walks
         out.append(c)
         steps = 0
         while not is_terminal(c) and steps < bounds.max_steps:
-            moves = legal_transitions(c, alphabet)
+            moves = legal_transitions(c, bounds.label_alphabet)
             kinds = sorted({t.kind for t in moves})
             pick = rng.choice(kinds)
             c = apply(c, rng.choice([t for t in moves if t.kind == pick]))
@@ -460,6 +462,13 @@ def sweep(
 ) -> ConformanceReport:
     """Check formula loss against brute force on every visited configuration.
 
+    Each policy gives a tree's configurations and their brute-force
+    totals.  The exhaustive policy gives every class of the state graph,
+    whose total is its representative's sunk junk plus the class's
+    future.  The walks give their configurations deepest first, and
+    brute_force_loss searches each one, through one cache per tree, when
+    the loop reaches it.  One loop compares every total with the formula's.
+
     The trees need not be derivable under bounds.max_consecutive_nt: the
     loss is exact under any cap, and a gold span the cap cannot build is
     lost on both sides.  Only the gold-prefix policy replays the gold
@@ -475,43 +484,37 @@ def sweep(
         local = replace(bounds, label_alphabet=alphabet)
         if walk_policy == "exhaustive":
             t1 = time.perf_counter()
-            _, reps, sunk_of, back, term = _exhaustive_graph(
+            _, configs, sunk_of, back, term = _exhaustive_graph(
                 tree, gold, strategy, local, alphabet
             )
             future = _batch_future(back, term)
             t2 = time.perf_counter()
             report.graph_s += t2 - t1
-            report.classes += len(reps)
+            report.classes += len(configs)
             report.edges += sum(map(len, back))
-            with _collector_paused():
-                formulas = losses(reps, gold)
-            for c, lb, sunk, fut in zip(reps, formulas, sunk_of, future):
-                if fut is None:
-                    raise RuntimeError(
-                        "no terminal configuration reachable from"
-                        f" {fingerprint(c)}; the legality guards are suspect"
-                    )
-                formula = lb.total
-                brute = sunk + fut
-                report.configs_checked += 1
-                if formula != brute:
-                    report.mismatches.append((str(fingerprint(c)), formula, brute))
-            report.formula_s += time.perf_counter() - t2
-            continue
-        if walk_policy == "gold-prefix":
-            configs = _gold_prefix_configs(tree, strategy, local)
+            if None in future:
+                raise RuntimeError(
+                    "no terminal configuration reachable from"
+                    f" {fingerprint(configs[future.index(None)])};"
+                    " the legality guards are suspect"
+                )
+            brutes = map(operator.add, sunk_of, future)
         else:
-            configs = _random_walk_configs(
-                tree, strategy, local, alphabet, seed, idx, walks
-            )
-        cache = {}
-        # deepest states first so shallower searches can reuse their answers
-        configs.reverse()
-        for c, lb in zip(configs, losses(configs, gold)):
-            formula = lb.total
-            brute = brute_force_loss(c, gold, local, cache)
-            report.configs_checked += 1
-            if formula != brute:
-                report.mismatches.append((str(fingerprint(c)), formula, brute))
+            if walk_policy == "gold-prefix":
+                configs = _gold_prefix_configs(tree, strategy, local)
+            else:
+                configs = _random_walk_configs(tree, strategy, local, seed, idx, walks)
+            # deepest states first so shallower searches can reuse their answers
+            configs.reverse()
+            cache = {}
+            brutes = (brute_force_loss(c, gold, local, cache) for c in configs)
+        with _collector_paused():
+            formulas = losses(configs, gold)
+        for c, lb, brute in zip(configs, formulas, brutes):
+            if lb.total != brute:
+                report.mismatches.append((str(fingerprint(c)), lb.total, brute))
+        report.configs_checked += len(configs)
+        if walk_policy == "exhaustive":
+            report.formula_s += time.perf_counter() - t2
     report.elapsed = time.perf_counter() - t0
     return report

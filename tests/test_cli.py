@@ -113,6 +113,35 @@ def test_check_exhaustive_policy(capsys):
     assert capsys.readouterr().out.startswith("PASS:")
 
 
+@pytest.mark.parametrize("policy", ["gold-prefix", "random-walk", "exhaustive"])
+@pytest.mark.parametrize("strategy", ["top-down", "in-order"])
+def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, policy):
+    """A formula one off everywhere fails every configuration checked,
+    under every policy, and each mismatch names the state's fingerprint."""
+    real = oracle_lab.verify.losses
+
+    def one_off(configs, gold):
+        return [lb._replace(total=lb.total + 1) for lb in real(configs, gold)]
+
+    monkeypatch.setattr(oracle_lab.verify, "losses", one_off)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("(X (Y w0 w1) w2)\n(Y w0)\n", encoding="utf-8")
+    args = ["check", "--strategy", strategy, str(corpus), "--policy", policy]
+    assert main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    head = re.fullmatch(r"FAIL: (\d+) configurations checked, (\d+) mismatches, .*s", lines[0])
+    checked = int(head.group(1))
+    assert int(head.group(2)) == checked > 0
+    shown = [line for line in lines if line.startswith("  mismatch: ")]
+    assert len(shown) == min(checked, 20)
+    for line in shown:
+        m = re.fullmatch(rf"  mismatch: formula=(\d+) brute=(\d+) at \('{strategy}', \(.*\)",
+                         line)
+        assert m and int(m.group(1)) == int(m.group(2)) + 1, line
+    if checked > 20:
+        assert lines[-1] == f"  ... and {checked - 20} more"
+
+
 def test_check_rejects_conflicting_sources(example_corpus, capsys):
     assert main(["check", "--strategy", "top-down", example_corpus, "--generate", "2"]) == 2
     assert "not both" in capsys.readouterr().err
@@ -134,12 +163,12 @@ def test_check_names_a_bad_bound_before_drawing_trees(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y"])
+@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y", "X,X"])
 def test_check_rejects_labels_that_cannot_be_written_out(capsys, labels):
     args = ["check", "--strategy", "in-order", "--generate", "1", "--labels", labels]
     assert main(args) == 2
     captured = capsys.readouterr()
-    assert "bad label" in captured.err
+    assert ("repeated label 'X'" if labels == "X,X" else "bad label") in captured.err
     assert captured.out == ""
 
 
@@ -393,7 +422,7 @@ def test_parse_rejects_repeated_labels(tmp_path, capsys):
     sents = tmp_path / "sents.txt"
     sents.write_text("w0 w1\n", encoding="utf-8")
     assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
-    assert f"{model}: repeated label in labels header" in capsys.readouterr().err
+    assert f"{model}: repeated label 'X'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("labels", ["X (", "X(", ")"])
@@ -584,12 +613,13 @@ def test_gen_rejects_a_negative_count(tmp_path, capsys):
     assert not corpus.exists()
 
 
-@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y"])
+@pytest.mark.parametrize("labels", ["A B,Y", "", "X(,Y", "X,Y)", "X,,Y", "X,X"])
 def test_gen_rejects_labels_that_cannot_be_written_out(tmp_path, capsys, labels):
     corpus = tmp_path / "corpus.txt"
+    error = "repeated label 'X'" if labels == "X,X" else "bad label"
     for count in ("0", "3"):  # a count of 0 draws no tree, but still checks
         assert main(["gen", count, "--labels", labels, "--out", str(corpus)]) == 2
-        assert "bad label" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not corpus.exists()
 
 

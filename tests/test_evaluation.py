@@ -36,8 +36,7 @@ def test_example_arity_buckets(example_tree):
     table = arity_breakdown([example_tree], [example_tree])
     matched = {b: table.rows[b].matched for b in ARITY_BUCKETS}
     assert matched == {1: 2, 2: 1, 3: 2, 4: 0, 5: 0}
-    assert table.pooled_matched == 5
-    assert table.cross_arity_matches == 0
+    assert prf([example_tree], [example_tree]).matched == sum(matched.values())
     for b in ARITY_BUCKETS:
         row = table.rows[b]
         assert row.f1 == (100.0 if row.gold else 0.0)
@@ -58,9 +57,8 @@ def test_arity_disagreement_counts_in_no_bucket():
     gold = parse_bracketed("(X (Y w0 w1) w2)")
     pred = parse_bracketed("(X w0 w1 w2)")
     table = arity_breakdown([gold], [pred])
-    assert table.pooled_matched == 1  # the (X,0,3) span
+    assert prf([gold], [pred]).matched == 1  # the (X,0,3) span
     assert sum(r.matched for r in table.rows.values()) == 0
-    assert table.cross_arity_matches == 1
 
 
 def test_report_shows_the_cross_arity_matches():
@@ -118,7 +116,7 @@ def test_arity_buckets_partition_both_sides(n, seed_a, seed_b):
     table = arity_breakdown([a], [b])
     assert sum(r.gold for r in table.rows.values()) == len(constituent_set(a))
     assert sum(r.predicted for r in table.rows.values()) == len(constituent_set(b))
-    assert table.cross_arity_matches >= 0
+    assert sum(r.matched for r in table.rows.values()) <= prf([a], [b]).matched
 
 
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 500), st.integers(0, 500)),
@@ -127,10 +125,9 @@ def test_arity_table_and_prf_share_one_span_count(pairs):
     gold = [random_tree(n, ["X", "Y"], a) for n, a, _ in pairs]
     pred = [random_tree(n, ["X", "Y"], b) for n, _, b in pairs]
     overall, table = prf(gold, pred), arity_breakdown(gold, pred)
-    assert table.pooled_matched == overall.matched
     assert sum(r.gold for r in table.rows.values()) == overall.gold
     assert sum(r.predicted for r in table.rows.values()) == overall.predicted
-    assert 0 <= table.cross_arity_matches <= overall.matched
+    assert sum(r.matched for r in table.rows.values()) <= overall.matched
 
 
 def test_render_report_formats(example_tree):

@@ -294,7 +294,7 @@ def test_model_load_rejects_a_row_with_no_column(tmp_path):
 def test_model_load_rejects_repeated_labels(tmp_path):
     p = tmp_path / "bad.model"
     p.write_text("oracle-lab-model v1 top-down\nlabels: X Y X\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"{p}: repeated label in labels header"):
+    with pytest.raises(ValueError, match=rf"{p}: repeated label 'X'"):
         Model.load(p)
 
 

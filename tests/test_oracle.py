@@ -527,7 +527,7 @@ def assert_move_losses_match(c, gold, alphabet):
         assert optimal_transitions(c, gold, alphabet) == []
         return
     want = [loss(apply(c, m), gold).total for m in moves]
-    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack_summary()
+    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack
     assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
 
 

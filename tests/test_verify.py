@@ -385,6 +385,30 @@ def test_sweep_passes_with_a_gold_label_spelled_like_a_wildcard():
         assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_sweep_names_the_first_class_with_no_terminal(monkeypatch, strategy):
+    """A class the backward search never reached is a dead state: the
+    exhaustive policy raises and names the first such class."""
+    tree = parse_bracketed("(X (Y w0 w1) w2)")
+    bounds = SearchBounds(label_alphabet=("D", "X", "Y"))
+    gold = GoldReference.from_tree(tree, strategy)
+    reps = _exhaustive_graph(tree, gold, strategy, bounds, bounds.label_alphabet)[1]
+    dead = (len(reps) // 2, len(reps) - 1)
+    real = verify_mod._batch_future
+
+    def with_dead_classes(back, terminal_pen):
+        future = real(back, terminal_pen)
+        for k in dead:
+            future[k] = None
+        return future
+
+    monkeypatch.setattr(verify_mod, "_batch_future", with_dead_classes)
+    with pytest.raises(RuntimeError, match="the legality guards are suspect") as err:
+        sweep([tree], strategy, bounds, walk_policy="exhaustive")
+    assert str(fingerprint(reps[dead[0]])) in str(err.value)
+    assert str(fingerprint(reps[dead[1]])) not in str(err.value)
+
+
 def test_sweep_random_walks_are_deterministic():
     corpus = [random_tree(1 + s % 3, ["X", "Y"], s) for s in range(4)]
     a = sweep(corpus, IN_ORDER, seed=11, walks=2)
