@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
-from .oracle import GoldReference, _breakdown
+from .oracle import GoldReference, _move_losses
 from .transitions import STRATEGIES, OpenNT, apply, initial_config
 from .trees import (
     TreeError,
@@ -38,10 +39,12 @@ def _add_strategy(p):
     )
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
+def _output(args):
+    """A context manager that yields the --out file, opened for writing and
+    closed on exit, or stdout, left open."""
+    if args.out:
         return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+    return nullcontext(sys.stdout)
 
 
 def _stack_column(stack, summaries):
@@ -62,8 +65,7 @@ def cmd_oracle_trace(args):
     trees = _read_items(args.trees, "trees to trace")
     # every tree, before the first row is written
     check_derivable_corpus(trees, args.strategy)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         for idx, tree in enumerate(trees):
             if idx:
                 out.write("\n")
@@ -73,15 +75,12 @@ def cmd_oracle_trace(args):
             for step, t in enumerate(gold_sequence(tree, args.strategy), start=1):
                 c = apply(c, t)
                 gold.forget_before(c.i)
-                lb = _breakdown(c, gold)
+                lb = _move_losses(c, gold, ())[0]
                 out.write(
                     f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"
                     f"\t{lb.unreachable}\t{lb.false_constituents}"
                     f"\t{lb.false_open_nts}\t{lb.out_of_order}\n"
                 )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -181,8 +180,7 @@ def cmd_parse(args):
             f" strategy {model.strategy}"
         )
     sentences = _read_items(args.sentences, "sentences to parse", _sentence_tokens)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         for idx, tokens in enumerate(sentences):
             tree, info = parse_with_info(model, tokens)
             out.write(serialize(tree) + "\n")
@@ -192,9 +190,6 @@ def cmd_parse(args):
                     f" steps, wrapped under {info['wrap_label']}",
                     file=sys.stderr,
                 )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

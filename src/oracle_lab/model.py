@@ -178,8 +178,6 @@ class Model:
             if not labels_line.startswith("labels: "):
                 raise ValueError(f"{path}: missing labels header")
             labels = tuple(labels_line[len("labels: ") :].split())
-            if not labels:
-                raise ValueError(f"{path}: empty label set")
             try:
                 _checked_labels(labels)
             except ValueError as e:

@@ -32,7 +32,11 @@ right ends at or past i that an analysis reads, only those at i itself can
 have been built.  So the cost of a call follows the stack and the built
 constituents, not the size of the gold tree.
 
-`optimal_transitions` judges every legal move from one analysis of the
+The oracle answers one query per configuration, `_move_losses`: the
+configuration's `LossBreakdown` and, for each of the legal moves it is
+given, the successor's loss total.  `loss` and `losses` ask it with no
+moves; `optimal_transitions` keeps the moves whose total equals the
+breakdown's.  The query judges every move from one analysis of the
 configuration, without building a successor or calling `loss` per move
 (in the spirit of Goldberg & Nivre 2013, who derive move costs without
 recomputing the loss).  The built constituents are tallied once; each
@@ -198,9 +202,9 @@ class GoldReference:
 
 class LossBreakdown(NamedTuple):
     """The loss of a configuration and its four addends, read by name.
-    Building one calls the named tuple's __new__, a Python-level function
-    (as in `transitions`), once per configuration a `losses` call
-    analyses."""
+    `_move_losses` builds one per query with tuple.__new__, as
+    `transitions` builds its tuples, which skips the named tuple's own
+    Python-level __new__."""
 
     unreachable: int
     false_constituents: int
@@ -214,14 +218,6 @@ class LossBreakdown(NamedTuple):
             self.false_constituents,
             self.false_open_nts,
             self.out_of_order,
-        )
-
-
-def _check_strategies(config, gold):
-    if config.strategy != gold.strategy:
-        raise ValueError(
-            f"strategy mismatch: configuration is {config.strategy},"
-            f" gold is {gold.strategy}"
         )
 
 
@@ -500,10 +496,9 @@ def _in_order_analysis(gold, taken, matched, stack, i):
 
 
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
-    """Minimum achievable Hamming loss from this configuration, decomposed:
-    `losses` of this one configuration."""
+    """Minimum achievable Hamming loss from this configuration, decomposed."""
     try:
-        return _breakdown(config, gold)
+        return _move_losses(config, gold, ())[0]
     finally:
         gold.forget()
 
@@ -513,43 +508,23 @@ def losses(configs, gold: GoldReference) -> list:
     The top-down analyses share the gold's tries, which this call leaves
     empty."""
     try:
-        return [_breakdown(config, gold) for config in configs]
+        return [_move_losses(config, gold, ())[0] for config in configs]
     finally:
         gold.forget()
 
 
-def _breakdown(config, gold):
-    """`loss` on the gold's tries, which it leaves in place."""
-    _check_strategies(config, gold)
-    taken, sunk = _tally(config, gold)
-    matched = len(config.built) - sunk
-    if is_terminal(config) or config.finished:
-        unreachable, fa, ooo = gold.size - matched, 0, 0
-    elif config.strategy == TOP_DOWN:
-        stack, i, n = config.stack, config.i, config.n
-        # E: i with a completed item on top, else i + 1
-        E = i if stack and type(stack[-1]) is Completed else i + 1
-        targets = _td_targets(gold, taken, stack, n, i, E)
-        unreachable, fa, ooo = _top_down_analysis(
-            gold, targets, matched, n, config.max_consecutive_nt, i, config.nt_run
-        )
-    else:
-        unreachable, fa, ooo = _in_order_analysis(gold, taken, matched, config.stack, config.i)
-    # unreachable, false constituents, false opens, out of order, total
-    return LossBreakdown(unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)
-
-
-def _top_down_move_losses(config, gold, taken, sunk, moves):
-    """The configuration's loss total and each move's successor total, for
-    top-down: `_top_down_analysis` on each one's targets, buffer position,
-    NT run and matched count."""
+def _top_down_move_losses(config, gold, taken, sunk, matched, moves):
+    """The configuration's (unreachable, false opens, out of order) and
+    each move's successor total, for top-down: `_top_down_analysis` on
+    each one's targets, buffer position, NT run and matched count."""
     stack, i, n = config.stack, config.i, config.n
     cap, nt_run = config.max_consecutive_nt, config.nt_run
-    matched = len(config.built) - sunk
     # E: i with a completed item on top, else i + 1
     E = i if stack and type(stack[-1]) is Completed else i + 1
     targets = _td_targets(gold, taken, stack, n, i, E)
-    base = sunk + sum(_top_down_analysis(gold, targets, matched, n, cap, i, nt_run))
+    parts = _top_down_analysis(gold, targets, matched, n, cap, i, nt_run)
+    if not moves:
+        return parts, []
     # the targets of the opens below a SHIFT or NT successor, at E = i + 1:
     # the configuration's own with an open on top, as nothing built ends
     # past i; neither move is legal at i = n
@@ -590,17 +565,18 @@ def _top_down_move_losses(config, gold, taken, sunk, moves):
                 )
             total = pushed[top]
         totals.append(total)
-    return base, totals
+    return parts, totals
 
 
-def _in_order_move_losses(config, gold, taken, sunk, moves):
-    """The configuration's loss total and each move's successor total, for
-    in-order; the module docstring says how the NT labels share one
-    analysis.  The successor's new item is built as `transitions._construct`
-    builds it, with tuple.__new__."""
+def _in_order_move_losses(config, gold, taken, sunk, matched, moves):
+    """The configuration's (unreachable, false opens, out of order) and
+    each move's successor total, for in-order; the module docstring says
+    how the NT labels share one analysis.  The successor's new item is
+    built as `transitions._construct` builds it, with tuple.__new__."""
     stack, i = config.stack, config.i
-    matched = len(config.built) - sunk
-    base = sunk + sum(_in_order_analysis(gold, taken, matched, stack, i))
+    parts = _in_order_analysis(gold, taken, matched, stack, i)
+    if not moves:
+        return parts, []
     totals = []
     innermost = None
     for t in moves:
@@ -630,7 +606,7 @@ def _in_order_move_losses(config, gold, taken, sunk, moves):
                 nt_junk += t.label in innermost
             total = nt_junk - (t.label in innermost)
         totals.append(total)
-    return base, totals
+    return parts, totals
 
 
 def _innermost_labels(gold, taken, b, i):
@@ -657,7 +633,6 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     the verdict.  The NT labels share the analysis of everything below the
     pushed open: their successors differ only in its label.
     """
-    _check_strategies(config, gold)
     if label_alphabet is None:
         label_alphabet = gold.labels
     try:
@@ -669,20 +644,38 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
 def _optimal(config, gold, moves):
     """The moves of moves, all legal in config, that keep its loss, in
     their order: optimal_transitions for a caller that already holds the
-    legal moves.  The gold's tries are as `_move_losses` leaves them."""
-    if not moves:
-        return []
-    base, totals = _move_losses(config, gold, moves)
+    legal moves.  Each move's successor total is compared with the
+    configuration's `LossBreakdown` total, both from one `_move_losses`
+    query, which also checks the strategies.  The gold's tries are as
+    `_move_losses` leaves them."""
+    breakdown, totals = _move_losses(config, gold, moves)
+    base = breakdown.total
     return [t for t, total in zip(moves, totals) if total == base]
 
 
 def _move_losses(config, gold, moves):
-    """(loss(config).total, [loss(apply(config, t)).total for t in moves])
-    for a configuration with legal moves, from one tally of the built
-    constituents.  The top-down totals read and extend the gold's tries,
-    and leave them in place for the caller to drop by `GoldReference`'s
+    """(loss(config), [loss(apply(config, t)).total for t in moves]), for
+    moves all legal in config: the oracle's one query per configuration.
+    It checks that config and gold share a strategy and tallies the built
+    constituents once, for the configuration and every move; the strategy's
+    analysis then runs on the configuration and on each move's successor
+    fields.  A terminal or finished configuration has no legal moves, and
+    its loss is the junk built plus the gold spans not built.  The top-down totals read and extend the gold's tries, and
+    leave them in place for the caller to drop by `GoldReference`'s
     rule."""
+    if config.strategy != gold.strategy:
+        raise ValueError(
+            f"strategy mismatch: configuration is {config.strategy},"
+            f" gold is {gold.strategy}"
+        )
     taken, sunk = _tally(config, gold)
-    if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, taken, sunk, moves)
-    return _in_order_move_losses(config, gold, taken, sunk, moves)
+    matched = len(config.built) - sunk
+    if not moves and (is_terminal(config) or config.finished):
+        parts, totals = (gold.size - matched, 0, 0), []
+    elif config.strategy == TOP_DOWN:
+        parts, totals = _top_down_move_losses(config, gold, taken, sunk, matched, moves)
+    else:
+        parts, totals = _in_order_move_losses(config, gold, taken, sunk, matched, moves)
+    unreachable, fa, ooo = parts
+    # unreachable, false constituents, false opens, out of order, total
+    return _new(LossBreakdown, (unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)), totals

@@ -29,9 +29,14 @@ from .transitions import (
     is_terminal,
     legal_transitions,
 )
-from .trees import gold_sequence
+from .trees import gold_sequence, serialize
 
+# search budgets, each an input error (exit 2) when it runs out: the heap
+# pops of one brute_force_loss search, and the classes of one exhaustive
+# state graph.  A class costs about 1.1 kB, so the graph stays near 1 GB;
+# the largest n = 4 top-down graph over X and Y measured has 428,811.
 _POP_LIMIT = 5_000_000
+_CLASS_LIMIT = 1_000_000
 
 WALK_POLICIES = ("gold-prefix", "random-walk", "exhaustive")
 
@@ -162,7 +167,8 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     decides.
 
     Raises RuntimeError if no terminal configuration is reachable, which
-    would mean the legality guards admit dead states.
+    would mean the legality guards admit dead states, and ValueError when
+    the search pops more than _POP_LIMIT classes.
     """
     if config.n > bounds.max_tokens:
         raise ValueError(
@@ -201,7 +207,7 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
             continue
         pops += 1
         if pops > _POP_LIMIT:
-            raise RuntimeError("state budget exhausted before finding a terminal")
+            raise ValueError(f"state budget exhausted after {_POP_LIMIT} pops (verify._POP_LIMIT)")
         if cache is not None and key != start_key and key in cache:
             cand = d + cache[key]
             if cand < best:
@@ -368,7 +374,9 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     brute_force_loss moves by, so a move into a class already found
     builds nothing; _construct runs once per class, for its
     representative.  The cyclic collector is paused while the graph
-    grows, since none of it is garbage, and restored as it was.
+    grows, since none of it is garbage, and restored as it was.  Raises
+    ValueError, naming the tree, once more than _CLASS_LIMIT classes are
+    found.
     """
     start = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
     key0 = _class_key(start, gold.count)
@@ -383,6 +391,11 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     with _collector_paused():
         a = 0
         while a < len(keys):
+            if len(keys) > _CLASS_LIMIT:
+                raise ValueError(
+                    f"class budget exhausted: the state graph of {serialize(tree)}"
+                    f" has more than {_CLASS_LIMIT} classes (verify._CLASS_LIMIT)"
+                )
             c = reps[a]
             key = keys[a]
             moves = legal_transitions(c, alphabet)  # none if c is terminal

@@ -142,6 +142,28 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
         assert lines[-1] == f"  ... and {checked - 20} more"
 
 
+@pytest.mark.parametrize(
+    "policy, budget, message",
+    [
+        ("random-walk", "_POP_LIMIT", "state budget exhausted after 2 pops"),
+        ("exhaustive", "_CLASS_LIMIT", "class budget exhausted: the state graph of ("),
+    ],
+)
+@pytest.mark.parametrize("strategy", ["top-down", "in-order"])
+def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strategy, policy,
+                                                     budget, message):
+    """A search that outgrows its budget ends in an input error that names
+    the budget, not in a traceback: each budget patched down to 2."""
+    monkeypatch.setattr(oracle_lab.verify, budget, 2)
+    args = ["check", "--strategy", strategy, "--generate", "3", "--max-tokens", "4",
+            "--policy", policy]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"oracle-lab: {message}")
+    assert f"(verify.{budget})" in captured.err
+
+
 def test_check_rejects_conflicting_sources(example_corpus, capsys):
     assert main(["check", "--strategy", "top-down", example_corpus, "--generate", "2"]) == 2
     assert "not both" in capsys.readouterr().err
@@ -398,7 +420,7 @@ def test_parse_rejects_a_model_with_no_labels(tmp_path, capsys):
     sents = tmp_path / "sents.txt"
     sents.write_text("w0 w1\n", encoding="utf-8")
     assert main(["parse", "--strategy", "top-down", str(model), str(sents)]) == 2
-    assert f"{model}: empty label set" in capsys.readouterr().err
+    assert f"{model}: need at least one label" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,43 @@ def test_strategy_mismatch_is_rejected(example_tree):
         loss(c, gold)
 
 
+@pytest.mark.parametrize("strategy, other", [(TOP_DOWN, IN_ORDER), (IN_ORDER, TOP_DOWN)])
+def test_optimal_transitions_rejects_a_strategy_mismatch(example_tree, strategy, other):
+    """On a configuration with legal moves and on a terminal one, which
+    has none to judge."""
+    gold = GoldReference.from_tree(example_tree, other)
+    c = initial_config(example_tree.tokens, strategy)
+    with pytest.raises(ValueError, match="strategy mismatch"):
+        optimal_transitions(c, gold)
+    for t in gold_sequence(example_tree, strategy):
+        c = apply(c, t)
+    assert is_terminal(c) and not legal_transitions(c, gold.labels)
+    with pytest.raises(ValueError, match="strategy mismatch"):
+        optimal_transitions(c, gold)
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_move_losses_of_terminal_configurations(strategy):
+    """A terminal configuration's query gives its loss and no moves, and
+    that loss is the Hamming distance between the built multiset and the
+    gold one: every terminal class of the n <= 2 census, with a
+    distractor label, so that some of them built junk."""
+    alphabet = ("D", "X", "Y")
+    bounds = SearchBounds(label_alphabet=alphabet)
+    totals = []
+    for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
+        gold = GoldReference.from_tree(t, strategy)
+        for c in _exhaustive_graph(t, gold, strategy, bounds, alphabet)[1]:
+            if not is_terminal(c):
+                continue
+            built = Counter(c.built)
+            hamming = sum((built - gold.count).values()) + sum((gold.count - built).values())
+            assert _move_losses(c, gold, ()) == (loss(c, gold), [])
+            assert loss(c, gold).total == hamming, c.built
+            totals.append(hamming)
+    assert 0 in totals and max(totals) > 1
+
+
 def test_gold_prefixes_have_zero_loss(example_tree):
     for strategy in (TOP_DOWN, IN_ORDER):
         gold = GoldReference.from_tree(example_tree, strategy)
@@ -335,7 +372,7 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
     moves = legal_transitions(c, ("D", "X", "Y"))
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
-    want = loss(c, gold).total, [loss(apply(c, m), gold).total for m in moves]
+    want = loss(c, gold), [loss(apply(c, m), gold).total for m in moves]
     calls.clear()
     assert _move_losses(c, gold, moves) == want
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
@@ -390,14 +427,14 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "tree.txt"
     path.write_text(text + "\n", encoding="utf-8")
     seen = []  # (configuration, gold) of each row
-    real = cli._breakdown
+    real = cli._move_losses
 
-    def recorded(c, gold):
+    def recorded(c, gold, moves):
         assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
         seen.append((c, gold))
-        return real(c, gold)
+        return real(c, gold, moves)
 
-    monkeypatch.setattr(cli, "_breakdown", recorded)
+    monkeypatch.setattr(cli, "_move_losses", recorded)
     calls = _layer_calls(monkeypatch)
     assert cli.main(["oracle-trace", "--strategy", "top-down", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -520,14 +557,16 @@ def loss_preserving_moves(c, gold, alphabet):
 
 
 def assert_move_losses_match(c, gold, alphabet):
-    """The optimal set, and also each move's successor loss as the oracle
-    derives it without building the successor, against the reference."""
+    """The optimal set, and also the configuration's whole loss breakdown
+    and each move's successor loss as the oracle derives it without
+    building the successor, against the reference."""
     moves = legal_transitions(c, alphabet)
     if not moves:  # terminal or finished: nothing to judge
+        assert _move_losses(c, gold, moves) == (loss(c, gold), [])
         assert optimal_transitions(c, gold, alphabet) == []
         return
     want = [loss(apply(c, m), gold).total for m in moves]
-    assert _move_losses(c, gold, moves) == (loss(c, gold).total, want), c.stack
+    assert _move_losses(c, gold, moves) == (loss(c, gold), want), c.stack
     assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
 
 

@@ -139,7 +139,7 @@ def test_brute_force_pop_budget(monkeypatch):
     t = random_tree(4, ["X", "Y"], 1)
     gold = GoldReference.from_tree(t, TOP_DOWN)
     c = initial_config(t.tokens, TOP_DOWN)
-    with pytest.raises(RuntimeError, match="state budget exhausted"):
+    with pytest.raises(ValueError, match="state budget exhausted"):
         brute_force_loss(c, gold, SearchBounds(label_alphabet=("X", "Y")))
 
 
