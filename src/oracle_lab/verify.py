@@ -31,11 +31,11 @@ from .transitions import (
 )
 from .trees import gold_sequence, serialize
 
-# search budgets, each an input error (exit 2) when it runs out: the heap
-# pops of one brute_force_loss search, and the classes of one exhaustive
-# state graph.  A class costs about 1.1 kB, so the graph stays near 1 GB;
-# the largest n = 4 top-down graph over X and Y measured has 428,811.
-_POP_LIMIT = 5_000_000
+# the one budget of both searches, an input error (exit 2) when it runs
+# out: the classes that one brute_force_loss search or one exhaustive state
+# graph has found.  Memory follows the classes: about 0.7-0.9 kB a class
+# in the search and 1.1 kB in the graph, so either stays near 1 GB.  The
+# largest n = 4 top-down graph over X and Y measured has 428,811 classes.
 _CLASS_LIMIT = 1_000_000
 
 WALK_POLICIES = ("gold-prefix", "random-walk", "exhaustive")
@@ -166,14 +166,13 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     by the mechanical bound of _future_bound, which only prunes, never
     decides.
 
-    Raises RuntimeError if no terminal configuration is reachable, which
-    would mean the legality guards admit dead states, and ValueError when
-    the search pops more than _POP_LIMIT classes.
+    The search's cost follows the tokens left and the opens on the stack,
+    not the sentence length, so any sentence is searched, and the budget
+    is on memory: ValueError, naming config, once the search has found
+    more than _CLASS_LIMIT classes.  Raises RuntimeError if no terminal
+    configuration is reachable, which would mean the legality guards
+    admit dead states.
     """
-    if config.n > bounds.max_tokens:
-        raise ValueError(
-            f"sentence length {config.n} exceeds bounds.max_tokens={bounds.max_tokens}"
-        )
     alphabet = bounds.label_alphabet or default_alphabet(gold)
     rem0 = dict(gold.count)
     sunk0 = 0
@@ -198,16 +197,17 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     tie = 0
     heap = [(_future_bound(start_key, strategy), 0, 0, start_key)]
     best = math.inf
-    pops = 0
     while heap:
         f, _, d, key = heapq.heappop(heap)
         if f >= best:
             break
         if d > dist[key]:
             continue
-        pops += 1
-        if pops > _POP_LIMIT:
-            raise ValueError(f"state budget exhausted after {_POP_LIMIT} pops (verify._POP_LIMIT)")
+        if len(dist) > _CLASS_LIMIT:
+            raise ValueError(
+                f"class budget exhausted: the search from {fingerprint(config)}"
+                f" has found more than {_CLASS_LIMIT} classes (verify._CLASS_LIMIT)"
+            )
         if cache is not None and key != start_key and key in cache:
             cand = d + cache[key]
             if cand < best:
@@ -357,10 +357,11 @@ class _Successors:
         return (items, i, finished, 0, rkey2), 0
 
 
-def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
-    """All reachable parser states, one representative per class of states
-    with identical future behavior (see _class_key); class members differ
-    beyond that only in junk already built, a sunk constant.
+def _exhaustive_graph(tree, gold, strategy, bounds):
+    """All parser states reachable by the moves of bounds.label_alphabet,
+    one representative per class of states with identical future behavior
+    (see _class_key); class members differ beyond that only in junk
+    already built, a sunk constant.
 
     Classes are numbered 0, 1, ... in breadth-first discovery order, class
     0 holding the initial configuration.  Returns (keys, reps, sunk_of,
@@ -376,12 +377,13 @@ def _exhaustive_graph(tree, gold, strategy, bounds, alphabet):
     representative.  The cyclic collector is paused while the graph
     grows, since none of it is garbage, and restored as it was.  Raises
     ValueError, naming the tree, once more than _CLASS_LIMIT classes are
-    found.
+    found, the budget brute_force_loss keeps too.
     """
     start = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
     key0 = _class_key(start, gold.count)
     rule = _Successors(strategy, key0[4])
     step, missing = rule.move, rule.missing
+    alphabet = bounds.label_alphabet
     ids = {key0: 0}
     keys = [key0]
     reps = [start]
@@ -493,13 +495,10 @@ def sweep(
     t0 = time.perf_counter()
     for idx, tree in enumerate(corpus):
         gold = GoldReference.from_tree(tree, strategy)
-        alphabet = bounds.label_alphabet or default_alphabet(gold)
-        local = replace(bounds, label_alphabet=alphabet)
+        local = replace(bounds, label_alphabet=bounds.label_alphabet or default_alphabet(gold))
         if walk_policy == "exhaustive":
             t1 = time.perf_counter()
-            _, configs, sunk_of, back, term = _exhaustive_graph(
-                tree, gold, strategy, local, alphabet
-            )
+            _, configs, sunk_of, back, term = _exhaustive_graph(tree, gold, strategy, local)
             future = _batch_future(back, term)
             t2 = time.perf_counter()
             report.graph_s += t2 - t1

@@ -145,7 +145,7 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
 @pytest.mark.parametrize(
     "policy, budget, message",
     [
-        ("random-walk", "_POP_LIMIT", "state budget exhausted after 2 pops"),
+        ("random-walk", "_CLASS_LIMIT", "class budget exhausted: the search from ("),
         ("exhaustive", "_CLASS_LIMIT", "class budget exhausted: the state graph of ("),
     ],
 )
@@ -153,7 +153,8 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
 def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strategy, policy,
                                                      budget, message):
     """A search that outgrows its budget ends in an input error that names
-    the budget, not in a traceback: each budget patched down to 2."""
+    the budget, not in a traceback: the brute-force search and the state
+    graph share one class budget, patched down to 2."""
     monkeypatch.setattr(oracle_lab.verify, budget, 2)
     args = ["check", "--strategy", strategy, "--generate", "3", "--max-tokens", "4",
             "--policy", policy]

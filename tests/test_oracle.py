@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import replay, trees
+from conftest import replay, trees, walk_configs
 from oracle_lab import cli, model, oracle
 from oracle_lab.oracle import (
     GoldReference,
@@ -77,7 +77,7 @@ def test_move_losses_of_terminal_configurations(strategy):
     totals = []
     for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
         gold = GoldReference.from_tree(t, strategy)
-        for c in _exhaustive_graph(t, gold, strategy, bounds, alphabet)[1]:
+        for c in _exhaustive_graph(t, gold, strategy, bounds)[1]:
             if not is_terminal(c):
                 continue
             built = Counter(c.built)
@@ -147,21 +147,6 @@ def test_terminal_loss_is_symmetric_difference():
     assert lb.total == 2
 
 
-def _walk_configs(t, strategy, seed, steps=25):
-    rng = random.Random(seed)
-    c = initial_config(t.tokens, strategy, max_consecutive_nt=3)
-    out = [c]
-    for _ in range(steps):
-        if is_terminal(c):
-            break
-        moves = legal_transitions(c, ["X", "Y"])
-        kinds = sorted({m.kind for m in moves})
-        pick = rng.choice(kinds)
-        c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
-        out.append(c)
-    return out
-
-
 TD_LABELS = ("X", "Y")
 TD_CAP = 3
 TD_BOUNDS = SearchBounds(label_alphabet=TD_LABELS)
@@ -214,7 +199,7 @@ def test_top_down_loss_with_repeated_gold_spans(text):
     gold = GoldReference.from_tree(t, TOP_DOWN)
     assert max(gold.count.values()) >= 2
     for seed in range(12):
-        for c in _walk_configs(t, TOP_DOWN, seed, steps=40):
+        for c in walk_configs(t, TOP_DOWN, ("X", "Y"), seed, steps=40):
             assert loss(c, gold).total == brute_force_loss(c, gold, TD_BOUNDS), c
 
 
@@ -224,7 +209,7 @@ def test_top_down_loss_when_targets_may_end_at_i():
     checked = ends_at_i = 0
     for k, t in enumerate(_derivable_trees(3, 60)):
         gold = GoldReference.from_tree(t, TOP_DOWN)
-        for c in _walk_configs(t, TOP_DOWN, k, steps=40):
+        for c in walk_configs(t, TOP_DOWN, ("X", "Y"), k, steps=40):
             if is_terminal(c) or not c.stack or not isinstance(c.stack[-1], Completed):
                 continue
             opens = [e for e in c.stack[1:] if isinstance(e, OpenNT)]
@@ -275,7 +260,7 @@ def test_losses_match_loss_one_by_one(strategy):
         configs = []
         for cap in (1, 2, 3):
             bounds = SearchBounds(max_consecutive_nt=cap, label_alphabet=alphabet)
-            configs += _exhaustive_graph(t, gold, strategy, bounds, alphabet)[1]
+            configs += _exhaustive_graph(t, gold, strategy, bounds)[1]
         batches.append((gold, configs))
     census = sum(len(configs) for _, configs in batches)
     rng = random.Random(f"losses|{strategy}")
@@ -519,7 +504,7 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
        st.sampled_from(["top-down", "in-order"]))
 def test_loss_never_decreases_along_any_move(t, seed, strategy):
     gold = GoldReference.from_tree(t, strategy)
-    for c in _walk_configs(t, strategy, seed, steps=12):
+    for c in walk_configs(t, strategy, ("X", "Y"), seed, steps=12):
         base = loss(c, gold).total
         for m in legal_transitions(c, ["X", "Y"]):
             assert loss(apply(c, m), gold).total >= base
@@ -539,7 +524,7 @@ def test_gold_move_is_always_optimal(t, strategy):
        st.sampled_from(["top-down", "in-order"]))
 def test_optimal_moves_preserve_the_loss(t, seed, strategy):
     gold = GoldReference.from_tree(t, strategy)
-    for c in _walk_configs(t, strategy, seed, steps=8):
+    for c in walk_configs(t, strategy, ("X", "Y"), seed, steps=8):
         if is_terminal(c):
             continue
         base = loss(c, gold).total
@@ -602,7 +587,7 @@ def test_optimal_set_on_every_census_class(strategy, cap):
     checked = 0
     for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
         gold = GoldReference.from_tree(t, strategy)
-        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds, alphabet)
+        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds)
         for c in reps:
             assert_move_losses_match(c, gold, alphabet)
             checked += 1
@@ -721,7 +706,7 @@ def test_gold_index_matches_a_fresh_count(strategy):
     bounds = SearchBounds(label_alphabet=alphabet)
     for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
         gold = GoldReference.from_tree(t, strategy)
-        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds, alphabet)
+        _, reps, _, _, _ = _exhaustive_graph(t, gold, strategy, bounds)
         for c in reps:
             assert_index_matches_a_fresh_count(c, gold, alphabet)
             census += 1

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import replay
+from conftest import replay, walk_configs
 from oracle_lab.oracle import GoldReference, loss
 from oracle_lab.transitions import (
     IN_ORDER,
@@ -86,21 +86,6 @@ def plain_min_loss(config, gold, bounds, alphabet):
     return sunk0 + best
 
 
-def _walk_configs(tree, strategy, alphabet, seed, steps):
-    rng = random.Random(seed)
-    c = initial_config(tree.tokens, strategy, max_consecutive_nt=3)
-    out = [c]
-    for _ in range(steps):
-        if is_terminal(c):
-            break
-        moves = legal_transitions(c, alphabet)
-        kinds = sorted({m.kind for m in moves})
-        pick = rng.choice(kinds)
-        c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
-        out.append(c)
-    return out
-
-
 def test_search_bounds_defaults_and_validation():
     b = SearchBounds()
     assert (b.max_tokens, b.max_consecutive_nt, b.max_steps) == (6, 3, 80)
@@ -126,21 +111,34 @@ def test_default_alphabet_can_run_out():
         default_alphabet(gold)
 
 
-def test_brute_force_rejects_oversized_sentences():
-    t = random_tree(5, ["X"], 0)
-    gold = GoldReference.from_tree(t, TOP_DOWN)
-    c = initial_config(t.tokens, TOP_DOWN)
-    with pytest.raises(ValueError, match="max_tokens"):
-        brute_force_loss(c, gold, SearchBounds(max_tokens=4))
-
-
-def test_brute_force_pop_budget(monkeypatch):
-    monkeypatch.setattr(verify_mod, "_POP_LIMIT", 2)
+def test_brute_force_class_budget(monkeypatch):
+    monkeypatch.setattr(verify_mod, "_CLASS_LIMIT", 2)
     t = random_tree(4, ["X", "Y"], 1)
     gold = GoldReference.from_tree(t, TOP_DOWN)
     c = initial_config(t.tokens, TOP_DOWN)
-    with pytest.raises(ValueError, match="state budget exhausted"):
+    want = rf"class budget exhausted: the search from \('top-down', .* \(verify._CLASS_LIMIT\)"
+    with pytest.raises(ValueError, match=want):
         brute_force_loss(c, gold, SearchBounds(label_alphabet=("X", "Y")))
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_brute_force_searches_the_tail_of_long_sentences(strategy):
+    """A search's cost follows the tokens left and the opens on the stack,
+    not the sentence length: seeded walks over 10-14 token trees with a
+    distractor label, and every configuration on them at most two tokens
+    from the end."""
+    alphabet = ("D", "X", "Y")
+    bounds = SearchBounds(label_alphabet=alphabet)
+    rng = random.Random(f"tail|{strategy}")
+    checked = 0
+    for seed in range(40):
+        tree = random_tree(rng.randint(10, 14), ["X", "Y"], rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(tree, strategy)
+        for c in walk_configs(tree, strategy, alphabet, seed, steps=200):
+            if c.n - c.i <= 2:
+                assert brute_force_loss(c, gold, bounds) == loss(c, gold).total, fingerprint(c)
+                checked += 1
+    assert checked > 400
 
 
 def test_check_config_on_a_gold_prefix(example_tree):
@@ -157,7 +155,7 @@ def test_brute_force_agrees_with_plain_reference_search():
             alphabet = ("X", "Y")
             bounds = SearchBounds(label_alphabet=alphabet)
             for seed in range(3):
-                for c in _walk_configs(tree, strategy, alphabet, seed, steps=10):
+                for c in walk_configs(tree, strategy, alphabet, seed, steps=10):
                     got = brute_force_loss(c, gold, bounds)
                     want = plain_min_loss(c, gold, bounds, alphabet)
                     assert got == want, fingerprint(c)
@@ -166,7 +164,7 @@ def test_brute_force_agrees_with_plain_reference_search():
         gold = GoldReference.from_tree(tree, strategy)
         bounds = SearchBounds(label_alphabet=("X", "Y"))
         for seed in range(4):
-            for c in _walk_configs(tree, strategy, ("X", "Y"), seed, steps=14):
+            for c in walk_configs(tree, strategy, ("X", "Y"), seed, steps=14):
                 assert brute_force_loss(c, gold, bounds) == plain_min_loss(
                     c, gold, bounds, ("X", "Y")
                 )
@@ -190,9 +188,7 @@ def test_incremental_class_keys_match_recomputation():
         for tree in list(enumerate_trees(2, ["X", "Y"]))[:9]:
             gold = GoldReference.from_tree(tree, strategy)
             bounds = SearchBounds(label_alphabet=("X", "Y"))
-            keys, reps, sunk_of, _, _ = _exhaustive_graph(
-                tree, gold, strategy, bounds, ("X", "Y")
-            )
+            keys, reps, sunk_of, _, _ = _exhaustive_graph(tree, gold, strategy, bounds)
             assert len(set(keys)) == len(keys) == len(reps) == len(sunk_of)
             for key, c, sunk in zip(keys, reps, sunk_of):
                 rem, want_sunk = _missing_and_sunk(c, gold)
@@ -227,7 +223,7 @@ def _seeded_walks(trees=40, seeds=3, steps=40):
             tree = random_tree(1 + s % 6, ["X", "Y", "Z"], s)
             gold = GoldReference.from_tree(tree, strategy)
             for seed in range(seeds):
-                for c in _walk_configs(tree, strategy, alphabet, seed, steps):
+                for c in walk_configs(tree, strategy, alphabet, seed, steps):
                     yield strategy, gold, alphabet, c
 
 
@@ -246,9 +242,7 @@ def test_every_edge_leads_to_the_class_of_the_built_successor():
     for strategy in (TOP_DOWN, IN_ORDER):
         for tree in sample:
             gold = GoldReference.from_tree(tree, strategy)
-            keys, reps, _, back, term = _exhaustive_graph(
-                tree, gold, strategy, bounds, alphabet
-            )
+            keys, reps, _, back, term = _exhaustive_graph(tree, gold, strategy, bounds)
             ids = {k: a for a, k in enumerate(keys)}
             out = [Counter() for _ in keys]
             for b, preds in enumerate(back):
@@ -307,9 +301,7 @@ def test_graph_futures_match_the_best_first_search():
     for strategy in (TOP_DOWN, IN_ORDER):
         for tree in [t for n in (1, 2) for t in enumerate_trees(n, list(alphabet))]:
             gold = GoldReference.from_tree(tree, strategy)
-            _, reps, sunk_of, back, term = _exhaustive_graph(
-                tree, gold, strategy, bounds, alphabet
-            )
+            _, reps, sunk_of, back, term = _exhaustive_graph(tree, gold, strategy, bounds)
             future = _batch_future(back, term)
             for c, sunk, fut in zip(reps, sunk_of, future):
                 assert sunk + fut == brute_force_loss(c, gold, bounds)
@@ -392,7 +384,7 @@ def test_sweep_names_the_first_class_with_no_terminal(monkeypatch, strategy):
     tree = parse_bracketed("(X (Y w0 w1) w2)")
     bounds = SearchBounds(label_alphabet=("D", "X", "Y"))
     gold = GoldReference.from_tree(tree, strategy)
-    reps = _exhaustive_graph(tree, gold, strategy, bounds, bounds.label_alphabet)[1]
+    reps = _exhaustive_graph(tree, gold, strategy, bounds)[1]
     dead = (len(reps) // 2, len(reps) - 1)
     real = verify_mod._batch_future
 
