@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
-from .oracle import GoldReference, _optimal, loss
+from .oracle import GoldReference, _move_losses, _move_totals, loss
 from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     OpenNT,
@@ -295,12 +295,23 @@ def train(
 def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     """One training pass over a sentence.
 
-    With seq, its gold sequence, the optimal moves at step k are [seq[k]]
-    and the pass takes every move of seq; without it they come from the
-    oracle and the pass stops at the step cap.  Each step updates toward
-    the first best-scoring optimal move when the model's guess is not
-    optimal, calls audit(step, config, target, loss_delta) if given, and
-    takes the target, or the non-optimal guess when explore() says so.
+    With seq, its gold sequence, the target at step k is seq[k] and the
+    pass takes every move of seq; without it the oracle judges the moves
+    and the pass stops at the step cap.  Each step updates toward the
+    target when the model's guess is not optimal, calls audit(step,
+    config, target, loss_delta) if given, and takes the target, or the
+    non-optimal guess when explore() says so.
+
+    Without seq the pass carries its path's loss total: the initial
+    configuration's, read once, and then the successor total of each move
+    taken, which the oracle gives exactly as `loss` would.  A target keeps
+    the total, and an explored guess brings its own.  Each step asks
+    `_move_totals` for the guess's total first.  If that keeps the path's
+    total, the guess is optimal; as the first best-scoring legal move it
+    is also the first best-scoring optimal move, and so the target, with
+    no update and no coin toss.  Only otherwise does the step ask for
+    every legal move's total, and the target is the first best-scoring
+    move that keeps the path's total.
 
     The oracle calls of one pass read and extend the gold's top-down
     tries, as the calls of one `losses` batch do: each step drops the
@@ -309,27 +320,41 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     calls are public and leave the gold with no tries, so the next step
     starts from none."""
     c = initial_config(tokens, gold.strategy)
-    cap = _step_cap(c.n, c.max_consecutive_nt) if seq is None else len(seq)
+    if seq is None:
+        cap = _step_cap(c.n, c.max_consecutive_nt)
+        total = _move_losses(c, gold, ())[0].total  # the path's loss so far
+    else:
+        cap = len(seq)
+    columns = learner.columns
     for step in range(cap):
         moves = legal_transitions(c, alphabet)
         if not moves:  # only a terminal configuration has none
             break
         feats = features(c)
-        guess, totals = _pick(moves, learner.w, feats, learner.columns)
-        # dynamic: optimal_transitions on the moves above
-        optimal = _optimal(c, gold, moves) if seq is None else [seq[step]]
-        # optimal keeps the tie-break order
-        target = _first_best(optimal, totals, learner.columns)
+        guess, scores = _pick(moves, learner.w, feats, columns)
+        if seq is not None:
+            target = seq[step]
+        else:
+            guessed = _move_totals(c, gold, (guess,))[0]
+            if guessed == total:
+                target = guess
+            else:
+                after = _move_totals(c, gold, moves)
+                # the optimal moves, in the tie-break order
+                optimal = [t for t, a in zip(moves, after) if a == total]
+                target = _first_best(optimal, scores, columns)
         learner.tick()
-        if guess not in optimal:
+        if guess != target:
             learner.update(feats, target, guess)
         if audit is not None:
             delta = loss(apply(c, target), gold).total - loss(c, gold).total
             audit(step, c, target, delta)
         # both moves are legal in c (both come from the moves of
         # legal_transitions), so _construct's precondition holds
-        if guess not in optimal and explore():
+        if guess != target and explore():
             c = _construct(c, guess)
+            if seq is None:
+                total = guessed
         else:
             c = _construct(c, target)
         gold.forget_before(c.i)

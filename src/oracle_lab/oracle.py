@@ -36,13 +36,17 @@ The oracle answers one query per configuration, `_move_losses`: the
 configuration's `LossBreakdown` and, for each of the legal moves it is
 given, the successor's loss total.  `loss` and `losses` ask it with no
 moves; `optimal_transitions` keeps the moves whose total equals the
-breakdown's.  The query judges every move from one analysis of the
-configuration, without building a successor or calling `loss` per move
-(in the spirit of Goldberg & Nivre 2013, who derive move costs without
-recomputing the loss).  The built constituents are tallied once; each
-move's successor loss is then worked out from the successor's stack,
-buffer position and NT run alone, which is all an analysis reads besides
-the tally:
+breakdown's.  A caller that already knows the configuration's total asks
+`_move_totals`, the same query without the configuration's own analysis.
+A dynamic training pass is such a caller: it carries its path's total,
+since each step's successor total is the next configuration's, and asks
+for the guess's total first and for every move's only when the guess
+loses loss.  The query judges every move without building a successor or
+calling `loss` per move (in the spirit of Goldberg & Nivre 2013, who
+derive move costs without recomputing the loss).  The built constituents
+are tallied once; each move's successor loss is then worked out from the
+successor's stack, buffer position and NT run alone, which is all an
+analysis reads besides the tally:
 
 - FINISH leaves a finished configuration, whose loss is `sunk` plus the
   gold spans not yet built.
@@ -223,7 +227,14 @@ class LossBreakdown(NamedTuple):
 
 def _tally(config: Configuration, gold: GoldReference):
     """(taken, sunk): how often each gold span (label, l, r) has been built,
-    up to its gold count, and how many built constituents are wrong."""
+    up to its gold count, and how many built constituents are wrong.  Every
+    oracle query starts here, so this is where it checks that config and
+    gold share a strategy."""
+    if config.strategy != gold.strategy:
+        raise ValueError(
+            f"strategy mismatch: configuration is {config.strategy},"
+            f" gold is {gold.strategy}"
+        )
     count = gold.count
     taken = {}
     sunk = 0
@@ -513,29 +524,33 @@ def losses(configs, gold: GoldReference) -> list:
         gold.forget()
 
 
-def _top_down_move_losses(config, gold, taken, sunk, matched, moves):
-    """The configuration's (unreachable, false opens, out of order) and
-    each move's successor total, for top-down: `_top_down_analysis` on
-    each one's targets, buffer position, NT run and matched count."""
+def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
+    """The configuration's (unreachable, false opens, out of order), None
+    unless own, and each move's successor total, for top-down:
+    `_top_down_analysis` on each one's targets, buffer position, NT run
+    and matched count."""
     stack, i, n = config.stack, config.i, config.n
     cap, nt_run = config.max_consecutive_nt, config.nt_run
     # E: i with a completed item on top, else i + 1
     E = i if stack and type(stack[-1]) is Completed else i + 1
-    targets = _td_targets(gold, taken, stack, n, i, E)
-    parts = _top_down_analysis(gold, targets, matched, n, cap, i, nt_run)
-    if not moves:
-        return parts, []
-    # the targets of the opens below a SHIFT or NT successor, at E = i + 1:
-    # the configuration's own with an open on top, as nothing built ends
-    # past i; neither move is legal at i = n
-    later = _td_targets(gold, taken, stack, n, i, i + 1) if E == i < n else targets
-    # the earliest end a pushed open searches: n for the bottom one, else
-    # E = i + 1
-    lo = i + 1 if targets[0] or targets[1] else n
+    # later: the targets of the opens below a SHIFT or NT successor, at
+    # E = i + 1, found when first needed.  With an open on top they are the
+    # configuration's own, as nothing built ends past i.  Neither move is
+    # legal at i = n
+    parts = later = None
+    if own:
+        targets = _td_targets(gold, taken, stack, n, i, E)
+        parts = _top_down_analysis(gold, targets, matched, n, cap, i, nt_run)
+        if not moves:
+            return parts, []
+        if E > i:
+            later = targets
     pushed = {}  # the pushed open's target entries -> the NT successor's total
     totals = []
     for t in moves:
         kind = t.kind
+        if kind != "reduce" and later is None:
+            later = _td_targets(gold, taken, stack, n, i, i + 1)
         if kind == "shift":
             total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0))
         elif kind == "reduce":
@@ -553,10 +568,11 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves):
             taken[key] = had
         else:  # nt
             # the pushed open's entry, as `_td_targets` would make it: the
-            # gold spans at (label, i) from lo on, none of them built.  The
-            # labels without one (forced junk) share a total.
+            # gold spans at (label, i) from the earliest end it searches
+            # (n for the bottom open, else E = i + 1), none of them built.
+            # The labels without one (forced junk) share a total.
             rs, ms = gold.ends.get((t.label, i), ((), ()))
-            k = bisect_left(rs, lo)
+            k = bisect_left(rs, i + 1 if later[0] or later[1] else n)
             top = ((t.label, i, rs[k:], ms[k:]),) if k < len(rs) else ()
             if top not in pushed:
                 succ = (later[0] + list(top), later[1] + (not top))
@@ -568,13 +584,14 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves):
     return parts, totals
 
 
-def _in_order_move_losses(config, gold, taken, sunk, matched, moves):
-    """The configuration's (unreachable, false opens, out of order) and
-    each move's successor total, for in-order; the module docstring says
-    how the NT labels share one analysis.  The successor's new item is
-    built as `transitions._construct` builds it, with tuple.__new__."""
+def _in_order_move_losses(config, gold, taken, sunk, matched, moves, own):
+    """The configuration's (unreachable, false opens, out of order), None
+    unless own, and each move's successor total, for in-order; the module
+    docstring says how the NT labels share one analysis.  The successor's
+    new item is built as `transitions._construct` builds it, with
+    tuple.__new__."""
     stack, i = config.stack, config.i
-    parts = _in_order_analysis(gold, taken, matched, stack, i)
+    parts = _in_order_analysis(gold, taken, matched, stack, i) if own else None
     if not moves:
         return parts, []
     totals = []
@@ -631,24 +648,17 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     runs on the fields a built successor would have, so each move's
     successor loss is the one `loss(apply(config, move))` gives, and so is
     the verdict.  The NT labels share the analysis of everything below the
-    pushed open: their successors differ only in its label.
+    pushed open: their successors differ only in its label.  The
+    configuration's total and every move's come from one `_move_losses`
+    query, which also checks the strategies.
     """
     if label_alphabet is None:
         label_alphabet = gold.labels
+    moves = legal_transitions(config, label_alphabet)
     try:
-        return _optimal(config, gold, legal_transitions(config, label_alphabet))
+        breakdown, totals = _move_losses(config, gold, moves)
     finally:
         gold.forget()
-
-
-def _optimal(config, gold, moves):
-    """The moves of moves, all legal in config, that keep its loss, in
-    their order: optimal_transitions for a caller that already holds the
-    legal moves.  Each move's successor total is compared with the
-    configuration's `LossBreakdown` total, both from one `_move_losses`
-    query, which also checks the strategies.  The gold's tries are as
-    `_move_losses` leaves them."""
-    breakdown, totals = _move_losses(config, gold, moves)
     base = breakdown.total
     return [t for t, total in zip(moves, totals) if total == base]
 
@@ -656,26 +666,35 @@ def _optimal(config, gold, moves):
 def _move_losses(config, gold, moves):
     """(loss(config), [loss(apply(config, t)).total for t in moves]), for
     moves all legal in config: the oracle's one query per configuration.
-    It checks that config and gold share a strategy and tallies the built
-    constituents once, for the configuration and every move; the strategy's
-    analysis then runs on the configuration and on each move's successor
-    fields.  A terminal or finished configuration has no legal moves, and
-    its loss is the junk built plus the gold spans not built.  The top-down totals read and extend the gold's tries, and
+    It tallies the built constituents once (`_tally`, which checks that
+    config and gold share a strategy), for the configuration and every
+    move; the strategy's analysis then runs on the configuration and on
+    each move's successor fields.  A terminal or finished configuration
+    has no legal moves, and its loss is the junk built plus the gold spans
+    not built.  The top-down totals read and extend the gold's tries, and
     leave them in place for the caller to drop by `GoldReference`'s
     rule."""
-    if config.strategy != gold.strategy:
-        raise ValueError(
-            f"strategy mismatch: configuration is {config.strategy},"
-            f" gold is {gold.strategy}"
-        )
     taken, sunk = _tally(config, gold)
     matched = len(config.built) - sunk
     if not moves and (is_terminal(config) or config.finished):
         parts, totals = (gold.size - matched, 0, 0), []
     elif config.strategy == TOP_DOWN:
-        parts, totals = _top_down_move_losses(config, gold, taken, sunk, matched, moves)
+        parts, totals = _top_down_move_losses(config, gold, taken, sunk, matched, moves, True)
     else:
-        parts, totals = _in_order_move_losses(config, gold, taken, sunk, matched, moves)
+        parts, totals = _in_order_move_losses(config, gold, taken, sunk, matched, moves, True)
     unreachable, fa, ooo = parts
     # unreachable, false constituents, false opens, out of order, total
     return _new(LossBreakdown, (unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)), totals
+
+
+def _move_totals(config, gold, moves):
+    """[loss(apply(config, t)).total for t in moves], for moves all legal
+    in config: `_move_losses` without the configuration's own analysis,
+    for a caller that already knows its total, as a dynamic training pass
+    does.  The successors are judged exactly as there, from the same tally
+    and strategy functions, and the gold's tries are left the same way."""
+    taken, sunk = _tally(config, gold)
+    matched = len(config.built) - sunk
+    if config.strategy == TOP_DOWN:
+        return _top_down_move_losses(config, gold, taken, sunk, matched, moves, False)[1]
+    return _in_order_move_losses(config, gold, taken, sunk, matched, moves, False)[1]

@@ -467,6 +467,18 @@ def _batch_future(back, terminal_pen):
     return dist
 
 
+def _searches(tree, gold, configs, bounds):
+    """brute_force_loss of each configuration in turn, through one cache.
+    A search's error names its configuration alone, which cannot be
+    searched again without the gold, so the gold tree is added to it."""
+    cache = {}
+    for c in configs:
+        try:
+            yield brute_force_loss(c, gold, bounds, cache)
+        except ValueError as e:
+            raise ValueError(f"{e}, in the gold tree {serialize(tree)}") from e
+
+
 def sweep(
     corpus,
     strategy,
@@ -518,8 +530,7 @@ def sweep(
                 configs = _random_walk_configs(tree, strategy, local, seed, idx, walks)
             # deepest states first so shallower searches can reuse their answers
             configs.reverse()
-            cache = {}
-            brutes = (brute_force_loss(c, gold, local, cache) for c in configs)
+            brutes = _searches(tree, gold, configs, local)
         with _collector_paused():
             formulas = losses(configs, gold)
         for c, lb, brute in zip(configs, formulas, brutes):

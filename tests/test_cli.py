@@ -153,8 +153,9 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
 def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strategy, policy,
                                                      budget, message):
     """A search that outgrows its budget ends in an input error that names
-    the budget, not in a traceback: the brute-force search and the state
-    graph share one class budget, patched down to 2."""
+    the budget and the gold tree, not in a traceback: the brute-force
+    search and the state graph share one class budget, patched down to 2.
+    The first tree's search is the first to run out."""
     monkeypatch.setattr(oracle_lab.verify, budget, 2)
     args = ["check", "--strategy", strategy, "--generate", "3", "--max-tokens", "4",
             "--policy", policy]
@@ -163,6 +164,10 @@ def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strate
     assert captured.out == ""
     assert captured.err.startswith(f"oracle-lab: {message}")
     assert f"(verify.{budget})" in captured.err
+    first = serialize(synthetic_corpus(3, ["X", "Y", "Z"], seed=0, max_tokens=4)[0])
+    assert first in captured.err
+    if policy == "random-walk":
+        assert captured.err.endswith(f", in the gold tree {first}\n")
 
 
 def test_check_rejects_conflicting_sources(example_corpus, capsys):

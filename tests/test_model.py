@@ -1,8 +1,10 @@
 import hashlib
+import random
 
 import pytest
 
 from conftest import replay
+from oracle_lab import model
 from oracle_lab.model import (
     ExplorationPolicy,
     Model,
@@ -16,7 +18,7 @@ from oracle_lab.model import (
     parse_with_info,
     train,
 )
-from oracle_lab.oracle import GoldReference, optimal_transitions
+from oracle_lab.oracle import GoldReference, loss, optimal_transitions
 from oracle_lab.transitions import (
     IN_ORDER,
     SHIFT,
@@ -34,6 +36,7 @@ from oracle_lab.trees import (
     constituent_set,
     gold_sequence,
     parse_bracketed,
+    random_tree,
     serialize,
     synthetic_corpus,
 )
@@ -217,6 +220,67 @@ def test_dynamic_target_is_the_first_best_optimal_move():
         dense(alphabet, {nt("D"): 4.0, nt("X"): 3.0, nt("Y"): 2.0}),
         dense(alphabet, {nt("D"): -1.0, nt("X"): 1.0}),
     )
+
+
+@pytest.mark.parametrize("explored", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_dynamic_pass_asks_for_every_move_only_when_the_guess_loses(monkeypatch, strategy,
+                                                                   explored):
+    """A dynamic pass reads the initial configuration's loss once, then
+    asks at each step for the guess's successor total alone, and for every
+    legal move's total exactly on the steps where the guess loses loss.
+    The total it carries, first the initial one and then the total of each
+    move taken, is loss(c, gold).total at every step.  Seeded trees share
+    one learner, so some guesses keep the loss and some lose it; the
+    exploration coin says always or never."""
+    queries = []  # (query, configuration, moves, answer) per oracle call
+
+    def recorder(query, real):
+        def recorded(c, gold, moves):
+            answer = real(c, gold, moves)
+            queries.append((query, c, tuple(moves), answer))
+            return answer
+
+        return recorded
+
+    monkeypatch.setattr(model, "_move_losses", recorder("losses", model._move_losses))
+    monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
+    rng = random.Random(f"guess-first|{strategy}")
+    alphabet = ("A", "B", "C", "D")
+    learner = _Learner(_columns(alphabet))
+    kept = lost = raised = 0
+    for _ in range(30):
+        t = random_tree(rng.randint(1, 8), ["A", "B", "C"], rng.randrange(1 << 30))
+        gold = GoldReference.from_tree(t, strategy)
+        ref = GoldReference.from_tree(t, strategy)  # for the public calls
+        queries.clear()
+        _train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
+        query, c, moves, (breakdown, _) = queries[0]
+        assert (query, c, moves) == ("losses", initial_config(t.tokens, strategy), ())
+        carried = breakdown.total
+        k = 1
+        while k < len(queries):
+            query, c1, (guess,), (guessed,) = queries[k]
+            assert query == "totals" and c1 is c
+            assert carried == loss(c, ref).total
+            asks_all = k + 1 < len(queries) and queries[k + 1][1] is c
+            assert asks_all == (loss(apply(c, guess), ref).total != carried)
+            if asks_all:
+                query, _, moves, totals = queries[k + 1]
+                assert query == "totals" and moves == tuple(legal_transitions(c, alphabet))
+                lost += 1
+                k += 2
+            else:
+                moves, totals = (guess,), [guessed]
+                kept += 1
+                k += 1
+            if k < len(queries):  # the next step's configuration: carry its move's total
+                nxt = queries[k][1]
+                (total,) = [tot for m, tot in zip(moves, totals) if apply(c, m) == nxt]
+                raised += total > carried
+                c, carried = nxt, total
+    assert kept and lost
+    assert bool(raised) == explored
 
 
 def test_learner_updates_two_columns_and_averages():

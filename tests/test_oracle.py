@@ -14,7 +14,7 @@ from oracle_lab.oracle import (
     _innermost_labels,
     _missing_from,
     _move_losses,
-    _optimal,
+    _move_totals,
     _tally,
     _td_targets,
     _top_down_analysis,
@@ -432,48 +432,58 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
 def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     """Along one dynamic training pass over a sentence, the layer of each
     distinct (i, target prefix) is computed exactly once: every oracle
-    call on the path reads the gold's tries.  Before every step they hold
-    no position but the configuration's i and i + 1, and every step after
-    the first finds the trie at its i that the step before built; the pass
-    leaves none.  Without exploration the pass follows a zero-loss path;
-    with it, every wrong guess is taken."""
+    call on the path reads the gold's tries.  The pass reads the initial
+    configuration's loss once, with `_move_losses`, which finds no trie;
+    every later call is a `_move_totals` query that finds the trie at its
+    i that the calls before built.  Before every call the tries hold no
+    position but the configuration's i and i + 1, and the pass leaves
+    none.  Without exploration the pass follows a zero-loss path; with
+    it, every wrong guess is taken."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     alphabet = ("D", "X", "Y")
-    steps = []  # (configuration, moves, whether its i had a trie) per call
-    real = model._optimal
+    steps = []  # (query, configuration, moves, whether its i had a trie) per call
 
-    def recorded(c, gold, moves):
-        assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
-        steps.append((c, moves, c.i in gold._tries))
-        return real(c, gold, moves)
+    def recorder(query, real):
+        def recorded(c, gold, moves):
+            assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
+            steps.append((query, c, moves, c.i in gold._tries))
+            return real(c, gold, moves)
 
-    monkeypatch.setattr(model, "_optimal", recorded)
+        return recorded
+
+    monkeypatch.setattr(model, "_move_losses", recorder("losses", model._move_losses))
+    monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
     calls = _layer_calls(monkeypatch)
     learner = model._Learner(model._columns(alphabet))
     model._train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
-    assert [warm for _, _, warm in steps] == [False] + [True] * (len(steps) - 1)
+    assert steps[0][:3] == ("losses", initial_config(t.tokens, TOP_DOWN), ())
+    assert [(q, warm) for q, _, _, warm in steps] == (
+        [("losses", False)] + [("totals", True)] * (len(steps) - 1)
+    )
     assert not gold._tries
-    # the layers each call reads: its configuration's and its successors'
-    read = [
-        _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
-        for c, moves, _ in steps
+    # the layers each call reads: the first its configuration's, every
+    # other its moves' successors'
+    read = [_prefixes(steps[0][1], gold)] + [
+        set().union(*(_prefixes(apply(c, m), gold) for m in moves)) for _, c, moves, _ in steps[1:]
     ]
     assert_each_layer_once(calls, set().union(*read))
     assert len(calls) < sum(map(len, read))  # tries per call compute these
-    totals = [lb.total for lb in losses([c for c, _, _ in steps], gold)]
+    totals = [lb.total for lb in losses([c for _, c, _, _ in steps], gold)]
     assert (max(totals) > 0) == explored
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
-    """The gold's tries read by `_optimal` along a whole path, with each
-    position dropped once the path has shifted past it, as a training pass
-    drops it: at every step the optimal set is the one a fresh
-    `optimal_transitions` call gives, and the loss-preserving moves.  The
-    fresh calls use a gold of their own, as they drop every trie.  The
-    path takes random moves, about half of them optimal."""
+    """The gold's tries read by `_move_losses` and `_move_totals` along a
+    whole path, with each position dropped once the path has shifted past
+    it, as a training pass drops it: at every step both queries give the
+    same move totals, and the moves whose total keeps the configuration's
+    are the set a fresh `optimal_transitions` call gives, and the
+    loss-preserving moves.  The fresh calls use a gold of their own, as
+    they drop every trie.  The path takes random moves, about half of them
+    optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
@@ -487,7 +497,9 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
-            got = _optimal(c, gold, moves)
+            breakdown, totals = _move_losses(c, gold, moves)
+            assert _move_totals(c, gold, moves) == totals
+            got = [m for m, total in zip(moves, totals) if total == breakdown.total]
             fresh = optimal_transitions(c, ref, alphabet)
             assert got == fresh == loss_preserving_moves(c, ref, alphabet), (t, path)
             if rng.random() < 0.5:
