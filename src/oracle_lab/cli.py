@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
-from .oracle import GoldReference, _move_losses
+from .oracle import GoldReference, OracleViolation, _move_losses
 from .transitions import STRATEGIES, OpenNT, apply, initial_config
 from .trees import (
     TreeError,
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OracleViolation as e:  # a verification mismatch
+        print(f"oracle-lab: {e}", file=sys.stderr)
+        return 1
     except (TreeError, ValueError, OSError) as e:
         print(f"oracle-lab: {e}", file=sys.stderr)
         return 2

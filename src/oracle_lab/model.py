@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .oracle import GoldReference, _move_losses, _move_totals, loss
+from .oracle import GoldReference, OracleViolation, _move_losses, _move_totals, loss
 from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     OpenNT,
@@ -311,21 +312,27 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     is also the first best-scoring optimal move, and so the target, with
     no update and no coin toss.  Only otherwise does the step ask for
     every legal move's total, and the target is the first best-scoring
-    move that keeps the path's total.
+    move that keeps the path's total.  The least of those totals must be
+    the path's, and a pass that ends at a terminal configuration must
+    carry its Hamming loss, counted afresh from what it built; else the
+    pass raises `OracleViolation`, naming the sentence and the moves
+    taken.
 
     The oracle calls of one pass read and extend the gold's top-down
-    tries, as the calls of one `losses` batch do: each step drops the
-    positions the path has shifted past, and the pass drops the rest at
-    its end (`GoldReference`'s rule).  With audit, each step's `loss`
-    calls are public and leave the gold with no tries, so the next step
-    starts from none."""
+    trie, as the calls of one `losses` batch do: each step drops what
+    the path has shifted past, and the pass drops the rest at its end
+    (`GoldReference`'s rule).  With audit, each step's `loss` calls are
+    public and leave the gold with no trie, so the next step starts from
+    none."""
     c = initial_config(tokens, gold.strategy)
     if seq is None:
         cap = _step_cap(c.n, c.max_consecutive_nt)
+        gold.forget_before(c.i)  # the path starts
         total = _move_losses(c, gold, ())[0].total  # the path's loss so far
     else:
         cap = len(seq)
     columns = learner.columns
+    path = []  # the moves taken
     for step in range(cap):
         moves = legal_transitions(c, alphabet)
         if not moves:  # only a terminal configuration has none
@@ -340,6 +347,9 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
                 target = guess
             else:
                 after = _move_totals(c, gold, moves)
+                if min(after) != total:
+                    what = f"the least move total is {min(after)}, not {total}"
+                    raise _violation(tokens, path, what)
                 # the optimal moves, in the tie-break order
                 optimal = [t for t, a in zip(moves, after) if a == total]
                 target = _first_best(optimal, scores, columns)
@@ -352,13 +362,29 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
         # both moves are legal in c (both come from the moves of
         # legal_transitions), so _construct's precondition holds
         if guess != target and explore():
-            c = _construct(c, guess)
+            move = guess
             if seq is None:
                 total = guessed
         else:
-            c = _construct(c, target)
+            move = target
+        c = _construct(c, move)
+        path.append(move)
         gold.forget_before(c.i)
     gold.forget()
+    if seq is None and is_terminal(c):
+        built = Counter(map(tuple, c.built))  # keyed as gold.count is
+        hamming = len(c.built) + gold.size - 2 * (built & gold.count).total()
+        if hamming != total:
+            what = f"the terminal total is {total}, not its Hamming loss {hamming}"
+            raise _violation(tokens, path, what)
+
+
+def _violation(tokens, path, what):
+    """The error for an oracle violation on a training path."""
+    return OracleViolation(
+        f"oracle violation at step {len(path)} of the sentence {' '.join(tokens)!r},"
+        f" after the moves {' '.join(map(str, path))!r}: {what}"
+    )
 
 
 def parse(model: Model, tokens) -> ConstituentTree:

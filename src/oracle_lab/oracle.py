@@ -63,39 +63,52 @@ lost, are the same for every label.  The slot costs nothing for a label of
 the innermost span in that pool (`_innermost_labels`) and one loss for any
 other, so one analysis with one label gives every label's total.
 
-Every top-down total reads its pass from one memo, which the gold's
+Every top-down total reads its pass from one memo, a trie that the gold's
 `GoldReference` owns (its docstring gives the lifetime rule).  The pass
 adds one layer per searched open, bottom to top, and layer k depends only
-on the buffer position i and the first k searched targets from
-`_td_targets` (for a fixed gold, and so a fixed n); its close reads the
-last layer, the gold spans at i and the NT headroom max(0, cap - nt_run).
-So the memo is a trie per i: the node for the first k targets holds
-layer k, its close under each headroom, and one child per next target
-entry.  A target entry is the open's label and left index with its ends
-and their multiplicities, so a reduce that builds a span a lower open
-could still end on changes that open's entry, and its layer is computed
-anew.  The census checks hundreds of thousands of classes per tree with at
-most a few hundred trie nodes, and a REDUCE or NT successor shares every
-layer of the configuration's own pass below the first open whose entry
-differs.  The opens below an NT's pushed one search from E = i + 1, as the
-SHIFT successor's do, so their targets are found once for every label.
-The matched spans, the gold counts at i and past it and the forced junk
-are added per configuration.
+on the first k searched targets from `_td_targets` (for a fixed gold, and
+so a fixed n) and on the buffer position i.  A target entry is the open's
+label and left index with its ends and their multiplicities, so a reduce
+that builds a span a lower open could still end on changes that open's
+entry, and its layer is computed anew.  A layer reads i only through
+whether the open sits at i (`left`, `credit`), whether its first target
+end is i (the at-i arrivals) and whether an input state's bound is past i,
+and a state's bound is n or a target end of an open below.  So an open
+left of i whose targets all end past i, with no open below it keyed by i,
+gives the same layer at every such i: its trie node hangs from its parent
+under its entry alone, and SHIFT successors, whose opens move further left
+of the new i, reuse it.  The first other open, one that sits at i or has a
+target end at i, opens its parent's sub-trie at i, and it and every open
+above it are keyed by entry within that sub-trie, as they read i itself.
+The close reads the last layer, the gold spans at i and the NT headroom
+max(0, cap - nt_run), so it sits in the sub-trie at i under the headroom.
+The census checks hundreds of thousands of classes per tree with at most a
+few hundred trie nodes, and a REDUCE or NT successor shares every layer of
+the configuration's own pass below the first open whose entry differs.
+The opens below an NT's pushed one search from E = i + 1, as the SHIFT
+successor's do, so their targets are found once for every label.  The
+entries themselves are interned: a top-down gold keeps each suffix of each
+open's targets as one tuple, built when first read, so neither the
+pre-pass nor a trie key builds one per call.  The matched spans, the gold
+counts at i and past it and the forced junk are added per configuration.
 
 So the configurations of one `losses` call share layers, and so do a
 configuration and the successors `_move_losses` judges.  A path walked
 through private calls (a dynamic training pass, `model._train_sentence`,
 or `oracle-trace`) shares them from step to step, as each step reads the
-layers the step before built.  Along a path i never goes down, so the
-path drops the tries left of its position and holds those of i and i + 1
-at most.  No tries outlive a public call, a path or a sentence: kept
-longer, their memory would grow with the corpus.
+layers the step before built, and a deep stack adds one layer per SHIFT
+or NT rather than one per open.  Along a path i never goes down, so the
+path drops what no later step reads: the sub-tries left of its position,
+and the nodes keyed by an entry alone whose first target end it has
+reached.  No trie outlives a public call, a path or a sentence: kept
+longer, its memory would grow with the corpus.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -121,12 +134,17 @@ class GoldReference:
     the index the loss analyses read it through.
 
     `count` is the multiset, keyed (label, l, r), and `labels` its labels.
-    The index is built from it once, here, and holds only gold facts:
+    The index is built from it once, here, and holds only gold facts.
+    Each strategy keeps only what its analysis reads:
 
-    - `ends[(label, l)]`: the distinct right ends of the gold spans with
-      that label and left end, ascending, and their multiplicities;
-    - `spans_at[l]`: (right end, label, count) for each gold span at left
-      end l, ascending;
+    - `targets[(label, l)]` (top-down): the target entry (label, l, rs[k:],
+      ms[k:]) of each suffix k of the distinct right ends rs of the gold
+      spans with that label and left end, ascending, and their
+      multiplicities ms.  Entry 0 is built here and each other entry when
+      first read, so every analysis reads one interned tuple per suffix;
+    - `ends[(label, l)]` (in-order): (rs, ms) as above;
+    - `spans_at[l]` (in-order): (right end, label, count) for each gold
+      span at left end l, ascending;
     - `right_ends[l]`: the right ends of the gold spans at left end l,
       ascending, one per occurrence;
     - `left[i]`: how many gold spans start left of i, for 0 <= i <= n;
@@ -136,13 +154,16 @@ class GoldReference:
     A loss call subtracts only the configuration's built constituents from
     this; the module docstring says why that is all it needs.
 
-    It also owns the top-down memo: a trie of pass layers per buffer
-    position, which `_top_down_analysis` reads and extends.  The tries are
-    exact for this gold whoever reads them, so their lifetime is a matter
-    of memory alone.  The rule: a public call (`loss`, `losses`,
+    It also owns the top-down memo: one trie of pass layers, which
+    `_top_down_analysis` reads and extends.  Its nodes are keyed by each
+    open's target entry and its relation to the buffer position, and the
+    parts that read the position itself sit in sub-tries per position.
+    The trie is exact for this gold whoever reads it, so its lifetime is
+    a matter of memory alone.  The rule: a public call (`loss`, `losses`,
     `optimal_transitions`) leaves none behind, whether it returns or
-    raises.  A caller that walks a path through private calls drops the
-    positions the path has passed with `forget_before(i)`, and the rest
+    raises.  A caller that walks a path through private calls says where
+    the path is with `forget_before(i)` before each step's calls, from the
+    first on, which drops what the path has passed, and drops the rest
     with `forget()` at the path's end if the gold outlives the path.
     """
 
@@ -151,8 +172,8 @@ class GoldReference:
         self.count = count = Counter(map(tuple, constituents))
         self.labels = tuple(sorted({k[0] for k in count}))
         self.size = len(constituents)
-        self.ends = ends = {}
-        self.spans_at = spans_at = {}
+        ends = {}
+        spans_at = {}
         self.right_ends = right_ends = {}
         # one pass, by right end, so that every list comes out ascending
         rows = sorted([(r, lab, l, cnt) for (lab, l, r), cnt in count.items()])
@@ -172,22 +193,50 @@ class GoldReference:
         self.left = list(accumulate(starts, initial=0))
         self._starts = starts
         self._capped = {}
-        self._tries = {}  # buffer position -> the root of its trie
+        # each strategy keeps only what its analysis reads, and sets the
+        # same attributes, so that every gold shares one attribute layout
+        self.targets = self.ends = self.spans_at = None
+        if strategy == TOP_DOWN:
+            self.targets = {key: [key + e] + [None] * (len(e[0]) - 1) for key, e in ends.items()}
+        else:
+            self.ends = ends
+            self.spans_at = spans_at
+        # the top-down trie's root, made when first read; and while a path
+        # is walked, position p -> the (node, key) pairs to drop once the
+        # path passes p, and those p, a heap
+        self._trie = self._held = self._passes = None
 
     @classmethod
     def from_tree(cls, tree, strategy):
         return cls(strategy, constituent_set(tree))
 
+    def _hold(self, p, node, key):
+        """Let `forget_before` drop node[key] once a path is right of p."""
+        held = self._held.get(p)
+        if held is None:
+            self._held[p] = [(node, key)]
+            heappush(self._passes, p)
+        else:
+            held.append((node, key))
+
     def forget_before(self, i):
-        """Drop the tries of the positions left of i.  A path holds two at
-        most, and none without top-down oracle calls, so the loop is short
-        and usually not entered."""
-        while self._tries and min(self._tries) < i:
-            del self._tries[min(self._tries)]
+        """A path is at i: drop the parts of the trie that no configuration
+        at or right of i reads, namely the sub-tries at the positions left
+        of i, and the nodes keyed by an entry alone whose first target end
+        is at or left of i, with all below them.  The first call starts
+        the path: from then on, until `forget()`, the trie notes each part
+        it makes under the last position that reads it.  A public call
+        drops the whole trie when it ends, so it notes nothing."""
+        passes = self._passes
+        if passes is None:
+            self._held, self._passes = {}, []
+        while passes and passes[0] < i:
+            for node, key in self._held.pop(heappop(passes)):
+                del node[key]
 
     def forget(self):
-        """Drop every trie."""
-        self._tries = {}
+        """Drop the whole trie and end the path."""
+        self._trie = self._held = self._passes = None
 
     def capped(self, i, cap):
         """Gold spans right of i that the cap can never open: top-down opens
@@ -202,6 +251,14 @@ class GoldReference:
                 row[l] = surplus
                 surplus += max(0, self._starts[l] - cap)
         return row[i]
+
+
+class OracleViolation(Exception):
+    """A loss total that breaks the equation the exact loss satisfies: at
+    a configuration with moves, the least successor total is its own
+    total, and at a terminal one, the total is the Hamming loss of what
+    it built.  It is a defect of the program, not of its input, so it is
+    no ValueError."""
 
 
 class LossBreakdown(NamedTuple):
@@ -291,24 +348,38 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
     least: the first cheapest assignment in that order.  This fixes the
     split between unreachable spans and out-of-order junk.
 
-    Each layer and close is read from the gold's tries, whose lifetime
-    `GoldReference` rules (the module docstring says why their key is
-    exact): the trie at i is the root, each node a dict that holds its
-    layer under None, its close under each headroom and its child under
-    each next target entry.  Only what is missing is computed, by
-    `_td_layer` and `_td_close`.
+    Each layer and close is read from the gold's trie, whose lifetime
+    `GoldReference` rules (the module docstring says why its key is
+    exact).  Each node is a dict that holds its layer under None.  From
+    the root, an open left of i whose targets all end past i, with no
+    open below it keyed by i, is the child under its entry alone, and the
+    node holds its sub-trie at each position p under p.  The first other
+    open enters the sub-trie at i: a node with the same layer, whose
+    children are keyed by entry and whose closes by headroom, as all of
+    them read i itself.  Only what is missing is computed, by `_td_layer`
+    and `_td_close`.
     """
     searched, forced_junk = targets
-    node = gold._tries.get(i)
+    node = gold._trie
     if node is None:
-        node = gold._tries[i] = {None: {(n, n + 1, ()): (0, 0)}}
+        node = gold._trie = {None: {(n, n + 1, ()): (0, 0)}}
+    on_path = gold._held is not None
     pl = None  # the left index of the open below
+    pinned = False  # whether node is keyed by the position i
     for entry in searched:
+        # an open left of i with no target end at i reads i only as
+        # "left of it", while no open below it is keyed by i
+        if not pinned and not entry[1] < i < entry[2][0]:
+            node, pinned = _sub_trie(gold, node, i), True
         child = node.get(entry)
         if child is None:
             child = node[entry] = {None: _td_layer(entry, i, node[None], pl)}
+            if on_path and not pinned:  # keyed so only while i is left of its first target end
+                gold._hold(entry[2][0] - 1, node, entry)
         node = child
         pl = entry[1]
+    if not pinned:
+        node = _sub_trie(gold, node, i)
     avail = max(0, cap - nt_run)
     found = node.get(avail)
     if found is None:  # pl == i: the last searched open sits at i
@@ -327,28 +398,46 @@ def _td_targets(gold, taken, stack, n, i, E):
     have fewer missing than gold."""
     searched = []
     opens = 0
-    ends = gold.ends
+    targets = gold.targets
     for s in stack:
         if type(s) is not OpenNT:
             continue
         opens += 1
-        e = ends.get(s)  # an open is its own key (label, index)
-        if e is None:  # forced junk, in one lookup
+        row = targets.get(s)  # an open is its own key (label, index)
+        if row is None:  # forced junk, in one lookup
             continue
-        rs, ms = e
+        _, _, rs, ms = row[0]
         k = bisect_left(rs, n if opens == 1 else E)  # the bottom NT closes the sentence
         if k == len(rs):
             continue
         if rs[k] == i:
             m = ms[k] - taken.get(s + (i,), 0)
-            if m:
-                searched.append(s + (rs[k:], (m,) + ms[k + 1 :]))
-                continue
-            k += 1
-            if k == len(rs):
-                continue
-        searched.append(s + (rs[k:], ms[k:]))
+            if m < ms[k]:  # some of the spans at (label, index, i) are built
+                if m:
+                    searched.append(s + (rs[k:], (m,) + ms[k + 1 :]))
+                    continue
+                k += 1
+                if k == len(rs):
+                    continue
+        entry = row[k]
+        if entry is None:
+            entry = row[k] = s + (rs[k:], ms[k:])
+        searched.append(entry)
     return searched, opens - len(searched)
+
+
+def _sub_trie(gold, node, i):
+    """node's sub-trie at position i, made on first use: a node with
+    node's layer, whose children and closes are keyed by entry and
+    headroom alone, as they all read i itself.  The gold lists node under
+    i, so that on a path `GoldReference.forget_before` can drop the
+    sub-trie."""
+    sub = node.get(i)
+    if sub is None:
+        sub = node[i] = {None: node[None]}
+        if gold._held is not None:
+            gold._hold(i, node, i)
+    return sub
 
 
 def _td_layer(entry, i, layer, pl):
@@ -571,15 +660,22 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
             # gold spans at (label, i) from the earliest end it searches
             # (n for the bottom open, else E = i + 1), none of them built.
             # The labels without one (forced junk) share a total.
-            rs, ms = gold.ends.get((t.label, i), ((), ()))
-            k = bisect_left(rs, i + 1 if later[0] or later[1] else n)
-            top = ((t.label, i, rs[k:], ms[k:]),) if k < len(rs) else ()
-            if top not in pushed:
-                succ = (later[0] + list(top), later[1] + (not top))
-                pushed[top] = sunk + sum(
+            key = (t.label, i)
+            row = gold.targets.get(key)
+            entry = None  # forced junk
+            if row is not None:
+                _, _, rs, ms = row[0]
+                k = bisect_left(rs, i + 1 if later[0] or later[1] else n)
+                if k < len(rs):
+                    entry = row[k]
+                    if entry is None:
+                        entry = row[k] = key + (rs[k:], ms[k:])
+            if entry not in pushed:
+                succ = (later[0] + [entry], later[1]) if entry else (later[0], later[1] + 1)
+                pushed[entry] = sunk + sum(
                     _top_down_analysis(gold, succ, matched, n, cap, i, nt_run + 1)
                 )
-            total = pushed[top]
+            total = pushed[entry]
         totals.append(total)
     return parts, totals
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
 import oracle_lab.cli
 from oracle_lab.cli import build_parser, main
+from oracle_lab.oracle import OracleViolation
 from oracle_lab.trees import load_corpus, parse_bracketed, serialize, synthetic_corpus
 from oracle_lab.verify import SearchBounds, sweep
 
@@ -632,6 +633,48 @@ def test_train_keeps_an_existing_model_when_it_fails(tmp_path, capsys):
     assert main(args + ["--epochs", "0"]) == 2
     assert "epochs must be at least 1" in capsys.readouterr().err
     assert model.read_bytes() == MODEL_HEAD
+
+
+@pytest.mark.parametrize("strategy", ["top-down", "in-order"])
+def test_train_names_an_oracle_violation(tmp_path, capsys, monkeypatch, strategy):
+    """An oracle that breaks its own equation during dynamic training is
+    a verification mismatch, not an input error: exit 1, naming the
+    sentence and the moves taken, with no model written.  With every move
+    total one too high, the least of them is not the path's total at the
+    first step.  With the initial total one too high as well, every step
+    agrees with the one before, and only the terminal configuration,
+    against its Hamming loss counted afresh, shows it."""
+    assert not issubclass(OracleViolation, ValueError)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("(X (Y w0 w1) w2)\n", encoding="utf-8")
+    out = tmp_path / "m.model"
+    args = ["train", "--strategy", strategy, str(corpus), "--out", str(out), "--explore-p", "0.1"]
+    real_totals, real_losses = oracle_lab.model._move_totals, oracle_lab.model._move_losses
+    monkeypatch.setattr(
+        oracle_lab.model, "_move_totals", lambda c, g, m: [t + 1 for t in real_totals(c, g, m)]
+    )
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "oracle-lab: oracle violation at step 0 of the sentence 'w0 w1 w2', after the"
+        " moves '': the least move total is 1, not 0\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+    def one_too_high(c, g, m):
+        breakdown, totals = real_losses(c, g, m)
+        return breakdown._replace(total=breakdown.total + 1), totals
+
+    monkeypatch.setattr(oracle_lab.model, "_move_losses", one_too_high)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    path = {"top-down": "NT_X NT_Y SH SH RE SH RE", "in-order": "SH NT_Y SH RE NT_X SH RE FI"}
+    assert err == (
+        f"oracle-lab: oracle violation at step {len(path[strategy].split())} of the sentence"
+        f" 'w0 w1 w2', after the moves '{path[strategy]}': the terminal total is 1, not its"
+        " Hamming loss 0\n"
+    )
+    assert not out.exists()
 
 
 def test_gen_rejects_a_negative_count(tmp_path, capsys):

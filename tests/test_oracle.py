@@ -289,13 +289,18 @@ def test_losses_match_loss_one_by_one(strategy):
 
 
 def test_losses_key_on_the_position_and_the_nt_headroom():
-    """Three configurations of one gold whose opens search the same
-    targets: NT_X at i = 0 and NT_X SH NT_Y at i = 1 with one NT of
-    headroom each, and NT_X SH NT_Y NT_Y at i = 1 with none (NT_Y is
-    forced junk).  Each pair differs in one part of the tries' key, and
-    each close gives its own (cost, junk), so a trie without a root per
-    position or without a close per headroom hands one configuration
-    another's."""
+    """Configurations of one gold whose opens search the same targets.
+    NT_X at i = 0 and NT_X SH NT_Y at i = 1, with one NT of headroom each,
+    and NT_X SH NT_Y NT_Y at i = 1 with none (NT_Y is forced junk).  The
+    open at i = 0 sits at i, so its node is in the root's sub-trie at 0;
+    at i = 1 it is left of i and its targets end past i, so its node hangs
+    from the root by its entry alone and its closes sit in that node's
+    sub-trie at 1, one per headroom.  Each close gives its own (cost,
+    junk), so a trie that merged the two nodes, or a node's closes at two
+    positions or under two headrooms, would hand one configuration
+    another's.  On the gold (X w0), NT_X at i = 0 sits at i and NT_X SH at
+    i = 1 has its target end at i: the same entry in the sub-tries at 0
+    and at 1, whose layers differ."""
     t = parse_bracketed("(X w0 (Z w1 w2))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     configs = [
@@ -304,16 +309,32 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     ]
     assert losses(configs, gold) == [loss(c, gold) for c in configs]
     assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
-    found = []  # the three read the gold's tries, as in one `losses` call
+    entry = ("X", 0, (3,), (1,))
+    for c in configs:  # the three read the gold's trie, as in one `losses` call
+        taken, sunk = _tally(c, gold)
+        targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
+        assert targets[0] == [entry]
+        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run)
+    root = gold._trie
+    assert root[0][entry][None] != root[entry][None]
+    # each close's (cost, junk), under the headroom max(0, 2 - nt_run)
+    assert [root[0][entry][1], root[entry][1][1], root[entry][1][0]] == [(0, 0), (-1, 0), (0, 0)]
+    gold.forget()
+
+    t = parse_bracketed("(X w0)")
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    configs = [replay(t.tokens, TOP_DOWN, names) for names in ("NT_X", "NT_X SH")]
+    for order in (configs, configs[::-1]):
+        assert losses(order, gold) == [loss(c, gold) for c in order]
+    entry = ("X", 0, (1,), (1,))
     for c in configs:
         taken, sunk = _tally(c, gold)
         targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
-        entry = ("X", 0, (3,), (1,))
         assert targets[0] == [entry]
-        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 2, c.i, c.nt_run)
-        # the close under the headroom, in the node for the one target
-        found.append(gold._tries[c.i][entry][max(0, 2 - c.nt_run)])
-    assert found == [(0, 0), (-1, 0), (0, 0)]  # each close's (cost, junk)
+        _top_down_analysis(gold, targets, len(c.built) - sunk, c.n, 8, c.i, c.nt_run)
+    root = gold._trie
+    assert set(root) == {None, 0, 1}
+    assert root[0][entry][None] != root[1][entry][None]
 
 
 def _layer_calls(monkeypatch):
@@ -330,25 +351,41 @@ def _layer_calls(monkeypatch):
 
 
 def _prefixes(c, gold):
-    """(i, first k searched targets) for every k >= 1: the layers `loss`
-    reads on c."""
+    """The trie nodes whose layers `loss` reads on c, each as its path of
+    keys from the root: an open left of i whose targets all end past i,
+    with no open below it keyed by i, is keyed by its entry alone; the
+    first other open is reached through the sub-trie at i, and it and
+    every open above it are keyed by their entries within that sub-trie."""
     if is_terminal(c) or c.finished:
         return set()
     taken, _ = _tally(c, gold)
     E = c.i if c.stack and isinstance(c.stack[-1], Completed) else c.i + 1
     searched, _ = _td_targets(gold, taken, c.stack, c.n, c.i, E)
-    return {(c.i, tuple(searched[:k])) for k in range(1, len(searched) + 1)}
+    path, nodes = [], set()
+    for entry in searched:
+        if c.i not in path and (entry[1] == c.i or entry[2][0] == c.i):
+            path.append(c.i)
+        path.append(entry)
+        nodes.add(tuple(path))
+    return nodes
 
 
-def assert_each_layer_once(calls, prefixes):
-    assert len(calls) == len(prefixes)
-    assert set(calls) == {(i, p[-1]) for i, p in prefixes}
+def assert_each_layer_once(calls, nodes):
+    """The calls compute the layers of exactly these nodes, each once: as
+    many calls as nodes, with the same entries, and the layer of each node
+    in a sub-trie at i computed at that i."""
+    assert len(calls) == len(nodes)
+    assert Counter(entry for _, entry in calls) == Counter(p[-1] for p in nodes)
+    at_i = Counter((k, p[-1]) for p in nodes for k in p if type(k) is int)
+    assert not at_i - Counter(calls)
 
 
 def test_each_layer_is_computed_once_per_call(monkeypatch):
     """Within one `_move_losses` call and within one `losses` call, the
-    layer of each distinct (i, target prefix) is computed exactly once:
-    the base, every successor and every configuration read one trie."""
+    layer of each distinct trie node is computed exactly once: the base,
+    every successor and every configuration read one trie.  Along the
+    gold derivation, the opens left of i keep their nodes from one
+    position to the next."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     calls = _layer_calls(monkeypatch)
@@ -370,14 +407,47 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
         configs.append(apply(configs[-1], g_t))
     calls.clear()
     assert [lb.total for lb in losses(configs, gold)] == [0] * len(configs)
-    assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c in configs)))
+    nodes = set().union(*(_prefixes(c, gold) for c in configs))
+    assert_each_layer_once(calls, nodes)
+    # a trie per position would compute each (i, target prefix) anew
+    per_position = {
+        (c.i, tuple(k for k in p if type(k) is not int)) for c in configs for p in _prefixes(c, gold)
+    }
+    assert len(calls) < len(per_position)
+
+
+def _trie_parts(gold):
+    """(the positions of the sub-tries, the first target ends of the nodes
+    keyed by entry alone) in the gold's trie.  A node keyed by entry
+    alone holds its sub-tries under positions and its children under
+    entries; a sub-trie is not entered."""
+    positions, ends = set(), []
+    todo = [] if gold._trie is None else [gold._trie]
+    while todo:
+        node = todo.pop()
+        for key, child in node.items():
+            if type(key) is int:
+                positions.add(key)
+            elif key is not None:
+                ends.append(key[2][0])
+                todo.append(child)
+    return positions, ends
+
+
+def assert_holds_only_what_i_reads(gold, i):
+    """A path at i holds no sub-trie but those at i and i + 1, and no node
+    keyed by entry alone whose first target end is at or left of i, as
+    such a node is read only while i is left of that end."""
+    positions, ends = _trie_parts(gold)
+    assert positions <= {i, i + 1}, (i, sorted(positions))
+    assert all(r > i for r in ends), (i, sorted(ends))
 
 
 def test_public_calls_leave_the_gold_with_no_tries(monkeypatch):
     """`loss`, `losses` and `optimal_transitions` leave the gold with no
-    tries, and so does a `losses` batch that raises partway through: a
-    public call's tries live for that call alone.  So repeating a call
-    computes the same layers again, where tries kept across calls would
+    trie, and so does a `losses` batch that raises partway through: a
+    public call's trie lives for that call alone.  So repeating a call
+    computes the same layers again, where a trie kept across calls would
     let the repeat compute none."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
@@ -395,19 +465,19 @@ def test_public_calls_leave_the_gold_with_no_tries(monkeypatch):
         for _ in range(2):
             calls.clear()
             call()
-            assert not gold._tries
+            assert gold._trie is None and not gold._held
             layers.append(list(calls))
         assert layers[0] and layers[0] == layers[1]
     calls.clear()
     with pytest.raises(ValueError, match="strategy mismatch"):
         losses(configs + [initial_config(t.tokens, IN_ORDER)] + configs, gold)
-    assert calls and not gold._tries
+    assert calls and gold._trie is None and not gold._held
 
 
 def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     """`oracle-trace` on a top-down tree computes the layer of each
-    distinct (i, target prefix) along its derivation exactly once, and
-    holds no tries but those at the configuration's i and i + 1."""
+    distinct trie node along its derivation exactly once, and holds only
+    what the configuration's position reads."""
     text = "(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))"
     path = tmp_path / "tree.txt"
     path.write_text(text + "\n", encoding="utf-8")
@@ -415,7 +485,7 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     real = cli._move_losses
 
     def recorded(c, gold, moves):
-        assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
+        assert_holds_only_what_i_reads(gold, c.i)
         seen.append((c, gold))
         return real(c, gold, moves)
 
@@ -428,17 +498,37 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     assert_each_layer_once(calls, set().union(*(_prefixes(c, gold) for c, _ in seen)))
 
 
+def test_deep_oracle_trace_computes_layers_linear_in_the_depth(monkeypatch, tmp_path, capsys):
+    """Top-down `oracle-trace` on a 300-deep right-branching tree, whose
+    stack holds up to 300 opens, computes at most two layers per row: an
+    open left of i whose target ends past i keeps its layer from one
+    position to the next, so each SHIFT and NT adds one layer, and only
+    at i = n, where every target ends at i, are the 300 opens' layers
+    computed again.  A trie per position computed 45,750."""
+    depth = 300
+    text = f"(X w{depth - 1} w{depth})"
+    for k in range(depth - 2, -1, -1):
+        text = f"(X w{k} {text})"
+    path = tmp_path / "right.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    calls = _layer_calls(monkeypatch)
+    assert cli.main(["oracle-trace", "--strategy", "top-down", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3 * depth + 1
+    assert len(calls) <= 2 * len(rows), len(calls)
+
+
 @pytest.mark.parametrize("explored", [False, True])
 def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     """Along one dynamic training pass over a sentence, the layer of each
-    distinct (i, target prefix) is computed exactly once: every oracle
-    call on the path reads the gold's tries.  The pass reads the initial
+    distinct trie node is computed exactly once: every oracle call on the
+    path reads the gold's trie.  The pass reads the initial
     configuration's loss once, with `_move_losses`, which finds no trie;
-    every later call is a `_move_totals` query that finds the trie at its
-    i that the calls before built.  Before every call the tries hold no
-    position but the configuration's i and i + 1, and the pass leaves
-    none.  Without exploration the pass follows a zero-loss path; with
-    it, every wrong guess is taken."""
+    every later call is a `_move_totals` query that finds the sub-trie at
+    its i that the calls before built.  Before every call the trie holds
+    only what the configuration's position reads, and the pass leaves no
+    trie.  Without exploration the pass follows a zero-loss
+    path; with it, every wrong guess is taken."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     alphabet = ("D", "X", "Y")
@@ -446,8 +536,8 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
 
     def recorder(query, real):
         def recorded(c, gold, moves):
-            assert set(gold._tries) <= {c.i, c.i + 1}, (c.i, sorted(gold._tries))
-            steps.append((query, c, moves, c.i in gold._tries))
+            assert_holds_only_what_i_reads(gold, c.i)
+            steps.append((query, c, moves, c.i in _trie_parts(gold)[0]))
             return real(c, gold, moves)
 
         return recorded
@@ -461,14 +551,14 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     assert [(q, warm) for q, _, _, warm in steps] == (
         [("losses", False)] + [("totals", True)] * (len(steps) - 1)
     )
-    assert not gold._tries
+    assert gold._trie is None and not gold._held
     # the layers each call reads: the first its configuration's, every
     # other its moves' successors'
     read = [_prefixes(steps[0][1], gold)] + [
         set().union(*(_prefixes(apply(c, m), gold) for m in moves)) for _, c, moves, _ in steps[1:]
     ]
     assert_each_layer_once(calls, set().union(*read))
-    assert len(calls) < sum(map(len, read))  # tries per call compute these
+    assert len(calls) < sum(map(len, read))  # a trie per call computes these
     totals = [lb.total for lb in losses([c for _, c, _, _ in steps], gold)]
     assert (max(totals) > 0) == explored
 
@@ -476,14 +566,14 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
-    """The gold's tries read by `_move_losses` and `_move_totals` along a
-    whole path, with each position dropped once the path has shifted past
-    it, as a training pass drops it: at every step both queries give the
-    same move totals, and the moves whose total keeps the configuration's
-    are the set a fresh `optimal_transitions` call gives, and the
-    loss-preserving moves.  The fresh calls use a gold of their own, as
-    they drop every trie.  The path takes random moves, about half of them
-    optimal."""
+    """The gold's trie read by `_move_losses` and `_move_totals` along a
+    whole path, with each position's sub-tries dropped once the path has
+    shifted past it, as a training pass drops them: at every step both
+    queries give the same move totals, and the moves whose total keeps
+    the configuration's are the set a fresh `optimal_transitions` call
+    gives, and the loss-preserving moves.  The fresh calls use a gold of
+    their own, as they drop the whole trie.  The path takes random moves,
+    about half of them optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
@@ -497,6 +587,7 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
+            gold.forget_before(c.i)
             breakdown, totals = _move_losses(c, gold, moves)
             assert _move_totals(c, gold, moves) == totals
             got = [m for m, total in zip(moves, totals) if total == breakdown.total]
@@ -509,7 +600,6 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
                 m = rng.choice([m for m in moves if m.kind == pick])
             path.append(str(m))
             c = apply(c, m)
-            gold.forget_before(c.i)
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
@@ -683,7 +773,13 @@ def assert_index_matches_a_fresh_count(c, gold, alphabet):
             max(0, v - cap) for l, v in starts.items() if l > i
         )
     # each open's remaining ends, as the pre-pass reads them for either
-    # earliest end, and the ends of the spans at i an NT pushed there reads
+    # earliest end, and the ends of the spans at i an NT pushed there reads.
+    # Each strategy's gold holds only the index its analysis reads, so
+    # both are read through a gold of each strategy over one multiset
+    td, io = (
+        gold if s == gold.strategy else GoldReference(s, list(gold.count.elements()))
+        for s in (TOP_DOWN, IN_ORDER)
+    )
     ends = {}
     for (lab, l, r), v in sorted(rem.items(), key=lambda kv: kv[0][2]):
         ends.setdefault((lab, l), []).append((r, v))
@@ -695,17 +791,20 @@ def assert_index_matches_a_fresh_count(c, gold, alphabet):
             if fresh:
                 rs, ms = zip(*fresh)
                 want.append((e.label, e.index, rs, ms))
-        assert _td_targets(gold, taken, c.stack, n, i, E) == (want, len(opens) - len(want))
+        assert _td_targets(td, taken, c.stack, n, i, E) == (want, len(opens) - len(want))
     for lab in alphabet:
-        rs, ms = gold.ends.get((lab, i), ((), ()))
+        row = td.targets.get((lab, i))
+        rs, ms = row[0][2:] if row else ((), ())
+        assert list(zip(rs, ms)) == ends.get((lab, i), [])
+        rs, ms = io.ends.get((lab, i), ((), ()))
         assert list(zip(rs, ms)) == ends.get((lab, i), [])
     # the in-order pools at the left end of every item on the stack: how
     # many spans there end at or past i, the nearest end and its labels
     for b in {e.l for e in c.stack if isinstance(e, Completed)}:
         pool = sorted((r, lab) for (lab, l, r), v in rem.items() if l == b and r >= i for _ in range(v))
         nearest = pool[0][0] if pool else None
-        assert _missing_from(gold, taken, b, i) == (len(pool), nearest), b
-        assert _innermost_labels(gold, taken, b, i) == {lab for r, lab in pool if r == nearest}
+        assert _missing_from(io, taken, b, i) == (len(pool), nearest), b
+        assert _innermost_labels(io, taken, b, i) == {lab for r, lab in pool if r == nearest}
 
 
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])

@@ -17,7 +17,7 @@ from oracle_lab.transitions import (
     is_terminal,
     legal_transitions,
 )
-from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, random_tree
+from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, random_tree, serialize
 from oracle_lab.verify import (
     ConformanceReport,
     SearchBounds,
@@ -289,6 +289,28 @@ def test_future_bound_ignores_the_junk_label_collapse():
             (raw,) + key[1:], strategy
         ), fingerprint(c)
     assert collapsed > 500
+
+
+def test_future_bound_is_admissible_on_the_census():
+    """The best-first search prunes by _future_bound, so it must never
+    exceed a class's brute future: on every class of the census over at
+    most two tokens and of every 27th three-token tree, for both
+    strategies."""
+    alphabet = ("X", "Y")
+    bounds = SearchBounds(label_alphabet=alphabet)
+    sample = [t for n in (1, 2) for t in enumerate_trees(n, list(alphabet))]
+    sample += list(enumerate_trees(3, list(alphabet)))[::27]
+    checked = positive = 0
+    for strategy in (TOP_DOWN, IN_ORDER):
+        for tree in sample:
+            gold = GoldReference.from_tree(tree, strategy)
+            keys, _, _, back, term = _exhaustive_graph(tree, gold, strategy, bounds)
+            for key, fut in zip(keys, _batch_future(back, term)):
+                bound = _future_bound(key, strategy)
+                assert bound <= fut, (strategy, serialize(tree), key, bound, fut)
+                checked += 1
+                positive += bound > 0
+    assert checked > 130_000 and positive > 100_000, (checked, positive)
 
 
 def test_graph_futures_match_the_best_first_search():
