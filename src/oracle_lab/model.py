@@ -21,10 +21,12 @@ from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the 
 from .transitions import (
     OpenNT,
     _construct,
+    _legal,
+    _legal_table,
     apply,
     initial_config,
     is_terminal,
-    legal_transitions,
+    legal_transitions,  # noqa: F401 -- a module attribute the benchmark's tracer wraps
     move_table,
     parse_transition,
 )
@@ -113,53 +115,61 @@ class ExplorationPolicy:
 
 def _columns(label_alphabet):
     """Each move's column in a dense weight row: its index in the
-    alphabet's move table."""
+    alphabet's move table.  For reading moves named outside the step
+    loop (a model file, a gold sequence); a step works in columns."""
     return {t: k for k, t in enumerate(move_table(label_alphabet))}
 
 
-def _first_best(moves, totals, columns):
-    """The first of moves whose column total is highest: moves keep the
-    tie-break order, so a tie goes to the move listed first."""
-    scores = [totals[columns[t]] for t in moves]
-    return moves[scores.index(max(scores))]
+def _first_best(columns, totals):
+    """The first of columns whose total is highest.  columns ascend, as
+    legal columns do, so a tie goes to the move first in the move table."""
+    return max(columns, key=totals.__getitem__)
 
 
-def _pick(moves, weights, feats, columns):
-    """The best-scoring move and every column's score, as (best, totals):
-    move t scores totals[columns[t]].
+def _pick(columns, weights, feats, width):
+    """The best-scoring column and every column's score, as (best,
+    totals): column k scores totals[k].
 
-    weights maps a feature to its dense row, one weight per column, and
-    columns maps a move to its column.  The rows of the features present
-    are summed column by column, in feature order, so each score is the
-    float that adding the move's weights one feature at a time gives: a
-    weight the feature does not have is a 0.0, and x + 0.0 == x.  (From
-    CPython 3.12, sum() compensates float rounding, so there a score may
-    differ from plain adds in its last bits.)  moves come from
-    legal_transitions, already in tie-break order, so the best move is the
-    first one with the highest score."""
+    weights maps a feature to its dense row, width weights long, one per
+    column of the move table.  The rows of the features present are
+    summed column by column, in feature order, so each score is the float
+    that adding the move's weights one feature at a time gives: a weight
+    the feature does not have is a 0.0, and x + 0.0 == x.  (From CPython
+    3.12, sum() compensates float rounding, so there a score may differ
+    from plain adds in its last bits.)  columns are the legal moves'
+    columns, in tie-break order, so the best is the first one with the
+    highest score."""
     rows = list(filter(None, map(weights.get, feats)))  # a row is never empty
-    totals = list(map(sum, zip(*rows))) if rows else [0.0] * len(columns)
-    return _first_best(moves, totals, columns), totals
+    totals = list(map(sum, zip(*rows))) if rows else [0.0] * width
+    return _first_best(columns, totals), totals
 
 
 @dataclass
 class Model:
     """A trained greedy parser.  weights maps a feature to its dense row:
-    one float per move of move_table(label_alphabet), in that order, 0.0
-    where the feature has no weight for the move."""
+    one float per column, that is per move of move_table(label_alphabet),
+    in that order, 0.0 where the feature has no weight for the move.
+    moves is that table and legal its _legal_table, which a decode step
+    reads its legal moves and their columns from."""
 
     weights: dict
     label_alphabet: tuple
     strategy: str
-    columns: dict = field(init=False, repr=False, compare=False)
+    moves: tuple = field(init=False, repr=False, compare=False)
+    legal: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.columns = _columns(self.label_alphabet)
+        self.moves = move_table(self.label_alphabet)
+        self.legal = _legal_table(self.label_alphabet)
 
     def save(self, path):
-        table = move_table(self.label_alphabet)
         rows = sorted(
-            ((f, str(t), w) for f, row in self.weights.items() for t, w in zip(table, row) if w),
+            (
+                (f, str(t), w)
+                for f, row in self.weights.items()
+                for t, w in zip(self.moves, row)
+                if w
+            ),
             key=lambda row: (row[0], row[1]),
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -209,10 +219,11 @@ class Model:
 class _Learner:
     """Perceptron state during training; averaged() gives the final
     weights.  w and u map a feature to a dense row with one value per
-    column (columns maps a move to its column, as in Model): w holds the
-    weights, u the same updates each scaled by the tick it was made at."""
+    column, width long (a column is a move's index in the move table, as
+    in Model): w holds the weights, u the same updates each scaled by the
+    tick it was made at."""
 
-    columns: dict
+    width: int
     w: dict = field(default_factory=dict)
     u: dict = field(default_factory=dict)
     t: int = 0
@@ -221,27 +232,34 @@ class _Learner:
         self.t += 1
 
     def update(self, feats, toward, away):
-        i, j = self.columns[toward], self.columns[away]
+        """Move each feature's weight for column toward up by one and for
+        column away down by one."""
         t = self.t
         for f in feats:
             w = self.w.get(f)
             if w is None:
-                w = self.w[f] = [0.0] * len(self.columns)
-                u = self.u[f] = [0.0] * len(self.columns)
+                w = self.w[f] = [0.0] * self.width
+                u = self.u[f] = [0.0] * self.width
             else:
                 u = self.u[f]
-            w[i] += 1
-            w[j] -= 1
-            u[i] += t
-            u[j] -= t
+            w[toward] += 1
+            w[away] -= 1
+            u[toward] += t
+            u[away] -= t
 
     def averaged(self):
-        """Each weight less its tick-weighted updates over the tick count;
-        rows left all zero are dropped."""
+        """Each weight less its tick-weighted updates over the tick count,
+        wv - uv / t; rows left all zero are dropped.  Most cells were
+        never updated, and where uv == 0 that is wv bit for bit (uv is
+        then +0.0, and wv - 0.0 == wv even for wv == -0.0), so only the
+        cells with a nonzero uv are computed."""
         t = self.t or 1  # before the first tick every u is 0
         out = {}
         for f, row in self.w.items():
-            avg = [wv - uv / t for wv, uv in zip(row, self.u[f])]
+            avg = row.copy()
+            for k, uv in enumerate(self.u[f]):
+                if uv:
+                    avg[k] -= uv / t
             if any(avg):
                 out[f] = avg
         return out
@@ -269,7 +287,8 @@ def train(
         raise ValueError(f"epochs must be at least 1, got {epochs}")
     check_derivable_corpus(corpus, strategy)
     alphabet = tuple(sorted({c.label for t in corpus for c in constituent_set(t)}))
-    learner = _Learner(_columns(alphabet))
+    columns = _columns(alphabet)
+    learner = _Learner(len(columns))
     coin = random.Random(f"{policy.seed}|explore")
 
     def explore():
@@ -277,7 +296,7 @@ def train(
 
     golds = [GoldReference.from_tree(t, strategy) for t in corpus]
     static = policy.p_explore == 0
-    seqs = [gold_sequence(t, strategy) if static else None for t in corpus]
+    seqs = [[columns[m] for m in gold_sequence(t, strategy)] if static else None for t in corpus]
     for epoch in range(epochs):
         order = list(range(len(corpus)))
         random.Random(f"{seed}|shuffle|{epoch}").shuffle(order)
@@ -296,12 +315,18 @@ def train(
 def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     """One training pass over a sentence.
 
-    With seq, its gold sequence, the target at step k is seq[k] and the
-    pass takes every move of seq; without it the oracle judges the moves
-    and the pass stops at the step cap.  Each step updates toward the
-    target when the model's guess is not optimal, calls audit(step,
-    config, target, loss_delta) if given, and takes the target, or the
-    non-optimal guess when explore() says so.
+    The pass works in columns (a move's index in move_table(alphabet)):
+    each step reads its legal moves and their columns from the
+    alphabet's legal table, scores, targets and updates by column, and
+    looks a move up only to ask the oracle or to take it.
+
+    With seq, the columns of its gold sequence, the target at step k is
+    seq[k] and the pass takes every move of seq; without it the oracle
+    judges the moves and the pass stops at the step cap.  Each step
+    updates toward the target when the model's guess is not optimal,
+    calls audit(step, config, target, loss_delta) if given (target as a
+    move), and takes the target, or the non-optimal guess when explore()
+    says so.
 
     Without seq the pass carries its path's loss total: the initial
     configuration's, read once, and then the successor total of each move
@@ -331,18 +356,20 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
         total = _move_losses(c, gold, ())[0].total  # the path's loss so far
     else:
         cap = len(seq)
-    columns = learner.columns
+    table = move_table(alphabet)
+    legal = _legal_table(alphabet)
+    width = len(table)
     path = []  # the moves taken
     for step in range(cap):
-        moves = legal_transitions(c, alphabet)
+        moves, columns = _legal(c, legal)
         if not moves:  # only a terminal configuration has none
             break
         feats = features(c)
-        guess, scores = _pick(moves, learner.w, feats, columns)
+        guess, scores = _pick(columns, learner.w, feats, width)
         if seq is not None:
             target = seq[step]
         else:
-            guessed = _move_totals(c, gold, (guess,))[0]
+            guessed = _move_totals(c, gold, (table[guess],))[0]
             if guessed == total:
                 target = guess
             else:
@@ -350,23 +377,23 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
                 if min(after) != total:
                     what = f"the least move total is {min(after)}, not {total}"
                     raise _violation(tokens, path, what)
-                # the optimal moves, in the tie-break order
-                optimal = [t for t, a in zip(moves, after) if a == total]
-                target = _first_best(optimal, scores, columns)
+                # the optimal moves' columns, in the tie-break order
+                optimal = [k for k, a in zip(columns, after) if a == total]
+                target = _first_best(optimal, scores)
         learner.tick()
         if guess != target:
             learner.update(feats, target, guess)
         if audit is not None:
-            delta = loss(apply(c, target), gold).total - loss(c, gold).total
-            audit(step, c, target, delta)
-        # both moves are legal in c (both come from the moves of
-        # legal_transitions), so _construct's precondition holds
+            delta = loss(apply(c, table[target]), gold).total - loss(c, gold).total
+            audit(step, c, table[target], delta)
+        # both moves are legal in c (both are legal columns), so
+        # _construct's precondition holds
         if guess != target and explore():
-            move = guess
+            move = table[guess]
             if seq is None:
                 total = guessed
         else:
-            move = target
+            move = table[target]
         c = _construct(c, move)
         path.append(move)
         gold.forget_before(c.i)
@@ -401,12 +428,13 @@ def parse_with_info(model: Model, tokens):
     c = initial_config(tuple(tokens), model.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt)
     steps = 0
+    table, legal, width = model.moves, model.legal, len(model.moves)
     while steps < cap:
-        moves = legal_transitions(c, model.label_alphabet)
-        if not moves:  # only a terminal configuration has none
+        _, columns = _legal(c, legal)
+        if not columns:  # only a terminal configuration has none
             break
-        best, _ = _pick(moves, model.weights, features(c), model.columns)
-        c = _construct(c, best)
+        best, _ = _pick(columns, model.weights, features(c), width)
+        c = _construct(c, table[best])
         steps += 1
     info = {"steps": steps, "fallback": False, "wrap_label": None}
     forest = forest_from_built(c.tokens, c.built)

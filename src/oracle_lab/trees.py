@@ -10,6 +10,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .transitions import (
     DEFAULT_NT_CAP,
@@ -19,6 +20,7 @@ from .transitions import (
     SHIFT,
     TOP_DOWN,
     Constituent,
+    _new,
     nt,
 )
 
@@ -27,16 +29,23 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
+    """A word of the tree.  Tree nodes are named tuples, as stack items
+    are: a node equals and hashes as its fields' tuple, and the node
+    builders (parse_bracketed, forest_from_built) make them with
+    tuple.__new__.  A Leaf never equals an Internal, as pos is never a
+    tuple."""
+
     word: str
     pos: str | None = None  # folded preterminal label, if the input had one
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(NamedTuple):
+    """A labelled node over its children, a nonempty tuple of Leaf and
+    Internal nodes; a named tuple, as Leaf is."""
+
     label: str
-    children: tuple  # of Leaf | Internal, nonempty
+    children: tuple
 
 
 @dataclass(frozen=True)
@@ -140,13 +149,13 @@ def parse_bracketed(text: str) -> ConstituentTree:
                 fail(f"node {label!r} has no children", start)
             if len(children) > 1 and any(type(c) is Leaf for c in children):
                 unary_words = False
-            node = Internal(label, tuple(children))
+            node = _new(Internal, (label, tuple(children)))
             if not frames:
                 break
             frames[-1][2].append(node)
         else:
             words.append(_unescape(tok))
-            frames[-1][2].append(Leaf(words[-1]))
+            frames[-1][2].append(_new(Leaf, (words[-1], None)))
         if pos >= len(toks):
             fail("unclosed parenthesis", frames[-1][1])
     if pos != len(toks):
@@ -192,7 +201,7 @@ def _spans(tree: ConstituentTree):
         elif not leaving:
             lefts.append(k)
         else:
-            yield Constituent(node.label, lefts.pop(), k), node
+            yield _new(Constituent, (node.label, lefts.pop(), k)), node
 
 
 def constituent_set(tree: ConstituentTree):
@@ -237,14 +246,14 @@ def forest_from_built(tokens, built):
     [root]; any other gives one node per completed stack item followed by a
     Leaf per unshifted word.
     """
-    items = {k: (k + 1, Leaf(w)) for k, w in enumerate(tokens)}  # l -> (r, node)
-    for c in built:
+    items = {k: (k + 1, _new(Leaf, (w, None))) for k, w in enumerate(tokens)}  # l -> (r, node)
+    for label, l, r in built:
         children = []
-        k = c.l
-        while k < c.r:
+        k = l
+        while k < r:
             k, node = items.pop(k)
             children.append(node)
-        items[c.l] = (c.r, Internal(c.label, tuple(children)))
+        items[l] = (r, _new(Internal, (label, tuple(children))))
     forest = []
     k = 0
     while k < len(tokens):

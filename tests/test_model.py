@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from conftest import replay
+from conftest import replay, walk_configs
 from oracle_lab import model
 from oracle_lab.model import (
     ExplorationPolicy,
     Model,
-    _columns,
     _Learner,
     _pick,
     _step_cap,
@@ -28,12 +27,17 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
+    _legal,
+    _legal_table,
     move_table,
     nt,
     parse_transition,
 )
 from oracle_lab.trees import (
+    ConstituentTree,
+    Internal,
     constituent_set,
+    forest_from_built,
     gold_sequence,
     parse_bracketed,
     random_tree,
@@ -45,6 +49,11 @@ from oracle_lab.trees import (
 def dense(alphabet, weights):
     """A dense weight row over alphabet's move table from {move: weight}."""
     return [weights.get(t, 0.0) for t in move_table(alphabet)]
+
+
+def columns_of(alphabet, moves):
+    """The columns of moves in alphabet's move table."""
+    return [move_table(alphabet).index(t) for t in moves]
 
 
 def test_features_of_the_initial_config():
@@ -154,8 +163,8 @@ def test_zero_weights_fall_back_to_tie_break_order():
     m = Model(weights={}, label_alphabet=("X", "Y"), strategy=TOP_DOWN)
     c = initial_config(("a", "b"), TOP_DOWN)
     moves = legal_transitions(c, m.label_alphabet)
-    best, _ = _pick(moves, m.weights, features(c), m.columns)
-    assert best == moves[0]
+    best, _ = _pick(columns_of(m.label_alphabet, moves), m.weights, features(c), len(m.moves))
+    assert m.moves[best] == moves[0]
 
 
 def test_equal_nt_scores_pick_the_first_label():
@@ -167,10 +176,13 @@ def test_equal_nt_scores_pick_the_first_label():
     )
     c = replay(("a", "b"), TOP_DOWN, "NT_X")
     moves = legal_transitions(c, alphabet)
-    best, totals = _pick(moves, m.weights, features(c), m.columns)
-    assert {t: totals[m.columns[t]] for t in moves} == {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0}
+    columns = columns_of(alphabet, moves)
+    best, totals = _pick(columns, m.weights, features(c), len(m.moves))
+    assert {t: totals[k] for t, k in zip(moves, columns)} == {
+        SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0
+    }
     assert totals == dense(alphabet, {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0})
-    assert best == nt("X")
+    assert m.moves[best] == nt("X")
 
 
 def test_a_tie_between_shift_and_an_nt_gives_shift():
@@ -186,9 +198,12 @@ def test_a_tie_between_shift_and_an_nt_gives_shift():
     )
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
     moves = legal_transitions(c, alphabet)
-    best, totals = _pick(moves, m.weights, features(c), m.columns)
-    assert {t: totals[m.columns[t]] for t in moves} == {SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25}
-    assert best == SHIFT
+    columns = columns_of(alphabet, moves)
+    best, totals = _pick(columns, m.weights, features(c), len(m.moves))
+    assert {t: totals[k] for t, k in zip(moves, columns)} == {
+        SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25
+    }
+    assert m.moves[best] == SHIFT
 
 
 def test_dynamic_target_is_the_first_best_optimal_move():
@@ -198,7 +213,7 @@ def test_dynamic_target_is_the_first_best_optimal_move():
     c = initial_config(tree.tokens, TOP_DOWN)
     # either unary order rebuilds the gold spans
     assert optimal_transitions(c, gold, alphabet) == [nt("X"), nt("Y")]
-    learner = _Learner(_columns(alphabet))
+    learner = _Learner(len(move_table(alphabet)))
     learner.w["bias"] = dense(alphabet, {nt("D"): 5.0, nt("X"): 2.0, nt("Y"): 2.0})
     learner.u["bias"] = dense(alphabet, {})
     seen = []
@@ -247,7 +262,7 @@ def test_dynamic_pass_asks_for_every_move_only_when_the_guess_loses(monkeypatch,
     monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
     rng = random.Random(f"guess-first|{strategy}")
     alphabet = ("A", "B", "C", "D")
-    learner = _Learner(_columns(alphabet))
+    learner = _Learner(len(move_table(alphabet)))
     kept = lost = raised = 0
     for _ in range(30):
         t = random_tree(rng.randint(1, 8), ["A", "B", "C"], rng.randrange(1 << 30))
@@ -285,10 +300,11 @@ def test_dynamic_pass_asks_for_every_move_only_when_the_guess_loses(monkeypatch,
 
 def test_learner_updates_two_columns_and_averages():
     alphabet = ("X",)
-    learner = _Learner(_columns(alphabet))
+    learner = _Learner(len(move_table(alphabet)))
     for _ in range(3):
         learner.tick()
-    learner.update(["bias", "b0=a"], SHIFT, nt("X"))
+    shift, nt_x = columns_of(alphabet, [SHIFT, nt("X")])
+    learner.update(["bias", "b0=a"], shift, nt_x)
     learner.tick()
     step = dense(alphabet, {SHIFT: 1.0, nt("X"): -1.0})
     assert learner.w == {"bias": step, "b0=a": step}
@@ -296,6 +312,111 @@ def test_learner_updates_two_columns_and_averages():
     # each weight less u / t: 1 - 3/4
     avg = dense(alphabet, {SHIFT: 0.25, nt("X"): -0.25})
     assert learner.averaged() == {"bias": avg, "b0=a": avg}
+
+
+def recorded_learners(monkeypatch):
+    """The learners train makes from now on, each added to the returned
+    list when its weights are averaged."""
+    learners = []
+
+    class Recorded(_Learner):
+        def averaged(self):
+            learners.append(self)
+            return super().averaged()
+
+    monkeypatch.setattr(model, "_Learner", Recorded)
+    return learners
+
+
+def reference_pick(moves, weights, feats, alphabet):
+    """The first best of moves, each scored by adding its weight feature
+    by feature in feature order (0.0 for a feature without a row)."""
+    table = move_table(alphabet)
+    scores = [
+        sum(weights[f][table.index(t)] if f in weights else 0.0 for f in feats) for t in moves
+    ]
+    return moves[scores.index(max(scores))], scores
+
+
+def reference_parse(m, tokens):
+    """Greedy decoding with legal_transitions, reference_pick and apply,
+    wrapped as parse_with_info wraps a decode that stops short."""
+    c = initial_config(tokens, m.strategy)
+    for _ in range(_step_cap(c.n, c.max_consecutive_nt)):
+        moves = legal_transitions(c, m.label_alphabet)
+        if not moves:
+            break
+        best, _ = reference_pick(moves, m.weights, features(c), m.label_alphabet)
+        c = apply(c, best)
+    forest = forest_from_built(c.tokens, c.built)
+    if is_terminal(c):
+        return ConstituentTree(c.tokens, forest[0])
+    return ConstituentTree(c.tokens, Internal(m.label_alphabet[0], tuple(forest)))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_column_pick_is_the_first_best_legal_move(monkeypatch, strategy):
+    """On seeded walk configurations, _pick over the legal columns gives
+    the move and the scores of reference_pick, for three kinds of rows:
+    a learner's integer-valued weights after dynamic training, their
+    average, and rows of 0s and 1s, where most steps tie."""
+    learners = recorded_learners(monkeypatch)
+    corpus = synthetic_corpus(30, ["A", "B", "C"], seed=11, min_tokens=2, max_tokens=10)
+    m = train(corpus, strategy, ExplorationPolicy(0.2, seed=2), epochs=2)
+    (learner,) = learners
+    alphabet, averaged = m.label_alphabet, m.weights
+    table, legal = move_table(alphabet), _legal_table(alphabet)
+    rng = random.Random(f"ties|{strategy}")
+    tied = {f: [float(rng.random() < 0.3) for _ in table] for f in learner.w}
+    ties = 0
+    for rows in (learner.w, averaged, tied):
+        for k, tree in enumerate(corpus):
+            for c in walk_configs(tree, strategy, alphabet, k, 60):
+                moves, columns = _legal(c, legal)
+                if not moves:
+                    continue
+                feats = features(c)
+                best, totals = _pick(columns, rows, feats, len(table))
+                expected, scores = reference_pick(list(moves), rows, feats, alphabet)
+                assert table[best] == expected
+                assert [totals[col] for col in columns] == scores
+                ties += scores.count(max(scores)) > 1
+    assert ties > 100
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_greedy_decode_matches_the_reference_decode(strategy):
+    corpus = synthetic_corpus(40, ["A", "B", "C"], seed=12, min_tokens=2, max_tokens=10)
+    held = synthetic_corpus(50, ["A", "B", "C"], seed=13, min_tokens=2, max_tokens=12)
+    m = train(corpus, strategy, ExplorationPolicy(0.1, seed=4), epochs=2)
+    for tree in held:
+        assert parse(m, tree.tokens) == reference_parse(m, tree.tokens)
+
+
+@pytest.mark.parametrize("p_explore", [0.0, 0.3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_averaging_is_the_dense_formula_bit_for_bit(monkeypatch, strategy, p_explore):
+    """averaged() computes wv - uv / t only where uv is nonzero; after a
+    seeded static or dynamic run every cell has the bits that formula
+    gives, and a row that averages to all zeros is dropped: one never
+    updated, and one whose only update came at the last tick."""
+    learners = recorded_learners(monkeypatch)
+    corpus = synthetic_corpus(20, ["A", "B", "C", "D"], seed=7, min_tokens=2, max_tokens=9)
+    train(corpus, strategy, ExplorationPolicy(p_explore, seed=3), epochs=2, seed=5)
+    (learner,) = learners
+    t = learner.t
+    width = learner.width
+    learner.w["never"], learner.u["never"] = [0.0] * width, [0.0] * width
+    learner.w["undone"], learner.u["undone"] = [0.0] * width, [0.0] * width
+    learner.w["undone"][2], learner.u["undone"][2] = 1.0, float(t)  # 1 - t / t
+    dense_rows = {
+        f: [wv - uv / t for wv, uv in zip(row, learner.u[f])] for f, row in learner.w.items()
+    }
+    expected = {f: list(map(float.hex, row)) for f, row in dense_rows.items() if any(row)}
+    got = {f: list(map(float.hex, row)) for f, row in learner.averaged().items()}
+    assert got == expected
+    assert "never" not in got and "undone" not in got
+    assert sum(uv != 0 and uv % t != 0 for row in learner.u.values() for uv in row) > 100
 
 
 def test_model_file_round_trip(tmp_path):
@@ -556,11 +677,12 @@ def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explo
                 break
             moves = legal_transitions(c, back.label_alphabet)
             feats = features(c)
-            best, totals = _pick(moves, back.weights, feats, back.columns)
-            scores = {t: totals[back.columns[t]] for t in moves}
+            columns = columns_of(back.label_alphabet, moves)
+            best, totals = _pick(columns, back.weights, feats, len(back.moves))
+            scores = {t: totals[k] for t, k in zip(moves, columns)}
             assert scores == {t: sum(flat.get((f, t), 0.0) for f in feats) for t in moves}
             # the first legal move with the highest score
-            assert best == max(moves, key=scores.__getitem__)
-            c = apply(c, best)
+            assert back.moves[best] == max(moves, key=scores.__getitem__)
+            c = apply(c, back.moves[best])
             steps += 1
     assert steps > 100

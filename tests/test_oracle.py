@@ -31,6 +31,7 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
+    move_table,
     nt,
 )
 from oracle_lab.trees import (
@@ -545,7 +546,7 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     monkeypatch.setattr(model, "_move_losses", recorder("losses", model._move_losses))
     monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
     calls = _layer_calls(monkeypatch)
-    learner = model._Learner(model._columns(alphabet))
+    learner = model._Learner(len(move_table(alphabet)))
     model._train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
     assert steps[0][:3] == ("losses", initial_config(t.tokens, TOP_DOWN), ())
     assert [(q, warm) for q, _, _, warm in steps] == (

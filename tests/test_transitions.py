@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import replay, trees
+from conftest import replay, trees, walk_configs
+from oracle_lab.oracle import GoldReference
 from oracle_lab.transitions import (
     FINISH,
     IN_ORDER,
@@ -16,6 +17,8 @@ from oracle_lab.transitions import (
     Constituent,
     OpenNT,
     _illegal_reason,
+    _legal,
+    _legal_table,
     apply,
     fingerprint,
     initial_config,
@@ -26,7 +29,8 @@ from oracle_lab.transitions import (
     parse_transition,
     transition_order_key,
 )
-from oracle_lab.trees import gold_sequence, random_tree
+from oracle_lab.trees import enumerate_trees, gold_sequence, random_tree
+from oracle_lab.verify import SearchBounds, _exhaustive_graph
 
 
 def test_transition_names_round_trip():
@@ -254,3 +258,48 @@ def test_one_move_table_per_alphabet():
     expected = [SHIFT, nt("A"), nt("B"), nt("C")]
     for alphabet in (("A", "B", "C"), ["A", "B", "C"], ("C", "A", "B"), ["B", "C", "A"]):
         assert legal_transitions(c, alphabet) == expected
+
+
+LEGALITY_ALPHABETS = (("X",), ("D", "X", "Y", "Z"), tuple(f"L{k:02d}" for k in range(12)))
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_legal_moves_come_from_the_verdicts_of_each_move(strategy):
+    """On every class of the n <= 2 census and on seeded walks over
+    10-14-token trees, legal_transitions is the part of the move table
+    that _illegal_reason passes, and the step loop's (moves, columns)
+    entry holds those moves and their indexes in the table, for
+    alphabets of 1, 4 and 12 labels.  Each call gives a new list."""
+    bounds = SearchBounds(label_alphabet=("D", "X", "Y"))
+    configs = []
+    for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
+        gold = GoldReference.from_tree(t, strategy)
+        configs += _exhaustive_graph(t, gold, strategy, bounds)[1]
+    census = len(configs)
+    rng = random.Random(f"legality|{strategy}")
+    for _ in range(20):
+        t = random_tree(rng.randint(10, 14), ["X", "Y", "Z"], rng.randrange(1 << 30))
+        for _ in range(3):
+            configs += walk_configs(t, strategy, ("D", "X", "Y", "Z"), rng.randrange(1 << 30), 150)
+    assert census > 500 and len(configs) > census + 1000
+    for alphabet in LEGALITY_ALPHABETS:
+        table = move_table(alphabet)
+        legal = _legal_table(alphabet)
+        for c in configs:
+            expected = [t for t in table if _illegal_reason(c, t) is None]
+            got = legal_transitions(c, alphabet)
+            assert got == expected, c
+            assert got is not legal_transitions(c, alphabet)
+            moves, columns = _legal(c, legal)
+            assert list(moves) == expected
+            assert [table[k] for k in columns] == expected
+            assert list(columns) == sorted(columns)
+        assert any(legal_transitions(c, alphabet) for c in configs)
+        assert any(not legal_transitions(c, alphabet) for c in configs)
+
+
+def test_a_caller_may_change_its_list_of_legal_moves():
+    c = initial_config(("a", "b"), TOP_DOWN)
+    moves = legal_transitions(c, ("X", "Y"))
+    moves.clear()
+    assert legal_transitions(c, ("X", "Y")) == [nt("X"), nt("Y")]

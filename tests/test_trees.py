@@ -19,6 +19,7 @@ from oracle_lab.trees import (
     Internal,
     Leaf,
     TreeError,
+    _events,
     check_derivable,
     constituent_set,
     constituents_with_arity,
@@ -323,3 +324,64 @@ def test_forest_from_built_follows_the_stack_and_ends_at_the_tree():
             assert is_terminal(c)
             assert forest == [tree.root]
     assert chains > 20
+
+
+def _nodes(root):
+    return [node for node, leaving in _events(root) if not leaving]
+
+
+def _reference_forest(tokens, built):
+    """forest_from_built's rule, each node made by its class's own
+    constructor."""
+    items = {k: (k + 1, Leaf(w)) for k, w in enumerate(tokens)}
+    for c in built:
+        children = []
+        k = c.l
+        while k < c.r:
+            k, node = items.pop(k)
+            children.append(node)
+        items[c.l] = (c.r, Internal(c.label, tuple(children)))
+    return [node for _, (_, node) in sorted(items.items())]
+
+
+def test_tree_nodes_round_trip_with_their_hashes_and_never_mix():
+    """Over synthetic_corpus trees, unary chains and trees with a folded
+    preterminal layer: reading a serialized tree back gives an equal tree
+    with an equal hash, node for node of the same classes, and no Leaf
+    equals an Internal (as equal nodes hash equal, one set intersection
+    compares every pair)."""
+    corpus = synthetic_corpus(150, ["X", "Y", "Z"], seed=21, min_tokens=1, max_tokens=12)
+    corpus += _chained_trees()
+    corpus += [
+        parse_bracketed(text)
+        for text in (EXAMPLE_TREE, "(S (NP (DT the) (NN X)) (VP (VB X)))", "(X (Y X) (X Y))")
+    ]
+    assert any(leaf.pos for t in corpus for leaf in _nodes(t.root) if type(leaf) is Leaf)
+    leaves, internals = set(), set()
+    for t in corpus:
+        back = parse_bracketed(serialize(t))
+        assert back == t and hash(back) == hash(t)
+        assert [type(n) for n in _nodes(back.root)] == [type(n) for n in _nodes(t.root)]
+        for node in _nodes(t.root):
+            (leaves if type(node) is Leaf else internals).add(node)
+    assert len(leaves) > 500 and len(internals) > 500
+    assert not leaves & internals
+    assert Leaf("X") != Internal("X", (Leaf("X"),)) and Leaf("X", "Y") != Internal("X", (Leaf("Y"),))
+
+
+def test_forest_from_built_gives_the_nodes_of_the_constructors():
+    """At every step of every gold derivation, forest_from_built gives
+    the trees that building each node with Leaf(...) and Internal(...)
+    gives: equal, with equal hashes and the same node classes."""
+    corpus = synthetic_corpus(60, ["X", "Y", "Z"], seed=22, min_tokens=1, max_tokens=12)
+    for tree in corpus + _chained_trees():
+        for strategy in (TOP_DOWN, IN_ORDER):
+            c = initial_config(tree.tokens, strategy)
+            for t in gold_sequence(tree, strategy):
+                c = apply(c, t)
+                forest = forest_from_built(c.tokens, c.built)
+                expected = _reference_forest(c.tokens, c.built)
+                assert forest == expected and list(map(hash, forest)) == list(map(hash, expected))
+                for got, ref in zip(forest, expected):
+                    assert [type(n) for n in _nodes(got)] == [type(n) for n in _nodes(ref)]
+            assert forest == [tree.root]
