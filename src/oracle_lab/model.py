@@ -21,12 +21,11 @@ from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the 
 from .transitions import (
     OpenNT,
     _construct,
-    _legal,
-    _legal_table,
+    _legal_columns,
     apply,
     initial_config,
     is_terminal,
-    legal_transitions,  # noqa: F401 -- a module attribute the benchmark's tracer wraps
+    legal_transitions,
     move_table,
     parse_transition,
 )
@@ -148,28 +147,16 @@ def _pick(columns, weights, feats, width):
 class Model:
     """A trained greedy parser.  weights maps a feature to its dense row:
     one float per column, that is per move of move_table(label_alphabet),
-    in that order, 0.0 where the feature has no weight for the move.
-    moves is that table and legal its _legal_table, which a decode step
-    reads its legal moves and their columns from."""
+    in that order, 0.0 where the feature has no weight for the move."""
 
     weights: dict
     label_alphabet: tuple
     strategy: str
-    moves: tuple = field(init=False, repr=False, compare=False)
-    legal: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.moves = move_table(self.label_alphabet)
-        self.legal = _legal_table(self.label_alphabet)
 
     def save(self, path):
+        table = move_table(self.label_alphabet)
         rows = sorted(
-            (
-                (f, str(t), w)
-                for f, row in self.weights.items()
-                for t, w in zip(self.moves, row)
-                if w
-            ),
+            ((f, str(t), w) for f, row in self.weights.items() for t, w in zip(table, row) if w),
             key=lambda row: (row[0], row[1]),
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -316,9 +303,9 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     """One training pass over a sentence.
 
     The pass works in columns (a move's index in move_table(alphabet)):
-    each step reads its legal moves and their columns from the
-    alphabet's legal table, scores, targets and updates by column, and
-    looks a move up only to ask the oracle or to take it.
+    each step looks its legal moves' columns up in _legal_columns,
+    scores, targets and updates by column, and looks a move up only to
+    ask the oracle or to take it.
 
     With seq, the columns of its gold sequence, the target at step k is
     seq[k] and the pass takes every move of seq; without it the oracle
@@ -357,13 +344,14 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     else:
         cap = len(seq)
     table = move_table(alphabet)
-    legal = _legal_table(alphabet)
+    legal_columns = _legal_columns(alphabet)
     width = len(table)
     path = []  # the moves taken
     for step in range(cap):
-        moves, columns = _legal(c, legal)
+        moves = legal_transitions(c, alphabet)
         if not moves:  # only a terminal configuration has none
             break
+        columns = legal_columns[(len(moves), *moves[:3])]
         feats = features(c)
         guess, scores = _pick(columns, learner.w, feats, width)
         if seq is not None:
@@ -428,12 +416,14 @@ def parse_with_info(model: Model, tokens):
     c = initial_config(tuple(tokens), model.strategy)
     cap = _step_cap(c.n, c.max_consecutive_nt)
     steps = 0
-    table, legal, width = model.moves, model.legal, len(model.moves)
+    alphabet = model.label_alphabet
+    table, legal_columns = move_table(alphabet), _legal_columns(alphabet)
     while steps < cap:
-        _, columns = _legal(c, legal)
-        if not columns:  # only a terminal configuration has none
+        moves = legal_transitions(c, alphabet)
+        if not moves:  # only a terminal configuration has none
             break
-        best, _ = _pick(columns, model.weights, features(c), width)
+        columns = legal_columns[(len(moves), *moves[:3])]
+        best, _ = _pick(columns, model.weights, features(c), len(table))
         c = _construct(c, table[best])
         steps += 1
     info = {"steps": steps, "fallback": False, "wrap_label": None}

@@ -82,6 +82,9 @@ def transition_order_key(t: Transition):
     return (_KIND_ORDER[t.kind], t.label or "")
 
 
+_MOVE_TABLES = {}
+
+
 def move_table(label_alphabet) -> tuple:
     """Every move over label_alphabet in the fixed tie-break order:
     FINISH, REDUCE, SHIFT, then NT_<label> for each label in sorted order.
@@ -89,30 +92,36 @@ def move_table(label_alphabet) -> tuple:
     labels share one table.  A move's index in the table is its column:
     a model's weight rows have one entry per column, and legal_transitions
     lists its moves in column order."""
-    return _legal_table(label_alphabet)[15][0]  # the mask with every kind legal
-
-
-_LEGAL_TABLES = {}
-
-
-def _legal_table(label_alphabet) -> tuple:
-    """The legal moves of move_table(label_alphabet) for each verdict mask
-    of _move_flags: entry m is (moves, columns), the table's moves whose
-    kind has its bit set in m (bit k for _KIND_ORDER k, so FINISH is bit
-    0 and every NT bit 3), in column order, and their columns.  Built once
-    per alphabet and cached; move_table is its entry for the full mask."""
     key = tuple(label_alphabet)
-    legal = _LEGAL_TABLES.get(key)
-    if legal is None:
+    table = _MOVE_TABLES.get(key)
+    if table is None:
         moves = [FINISH, REDUCE, SHIFT] + [nt(lab) for lab in key]
-        table = sorted(moves, key=transition_order_key)
-        kinds = [_KIND_ORDER[t.kind] for t in table]
-        legal = []
-        for mask in range(16):
-            columns = tuple(k for k, kind in enumerate(kinds) if mask >> kind & 1)
-            legal.append((tuple(table[k] for k in columns), columns))
-        legal = _LEGAL_TABLES[key] = tuple(legal)
-    return legal
+        table = _MOVE_TABLES[key] = tuple(sorted(moves, key=transition_order_key))
+    return table
+
+
+_LEGAL_COLUMNS = {}
+
+
+def _legal_columns(label_alphabet) -> dict:
+    """The columns of each list legal_transitions can return over
+    label_alphabet, keyed by (len(moves), *moves[:3]).
+
+    One list per mask of _move_flags's four verdicts: FINISH, REDUCE and
+    SHIFT as far as legal, then every NT or none, as NT legality never
+    depends on the label.  So the key fixes the list: its first three
+    moves show which of FINISH, REDUCE and SHIFT it holds, unless they
+    are all three, and then its length says whether the NTs follow.
+    Built once per alphabet and cached."""
+    key = tuple(label_alphabet)
+    found = _LEGAL_COLUMNS.get(key)
+    if found is None:
+        table = move_table(key)
+        found = _LEGAL_COLUMNS[key] = {}
+        for mask in range(16):  # bit k set: the moves _KIND_ORDER ranks k are legal
+            columns = tuple(k for k, t in enumerate(table) if mask >> _KIND_ORDER[t.kind] & 1)
+            found[(len(columns), *(table[k] for k in columns[:3]))] = columns
+    return found
 
 
 class Constituent(NamedTuple):
@@ -262,21 +271,19 @@ def _illegal_reason(config: Configuration, t: Transition):
 def legal_transitions(config: Configuration, label_alphabet):
     """All legal transitions, NT instantiated over label_alphabet, in the
     fixed tie-break order: the legal part of move_table(label_alphabet),
-    as a new list the caller may change."""
-    # the cached table read inline: oracle.optimal_transitions calls this
-    # once per query
-    legal = _LEGAL_TABLES.get(tuple(label_alphabet)) or _legal_table(label_alphabet)
-    return list(_legal(config, legal)[0])
-
-
-def _legal(config: Configuration, legal_table):
-    """(moves, columns) legal in config: the entry of legal_table (a
-    _legal_table) for _move_flags's verdicts.  The pair is shared; do not
-    change it."""
+    as a new list the caller may change.  _legal_columns gives the list's
+    columns."""
     fin, red, shift, nt_ok = _move_flags(config)
-    return legal_table[
-        (fin is None) | (red is None) << 1 | (shift is None) << 2 | (nt_ok is None) << 3
-    ]
+    out = []
+    if fin is None:
+        out.append(FINISH)
+    if red is None:
+        out.append(REDUCE)
+    if shift is None:
+        out.append(SHIFT)
+    if nt_ok is None:
+        out.extend(move_table(label_alphabet)[3:])  # the NTs, after FI, RE, SH
+    return out
 
 
 def apply(config: Configuration, t: Transition) -> Configuration:

@@ -22,8 +22,6 @@ from .transitions import (
     TOP_DOWN,
     Completed,
     _construct,
-    _legal,
-    _legal_table,
     _reduce_target,
     apply,
     fingerprint,
@@ -175,7 +173,7 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     configuration is reachable, which would mean the legality guards
     admit dead states.
     """
-    legal = _legal_table(bounds.label_alphabet or default_alphabet(gold))
+    alphabet = bounds.label_alphabet or default_alphabet(gold)
     rem0 = dict(gold.count)
     sunk0 = 0
     for c in config.built:  # a Constituent is its own key (label, l, r)
@@ -218,7 +216,7 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
         c = reps[key]
         if type(c) is tuple:  # a pending (parent, move), built on first expansion
             c = reps[key] = _construct(*c)
-        moves = _legal(c, legal)[0]  # none if c is terminal
+        moves = legal_transitions(c, alphabet)  # none if c is terminal
         if not moves and is_terminal(c):
             cand = d + sum(rule.missing[key[4]][1].values())
             if cand < best:
@@ -385,7 +383,7 @@ def _exhaustive_graph(tree, gold, strategy, bounds):
     key0 = _class_key(start, gold.count)
     rule = _Successors(strategy, key0[4])
     step, missing = rule.move, rule.missing
-    legal = _legal_table(bounds.label_alphabet)
+    alphabet = bounds.label_alphabet
     ids = {key0: 0}
     keys = [key0]
     reps = [start]
@@ -402,7 +400,7 @@ def _exhaustive_graph(tree, gold, strategy, bounds):
                 )
             c = reps[a]
             key = keys[a]
-            moves = _legal(c, legal)[0]  # none if c is terminal
+            moves = legal_transitions(c, alphabet)  # none if c is terminal
             if not moves and is_terminal(c):
                 terminal_pen.append((a, sum(missing[key[4]][1].values())))
             sunk = sunk_of[a]

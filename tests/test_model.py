@@ -27,8 +27,6 @@ from oracle_lab.transitions import (
     initial_config,
     is_terminal,
     legal_transitions,
-    _legal,
-    _legal_table,
     move_table,
     nt,
     parse_transition,
@@ -163,8 +161,9 @@ def test_zero_weights_fall_back_to_tie_break_order():
     m = Model(weights={}, label_alphabet=("X", "Y"), strategy=TOP_DOWN)
     c = initial_config(("a", "b"), TOP_DOWN)
     moves = legal_transitions(c, m.label_alphabet)
-    best, _ = _pick(columns_of(m.label_alphabet, moves), m.weights, features(c), len(m.moves))
-    assert m.moves[best] == moves[0]
+    table = move_table(m.label_alphabet)
+    best, _ = _pick(columns_of(m.label_alphabet, moves), m.weights, features(c), len(table))
+    assert table[best] == moves[0]
 
 
 def test_equal_nt_scores_pick_the_first_label():
@@ -177,12 +176,12 @@ def test_equal_nt_scores_pick_the_first_label():
     c = replay(("a", "b"), TOP_DOWN, "NT_X")
     moves = legal_transitions(c, alphabet)
     columns = columns_of(alphabet, moves)
-    best, totals = _pick(columns, m.weights, features(c), len(m.moves))
+    best, totals = _pick(columns, m.weights, features(c), len(move_table(alphabet)))
     assert {t: totals[k] for t, k in zip(moves, columns)} == {
         SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0
     }
     assert totals == dense(alphabet, {SHIFT: 1.0, nt("X"): 2.0, nt("Y"): 2.0})
-    assert m.moves[best] == nt("X")
+    assert move_table(alphabet)[best] == nt("X")
 
 
 def test_a_tie_between_shift_and_an_nt_gives_shift():
@@ -199,11 +198,11 @@ def test_a_tie_between_shift_and_an_nt_gives_shift():
     c = replay(("a", "b"), TOP_DOWN, "NT_X SH")
     moves = legal_transitions(c, alphabet)
     columns = columns_of(alphabet, moves)
-    best, totals = _pick(columns, m.weights, features(c), len(m.moves))
+    best, totals = _pick(columns, m.weights, features(c), len(move_table(alphabet)))
     assert {t: totals[k] for t, k in zip(moves, columns)} == {
         SHIFT: 1.5, nt("X"): 1.5, nt("Y"): 1.25
     }
-    assert m.moves[best] == SHIFT
+    assert move_table(alphabet)[best] == SHIFT
 
 
 def test_dynamic_target_is_the_first_best_optimal_move():
@@ -365,19 +364,20 @@ def test_the_column_pick_is_the_first_best_legal_move(monkeypatch, strategy):
     m = train(corpus, strategy, ExplorationPolicy(0.2, seed=2), epochs=2)
     (learner,) = learners
     alphabet, averaged = m.label_alphabet, m.weights
-    table, legal = move_table(alphabet), _legal_table(alphabet)
+    table = move_table(alphabet)
     rng = random.Random(f"ties|{strategy}")
     tied = {f: [float(rng.random() < 0.3) for _ in table] for f in learner.w}
     ties = 0
     for rows in (learner.w, averaged, tied):
         for k, tree in enumerate(corpus):
             for c in walk_configs(tree, strategy, alphabet, k, 60):
-                moves, columns = _legal(c, legal)
+                moves = legal_transitions(c, alphabet)
                 if not moves:
                     continue
                 feats = features(c)
+                columns = columns_of(alphabet, moves)
                 best, totals = _pick(columns, rows, feats, len(table))
-                expected, scores = reference_pick(list(moves), rows, feats, alphabet)
+                expected, scores = reference_pick(moves, rows, feats, alphabet)
                 assert table[best] == expected
                 assert [totals[col] for col in columns] == scores
                 ties += scores.count(max(scores)) > 1
@@ -669,6 +669,7 @@ def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explo
         f, tname, wtext = line.split("\t")
         flat[(f, parse_transition(tname))] = float(wtext)
     back = Model.load(path)
+    table = move_table(back.label_alphabet)
     steps = 0
     for tree in corpus:
         c = initial_config(tree.tokens, strategy)
@@ -678,11 +679,11 @@ def test_trained_model_file_and_scores_are_unchanged(tmp_path, strategy, p_explo
             moves = legal_transitions(c, back.label_alphabet)
             feats = features(c)
             columns = columns_of(back.label_alphabet, moves)
-            best, totals = _pick(columns, back.weights, feats, len(back.moves))
+            best, totals = _pick(columns, back.weights, feats, len(table))
             scores = {t: totals[k] for t, k in zip(moves, columns)}
             assert scores == {t: sum(flat.get((f, t), 0.0) for f in feats) for t in moves}
             # the first legal move with the highest score
-            assert back.moves[best] == max(moves, key=scores.__getitem__)
-            c = apply(c, back.moves[best])
+            assert table[best] == max(moves, key=scores.__getitem__)
+            c = apply(c, table[best])
             steps += 1
     assert steps > 100

@@ -33,42 +33,25 @@ def test_every_traced_function_exists_and_unpatch_restores_it(monkeypatch):
 def test_a_traced_train_and_parse_records_every_step_layer(monkeypatch):
     """Training and greedy parsing reach the step kernel through module
     attributes the tracer wraps; a call inlined or bound another way would
-    leave its span empty and the per-layer metrics blind.  The step's
-    legal moves come from `model._legal` (the legal table's entry for the
-    configuration), which the tracer's list does not name; each step must
-    still look it up as a module attribute, so a tracer can wrap it."""
+    leave its span empty and the per-layer metrics blind."""
     monkeypatch.syspath_prepend(str(BENCH))
     layers = importlib.import_module("layers")
     from oracle_lab import model, trees
 
-    legal_calls = {}  # (entry point, strategy) -> model._legal calls
-
-    def counted(name, real):
-        def call(*args):
-            legal_calls[name] = legal_calls.get(name, 0) + 1
-            return real(*args)
-
-        return call
-
     corpus = trees.synthetic_corpus(3, ["X", "Y"], seed=4, min_tokens=2, max_tokens=5)
     tracer = layers.install()
     tracer.repatch()
-    real_legal = model._legal
     try:
         for strategy in ("top-down", "in-order"):
             for p in (0.0, 0.5):
-                monkeypatch.setattr(model, "_legal", counted(("train", strategy), real_legal))
                 m = model.train(corpus, strategy, model.ExplorationPolicy(p, seed=1), epochs=1)
-                monkeypatch.setattr(model, "_legal", counted(("parse", strategy), real_legal))
                 model.parse(m, corpus[0].tokens)
     finally:
         tracer.unpatch()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     for strategy in ("top-down", "in-order"):
-        for span in ("model.train", "model.parse"):
+        for span in ("model.train", "model.parse", "transitions.legal_transitions"):
             assert calls.get(f"{span}.{strategy}", 0) > 0, f"{span}.{strategy}"
-        for entry in ("train", "parse"):
-            assert legal_calls.get((entry, strategy), 0) > 0, (entry, strategy)
     for span in ("model.features", "model._pick"):
         assert calls.get(span, 0) > 0, span
         # seen inside training and inside parsing, not only one of them

@@ -17,8 +17,7 @@ from oracle_lab.transitions import (
     Constituent,
     OpenNT,
     _illegal_reason,
-    _legal,
-    _legal_table,
+    _legal_columns,
     apply,
     fingerprint,
     initial_config,
@@ -267,9 +266,9 @@ LEGALITY_ALPHABETS = (("X",), ("D", "X", "Y", "Z"), tuple(f"L{k:02d}" for k in r
 def test_legal_moves_come_from_the_verdicts_of_each_move(strategy):
     """On every class of the n <= 2 census and on seeded walks over
     10-14-token trees, legal_transitions is the part of the move table
-    that _illegal_reason passes, and the step loop's (moves, columns)
-    entry holds those moves and their indexes in the table, for
-    alphabets of 1, 4 and 12 labels.  Each call gives a new list."""
+    that _illegal_reason passes, and _legal_columns gives those moves'
+    indexes in the table, for alphabets of 1, 4 and 12 labels.  Each
+    call gives a new list."""
     bounds = SearchBounds(label_alphabet=("D", "X", "Y"))
     configs = []
     for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
@@ -284,14 +283,14 @@ def test_legal_moves_come_from_the_verdicts_of_each_move(strategy):
     assert census > 500 and len(configs) > census + 1000
     for alphabet in LEGALITY_ALPHABETS:
         table = move_table(alphabet)
-        legal = _legal_table(alphabet)
+        legal_columns = _legal_columns(alphabet)
+        assert len(legal_columns) == 16  # no two verdict masks share a key
         for c in configs:
             expected = [t for t in table if _illegal_reason(c, t) is None]
             got = legal_transitions(c, alphabet)
             assert got == expected, c
             assert got is not legal_transitions(c, alphabet)
-            moves, columns = _legal(c, legal)
-            assert list(moves) == expected
+            columns = legal_columns[(len(got), *got[:3])]
             assert [table[k] for k in columns] == expected
             assert list(columns) == sorted(columns)
         assert any(legal_transitions(c, alphabet) for c in configs)

@@ -346,7 +346,7 @@ def test_exhaustive_sweep_restores_the_collector_state(monkeypatch, enabled):
     bounds = SearchBounds(max_tokens=2, label_alphabet=("X", "Y"))
     seen = []
 
-    def failing_legal(config, legal_table):
+    def failing_legal_transitions(config, alphabet):
         seen.append(gc.isenabled())
         raise RuntimeError("legality failed")
 
@@ -355,7 +355,7 @@ def test_exhaustive_sweep_restores_the_collector_state(monkeypatch, enabled):
         (gc.enable if enabled else gc.disable)()
         assert sweep(corpus, IN_ORDER, bounds, walk_policy="exhaustive").passed
         assert gc.isenabled() is enabled
-        monkeypatch.setattr(verify_mod, "_legal", failing_legal)
+        monkeypatch.setattr(verify_mod, "legal_transitions", failing_legal_transitions)
         with pytest.raises(RuntimeError, match="legality failed"):
             sweep(corpus, IN_ORDER, bounds, walk_policy="exhaustive")
         assert gc.isenabled() is enabled
