@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import heapq
 import random
 from collections import Counter
@@ -17,7 +18,15 @@ from oracle_lab.transitions import (
     is_terminal,
     legal_transitions,
 )
-from oracle_lab.trees import enumerate_trees, gold_sequence, parse_bracketed, random_tree, serialize
+from oracle_lab.trees import (
+    TreeError,
+    check_derivable,
+    enumerate_trees,
+    gold_sequence,
+    parse_bracketed,
+    random_tree,
+    serialize,
+)
 from oracle_lab.verify import (
     ConformanceReport,
     SearchBounds,
@@ -429,6 +438,56 @@ def test_sweep_random_walks_are_deterministic():
     b = sweep(corpus, IN_ORDER, seed=11, walks=2)
     assert a.passed and b.passed
     assert a.configs_checked == b.configs_checked
+
+
+def _walk_digest(configs):
+    h = hashlib.sha256()
+    for c in configs:
+        h.update(repr((fingerprint(c), c.built, c.history)).encode())
+    return len(configs), h.hexdigest()[:16]
+
+
+# (configurations, digest) of each family of walks below.  A walk that
+# changes checks other configurations than before, so a change here is
+# a decision to state, never a pin to refresh in passing.
+WALK_PINS = {
+    ("random-walk", TOP_DOWN): (12264, "d57f5b531ab9c233"),
+    ("random-walk", IN_ORDER): (17130, "f45d80e476b3010f"),
+    ("gold-prefix", TOP_DOWN): (1709, "2c3b79463b1acf82"),
+    ("gold-prefix", IN_ORDER): (1905, "5bdbb1d185e36001"),
+    "walk_configs": (4481, "eacad6de2dc90884"),
+}
+
+
+def test_walks_visit_the_pinned_configurations(monkeypatch):
+    """The configurations of sweep's walk policies on criterion 1's trees
+    (the gold prefixes only of those derivable under cap 3) and of
+    conftest.walk_configs over fixed seeds, in order.  sweep's loss batch
+    is replaced by a recorder that returns no totals, so nothing is
+    searched."""
+    seen = []
+    monkeypatch.setattr(verify_mod, "losses", lambda configs, gold: seen.extend(configs) or [])
+    trees = [random_tree(1 + s % 6, ["X", "Y", "Z"], s) for s in range(200)]
+    derivable = []
+    for t in trees:
+        try:
+            derivable.append(check_derivable(t, cap=3))
+        except TreeError:
+            pass
+    bounds = SearchBounds(label_alphabet=("D", "X", "Y", "Z"))
+    got = {}
+    for policy, corpus in (("random-walk", trees), ("gold-prefix", derivable)):
+        for strategy in (TOP_DOWN, IN_ORDER):
+            seen.clear()
+            report = sweep(corpus, strategy, bounds, walk_policy=policy, seed=7, walks=5)
+            assert report.configs_checked == len(seen)
+            got[policy, strategy] = _walk_digest(seen)
+    walked = []
+    for s in range(300):
+        t = random_tree(1 + s % 6, ["X", "Y"], s)
+        walked += walk_configs(t, (TOP_DOWN, IN_ORDER)[s % 2], ("D", "X", "Y"), s, steps=40)
+    got["walk_configs"] = _walk_digest(walked)
+    assert got == WALK_PINS
 
 
 def test_sweep_rejects_unknown_policy(example_tree):
