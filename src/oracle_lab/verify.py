@@ -15,6 +15,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .oracle import GoldReference, losses
 from .oracle import loss  # noqa: F401 -- a module attribute the benchmark's tracer wraps
@@ -243,33 +244,19 @@ def brute_force_loss(config, gold: GoldReference, bounds: SearchBounds, cache=No
     return sunk0 + best
 
 
-def _gold_prefix_configs(tree, strategy, bounds):
-    c = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
-    out = [c]
-    for t in gold_sequence(tree, strategy):
-        c = apply(c, t)
-        out.append(c)
-    return out
-
-
-def _random_walk_configs(tree, strategy, bounds, seed, tree_idx, walks):
-    """Seeded random walks from the initial configuration, over the moves
-    of bounds.label_alphabet.  The move kind is drawn uniformly and a
-    label drawn within it, so a label-rich alphabet does not drown the
-    walk in consecutive junk opens."""
-    out = []
-    for w in range(walks):
-        rng = random.Random(f"{seed}|walk|{tree_idx}|{strategy}|{w}")
-        c = initial_config(tree.tokens, strategy, bounds.max_consecutive_nt)
-        out.append(c)
-        steps = 0
-        while not is_terminal(c) and steps < bounds.max_steps:
-            moves = legal_transitions(c, bounds.label_alphabet)
-            kinds = sorted({t.kind for t in moves})
-            pick = rng.choice(kinds)
-            c = apply(c, rng.choice([t for t in moves if t.kind == pick]))
-            out.append(c)
-            steps += 1
+def _random_walk(config, alphabet, rng, steps):
+    """config, then every configuration of a seeded random walk of at most
+    steps moves over alphabet from it, stopping at a terminal one.  The
+    move kind is drawn uniformly and a move drawn within it, so a
+    label-rich alphabet does not drown the walk in consecutive junk
+    opens."""
+    out = [config]
+    while steps and not is_terminal(config):
+        moves = legal_transitions(config, alphabet)
+        pick = rng.choice(sorted({t.kind for t in moves}))
+        config = apply(config, rng.choice([t for t in moves if t.kind == pick]))
+        out.append(config)
+        steps -= 1
     return out
 
 
@@ -524,10 +511,14 @@ def sweep(
                 )
             brutes = map(operator.add, sunk_of, future)
         else:
+            start = initial_config(tree.tokens, strategy, local.max_consecutive_nt)
             if walk_policy == "gold-prefix":
-                configs = _gold_prefix_configs(tree, strategy, local)
+                configs = list(accumulate(gold_sequence(tree, strategy), apply, initial=start))
             else:
-                configs = _random_walk_configs(tree, strategy, local, seed, idx, walks)
+                configs = []
+                for w in range(walks):
+                    rng = random.Random(f"{seed}|walk|{idx}|{strategy}|{w}")
+                    configs += _random_walk(start, local.label_alphabet, rng, local.max_steps)
             # deepest states first so shallower searches can reuse their answers
             configs.reverse()
             brutes = _searches(tree, gold, configs, local)

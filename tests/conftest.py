@@ -9,11 +9,10 @@ from oracle_lab.transitions import (
     DEFAULT_NT_CAP,
     apply,
     initial_config,
-    is_terminal,
-    legal_transitions,
     parse_transition,
 )
 from oracle_lab.trees import parse_bracketed, random_tree
+from oracle_lab.verify import _random_walk
 
 settings.register_profile(
     "default",
@@ -50,21 +49,11 @@ def replay(tokens, strategy, names, cap=DEFAULT_NT_CAP):
 
 
 def walk_configs(tree, strategy, alphabet, seed, steps):
-    """A seeded random walk of at most steps moves over alphabet from the
-    initial configuration under NT cap 3, every configuration on it in
-    order: the move kind drawn uniformly, then a move of that kind."""
-    rng = random.Random(seed)
-    c = initial_config(tree.tokens, strategy, max_consecutive_nt=3)
-    out = [c]
-    for _ in range(steps):
-        if is_terminal(c):
-            break
-        moves = legal_transitions(c, alphabet)
-        kinds = sorted({m.kind for m in moves})
-        pick = rng.choice(kinds)
-        c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
-        out.append(c)
-    return out
+    """verify's seeded random walk of at most steps moves over alphabet
+    from the initial configuration under NT cap 3, every configuration on
+    it in order."""
+    start = initial_config(tree.tokens, strategy, max_consecutive_nt=3)
+    return _random_walk(start, alphabet, random.Random(seed), steps)
 
 
 def trees(max_tokens=5, labels=("X", "Y", "Z")):

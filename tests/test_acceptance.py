@@ -32,7 +32,7 @@ from oracle_lab.trees import (
     random_tree,
     synthetic_corpus,
 )
-from oracle_lab.verify import SearchBounds, brute_force_loss, sweep
+from oracle_lab.verify import SearchBounds, _random_walk, brute_force_loss, sweep
 
 STRATEGIES = (TOP_DOWN, IN_ORDER)
 
@@ -163,18 +163,12 @@ def test_criterion_05_loss_is_monotone():
         for strategy in STRATEGIES:
             gold = GoldReference.from_tree(tree, strategy)
             rng = random.Random(f"mono|{s}|{strategy}")
-            c = initial_config(tree.tokens, strategy, 3)
-            for _ in range(30):
-                if is_terminal(c):
-                    break
+            start = initial_config(tree.tokens, strategy, 3)
+            for c in _random_walk(start, WALK_LABELS, rng, 29):
                 base = loss(c, gold).total
-                moves = legal_transitions(c, WALK_LABELS)
-                for m in moves:
+                for m in legal_transitions(c, WALK_LABELS):  # none at a terminal
                     assert loss(apply(c, m), gold).total >= base, (s, strategy, m)
                     pairs += 1
-                kinds = sorted({m.kind for m in moves})
-                k = rng.choice(kinds)
-                c = apply(c, rng.choice([m for m in moves if m.kind == k]))
         s += 1
     print(f"criterion 5: loss never decreased over {pairs} transition pairs")
 

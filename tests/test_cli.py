@@ -144,27 +144,28 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
 
 
 @pytest.mark.parametrize(
-    "policy, budget, message",
+    "policy, message",
     [
-        ("random-walk", "_CLASS_LIMIT", "class budget exhausted: the search from ("),
-        ("exhaustive", "_CLASS_LIMIT", "class budget exhausted: the state graph of ("),
+        ("random-walk", "class budget exhausted: the search from ("),
+        ("exhaustive", "class budget exhausted: the state graph of ("),
     ],
+    ids=["random-walk", "exhaustive"],
 )
 @pytest.mark.parametrize("strategy", ["top-down", "in-order"])
 def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strategy, policy,
-                                                     budget, message):
+                                                     message):
     """A search that outgrows its budget ends in an input error that names
     the budget and the gold tree, not in a traceback: the brute-force
     search and the state graph share one class budget, patched down to 2.
     The first tree's search is the first to run out."""
-    monkeypatch.setattr(oracle_lab.verify, budget, 2)
+    monkeypatch.setattr(oracle_lab.verify, "_CLASS_LIMIT", 2)
     args = ["check", "--strategy", strategy, "--generate", "3", "--max-tokens", "4",
             "--policy", policy]
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"oracle-lab: {message}")
-    assert f"(verify.{budget})" in captured.err
+    assert "(verify._CLASS_LIMIT)" in captured.err
     first = serialize(synthetic_corpus(3, ["X", "Y", "Z"], seed=0, max_tokens=4)[0])
     assert first in captured.err
     if policy == "random-walk":
@@ -762,3 +763,23 @@ def test_console_script_smoke(tmp_path):
     installed = shutil.which("oracle-lab")
     if installed:
         run_script([installed], tmp_path)
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The package and its CLI load no module outside the standard
+    library.  -S keeps site hooks, which load modules of their own, out of
+    the count."""
+    code = (
+        "import sys, oracle_lab, oracle_lab.cli;"
+        " print(sorted({m.partition('.')[0] for m in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'oracle_lab', '__main__'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

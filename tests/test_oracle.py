@@ -42,7 +42,7 @@ from oracle_lab.trees import (
     parse_bracketed,
     random_tree,
 )
-from oracle_lab.verify import SearchBounds, _exhaustive_graph, brute_force_loss, sweep
+from oracle_lab.verify import SearchBounds, _exhaustive_graph, _random_walk, brute_force_loss, sweep
 
 
 def test_strategy_mismatch_is_rejected(example_tree):
@@ -247,6 +247,24 @@ def test_top_down_loss_is_exact_where_the_cap_cannot_derive_the_tree():
     assert report.configs_checked == 43_112
 
 
+def _stacking_walk(c, alphabet, rng, steps, p_nt):
+    """A seeded walk of at most steps moves over alphabet from c that
+    stacks opens: each configuration is yielded before the move from it
+    is drawn, an NT with probability p_nt when one is legal, else any
+    legal move.  It stops after a configuration with no legal move."""
+    for _ in range(steps):
+        yield c
+        moves = legal_transitions(c, alphabet)
+        if not moves:
+            return
+        nts = [m for m in moves if m.kind == "nt"]
+        c = apply(c, rng.choice(nts if nts and rng.random() < p_nt else moves))
+
+
+def _most_opens_at_one_index(c):
+    return max(Counter(e.index for e in c.stack if isinstance(e, OpenNT)).values(), default=0)
+
+
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_losses_match_loss_one_by_one(strategy):
     """One `losses` batch per gold tree against one `loss` call per
@@ -272,15 +290,9 @@ def test_losses_match_loss_one_by_one(strategy):
         configs = []
         for cap in (2, 3):
             c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
-            for _ in range(6 * c.n):
+            for c in _stacking_walk(c, ("D",) + alphabet, rng, 6 * c.n, 0.6):
                 configs.append(c)
-                opens = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
-                stacked += max(opens.values(), default=0) >= 2
-                moves = legal_transitions(c, ("D",) + alphabet)
-                if not moves:
-                    break
-                nts = [m for m in moves if m.kind == "nt"]
-                c = apply(c, rng.choice(nts if nts and rng.random() < 0.6 else moves))
+                stacked += _most_opens_at_one_index(c) >= 2
         batches.append((gold, configs))
     for gold, configs in batches:
         assert losses(configs, gold) == [loss(c, gold) for c in configs]
@@ -669,15 +681,10 @@ def test_optimal_set_is_every_loss_preserving_move(strategy, cap):
         t = random_tree(rng.randint(1, 9), labels, rng.randrange(1 << 30))
         gold = GoldReference.from_tree(t, strategy)
         alphabet = sorted(labels + ["D", "E"])
-        c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
-        for _ in range(6 * c.n):
-            moves = legal_transitions(c, alphabet)
-            if not moves:
-                break
+        start = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
+        for c in _random_walk(start, alphabet, rng, 6 * start.n):
             want = loss_preserving_moves(c, gold, alphabet)
             assert optimal_transitions(c, gold, alphabet) == want, (t, c.history)
-            pick = rng.choice(sorted({m.kind for m in moves}))
-            c = apply(c, rng.choice([m for m in moves if m.kind == pick]))
 
 
 @pytest.mark.parametrize("cap", [1, 3])
@@ -722,19 +729,14 @@ def test_optimal_set_with_opens_stacked_to_the_cap(cap):
             if g_t not in legal_transitions(c, alphabet):
                 break
             c = apply(c, g_t)
-        for _ in range(8 * c.n):
-            moves = legal_transitions(c, alphabet)
-            if not moves:
+        for c in _stacking_walk(c, alphabet, rng, 8 * c.n, 0.7):
+            if is_terminal(c):
                 break
             assert_move_losses_match(c, gold, alphabet)
-            stacked = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
-            if max(stacked.values(), default=0) >= 2:
+            if _most_opens_at_one_index(c) >= 2:
                 seen["open" if isinstance(c.stack[-1], OpenNT) else "completed"] += 1
             if c.nt_run == cap:
                 seen["capped"] += 1
-            nts = [m for m in moves if m.kind == "nt"]
-            pick = rng.choice(nts if nts and rng.random() < 0.7 else moves)
-            c = apply(c, pick)
     assert min(seen["open"], seen["completed"], seen["capped"]) >= 200, seen
 
 
@@ -827,16 +829,10 @@ def test_gold_index_matches_a_fresh_count(strategy):
         t = random_tree(rng.randint(10, 40), ["X", "Y"], rng.randrange(1 << 30))
         gold = GoldReference.from_tree(t, strategy)
         c = initial_config(t.tokens, strategy, max_consecutive_nt=rng.choice([2, 3]))
-        for _ in range(6 * c.n):
+        for c in _stacking_walk(c, alphabet, rng, 6 * c.n, 0.6):
             assert_index_matches_a_fresh_count(c, gold, alphabet)
             walked += 1
-            opens = Counter(e.index for e in c.stack if isinstance(e, OpenNT))
-            stacked += max(opens.values(), default=0) >= 2
-            moves = legal_transitions(c, alphabet)
-            if not moves:
-                break
-            nts = [m for m in moves if m.kind == "nt"]
-            c = apply(c, rng.choice(nts if nts and rng.random() < 0.6 else moves))
+            stacked += _most_opens_at_one_index(c) >= 2
     assert census >= 250 and walked >= 1000, (census, walked)
     if strategy == TOP_DOWN:
         assert stacked >= 100, stacked

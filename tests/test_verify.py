@@ -22,7 +22,6 @@ from oracle_lab.trees import (
     TreeError,
     check_derivable,
     enumerate_trees,
-    gold_sequence,
     parse_bracketed,
     random_tree,
     serialize,
