@@ -333,9 +333,9 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     The oracle calls of one pass read and extend the gold's top-down
     trie, as the calls of one `losses` batch do: each step drops what
     the path has shifted past, and the pass drops the rest at its end
-    (`GoldReference`'s rule).  With audit, each step's `loss` calls are
-    public and leave the gold with no trie, so the next step starts from
-    none."""
+    (`GoldReference`'s rule).  With audit, each step's two `loss` calls
+    are public calls on the path's own gold, so they read and extend the
+    path's trie and drop nothing."""
     c = initial_config(tokens, gold.strategy)
     if seq is None:
         cap = _step_cap(c.n, c.max_consecutive_nt)

@@ -56,12 +56,13 @@ analysis reads besides the tally:
 - SHIFT and NT leave the tally as it is; the strategy's analysis runs on
   the successor's fields.
 
-In-order, the NT labels share one analysis.  The pushed open's slot is the
-left end b of the completed item on top, right of every other slot, so its
-pool is the missing spans at b and the other slots, and the spans counted
-lost, are the same for every label.  The slot costs nothing for a label of
-the innermost span in that pool (`_innermost_labels`) and one loss for any
-other, so one analysis with one label gives every label's total.
+In-order, the NT totals come from the configuration's own analysis.  The
+pushed open's slot is the left end b of the completed item on top, whose
+missing spans the own analysis already counts as free through its wrap
+term, so the successor's lost spans and every other open's term are the
+configuration's.  The pushed open adds one loss, unless its label is that
+of the innermost missing span at b (`_innermost_labels`), so every NT
+total is the configuration's total plus one, less that.
 
 Every top-down total reads its pass from one memo, a trie that the gold's
 `GoldReference` owns (its docstring gives the lifetime rule).  The pass
@@ -100,8 +101,11 @@ layers the step before built, and a deep stack adds one layer per SHIFT
 or NT rather than one per open.  Along a path i never goes down, so the
 path drops what no later step reads: the sub-tries left of its position,
 and the nodes keyed by an entry alone whose first target end it has
-reached.  No trie outlives a public call, a path or a sentence: kept
-longer, its memory would grow with the corpus.
+reached.  Consecutive public calls on one gold share its trie too, so
+`optimal_transitions` after `loss` on one configuration computes none of
+that configuration's layers again.  Of the golds public calls read, at
+most one keeps a trie between calls, the last top-down one: memory is
+bounded by one gold, never the corpus (`GoldReference` gives the rule).
 """
 
 from __future__ import annotations
@@ -111,6 +115,7 @@ from collections import Counter
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
+from weakref import ref
 
 from .transitions import (
     IN_ORDER,
@@ -159,12 +164,18 @@ class GoldReference:
     open's target entry and its relation to the buffer position, and the
     parts that read the position itself sit in sub-tries per position.
     The trie is exact for this gold whoever reads it, so its lifetime is
-    a matter of memory alone.  The rule: a public call (`loss`, `losses`,
-    `optimal_transitions`) leaves none behind, whether it returns or
-    raises.  A caller that walks a path through private calls says where
-    the path is with `forget_before(i)` before each step's calls, from the
-    first on, which drops what the path has passed, and drops the rest
-    with `forget()` at the path's end if the gold outlives the path.
+    a matter of memory alone.  The rule: of the golds that public calls
+    (`loss`, `losses`, `optimal_transitions`) read, at most one keeps a
+    trie between calls, the last top-down one, whether its call returned
+    or raised.  A public call on another top-down gold first drops that
+    one's trie with `forget()`; in-order golds build none and leave it in
+    place.  The module holds that gold by a weak reference, so its trie
+    dies with it.  This is not thread-safe, and gold tries never were.  A
+    caller that walks a path through private calls says where the path
+    is with `forget_before(i)` before each step's calls, from the first
+    on, which drops what the path has passed, and drops the rest with
+    `forget()` at the path's end if the gold outlives the path.  A public
+    call on the path's own gold reads and extends the path's trie.
     """
 
     def __init__(self, strategy, constituents):
@@ -225,8 +236,9 @@ class GoldReference:
         of i, and the nodes keyed by an entry alone whose first target end
         is at or left of i, with all below them.  The first call starts
         the path: from then on, until `forget()`, the trie notes each part
-        it makes under the last position that reads it.  A public call
-        drops the whole trie when it ends, so it notes nothing."""
+        it makes under the last position that reads it.  Off a path the
+        trie notes nothing, and public calls keep it whole until a public
+        call reads another top-down gold."""
         passes = self._passes
         if passes is None:
             self._held, self._passes = {}, []
@@ -595,22 +607,34 @@ def _in_order_analysis(gold, taken, matched, stack, i):
     return lost, fa, ooo
 
 
+_last_gold = None  # a weak reference to the last top-down gold a public call read
+
+
+def _public(gold):
+    """Start a public call on gold: if it is a top-down gold other than the
+    last one a public call read, drop that one's trie and hold this one in
+    its place (`GoldReference`'s rule).  Not thread-safe."""
+    global _last_gold
+    if gold.strategy == TOP_DOWN:
+        last = _last_gold and _last_gold()
+        if last is not gold:
+            if last is not None:
+                last.forget()
+            _last_gold = ref(gold)
+
+
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
     """Minimum achievable Hamming loss from this configuration, decomposed."""
-    try:
-        return _move_losses(config, gold, ())[0]
-    finally:
-        gold.forget()
+    _public(gold)
+    return _move_losses(config, gold, ())[0]
 
 
 def losses(configs, gold: GoldReference) -> list:
     """The `LossBreakdown` of each configuration of one gold tree, in order.
-    The top-down analyses share the gold's tries, which this call leaves
-    empty."""
-    try:
-        return [_move_losses(config, gold, ())[0] for config in configs]
-    finally:
-        gold.forget()
+    The top-down analyses share the gold's trie, which this call leaves to
+    the next public call on the same gold."""
+    _public(gold)
+    return [_move_losses(config, gold, ())[0] for config in configs]
 
 
 def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
@@ -683,15 +707,15 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
 def _in_order_move_losses(config, gold, taken, sunk, matched, moves, own):
     """The configuration's (unreachable, false opens, out of order), None
     unless own, and each move's successor total, for in-order; the module
-    docstring says how the NT labels share one analysis.  The successor's
-    new item is built as `transitions._construct` builds it, with
-    tuple.__new__."""
+    docstring says how the NT totals follow from the configuration's own
+    analysis.  The successor's new item is built as
+    `transitions._construct` builds it, with tuple.__new__."""
     stack, i = config.stack, config.i
     parts = _in_order_analysis(gold, taken, matched, stack, i) if own else None
     if not moves:
         return parts, []
     totals = []
-    innermost = None
+    nt_junk = None  # the total with a pushed open that costs one
     for t in moves:
         kind = t.kind
         if kind == "finish":
@@ -711,12 +735,10 @@ def _in_order_move_losses(config, gold, taken, sunk, matched, moves, own):
             total += sum(_in_order_analysis(gold, taken, matched + bool(v), succ, i))
             taken[key] = had
         else:  # nt
-            if innermost is None:
+            if nt_junk is None:
                 innermost = _innermost_labels(gold, taken, stack[-1][1], i)
-                succ = stack + (_new(OpenNT, (t.label, i)),)
-                # the total with a new open that costs one
-                nt_junk = sunk + sum(_in_order_analysis(gold, taken, matched, succ, i))
-                nt_junk += t.label in innermost
+                base = parts if own else _in_order_analysis(gold, taken, matched, stack, i)
+                nt_junk = sunk + sum(base) + 1
             total = nt_junk - (t.label in innermost)
         totals.append(total)
     return parts, totals
@@ -751,10 +773,8 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     if label_alphabet is None:
         label_alphabet = gold.labels
     moves = legal_transitions(config, label_alphabet)
-    try:
-        breakdown, totals = _move_losses(config, gold, moves)
-    finally:
-        gold.forget()
+    _public(gold)
+    breakdown, totals = _move_losses(config, gold, moves)
     base = breakdown.total
     return [t for t, total in zip(moves, totals) if total == base]
 

@@ -479,9 +479,10 @@ def sweep(
     Each policy gives a tree's configurations and their brute-force
     totals.  The exhaustive policy gives every class of the state graph,
     whose total is its representative's sunk junk plus the class's
-    future.  The walks give their configurations deepest first, and
-    brute_force_loss searches each one, through one cache per tree, when
-    the loop reaches it.  One loop compares every total with the formula's.
+    future (`_census`).  The walks give their configurations deepest
+    first, and brute_force_loss searches each one, through one cache per
+    tree, when the loop reaches it.  One loop compares every total with
+    the formula's (`_compare`).
 
     The trees need not be derivable under bounds.max_consecutive_nt: the
     loss is exact under any cap, and a gold span the cap cannot build is
@@ -496,39 +497,53 @@ def sweep(
         gold = GoldReference.from_tree(tree, strategy)
         local = replace(bounds, label_alphabet=bounds.label_alphabet or default_alphabet(gold))
         if walk_policy == "exhaustive":
-            t1 = time.perf_counter()
-            _, configs, sunk_of, back, term = _exhaustive_graph(tree, gold, strategy, local)
-            future = _batch_future(back, term)
-            t2 = time.perf_counter()
-            report.graph_s += t2 - t1
-            report.classes += len(configs)
-            report.edges += sum(map(len, back))
-            if None in future:
-                raise RuntimeError(
-                    "no terminal configuration reachable from"
-                    f" {fingerprint(configs[future.index(None)])};"
-                    " the legality guards are suspect"
-                )
-            brutes = map(operator.add, sunk_of, future)
+            # one pause per tree: the graph dies with the call, before the
+            # collector resumes
+            with _collector_paused():
+                _census(tree, gold, strategy, local, report)
+            continue
+        start = initial_config(tree.tokens, strategy, local.max_consecutive_nt)
+        if walk_policy == "gold-prefix":
+            configs = list(accumulate(gold_sequence(tree, strategy), apply, initial=start))
         else:
-            start = initial_config(tree.tokens, strategy, local.max_consecutive_nt)
-            if walk_policy == "gold-prefix":
-                configs = list(accumulate(gold_sequence(tree, strategy), apply, initial=start))
-            else:
-                configs = []
-                for w in range(walks):
-                    rng = random.Random(f"{seed}|walk|{idx}|{strategy}|{w}")
-                    configs += _random_walk(start, local.label_alphabet, rng, local.max_steps)
-            # deepest states first so shallower searches can reuse their answers
-            configs.reverse()
-            brutes = _searches(tree, gold, configs, local)
+            configs = []
+            for w in range(walks):
+                rng = random.Random(f"{seed}|walk|{idx}|{strategy}|{w}")
+                configs += _random_walk(start, local.label_alphabet, rng, local.max_steps)
+        # deepest states first so shallower searches can reuse their answers
+        configs.reverse()
         with _collector_paused():
             formulas = losses(configs, gold)
-        for c, lb, brute in zip(configs, formulas, brutes):
-            if lb.total != brute:
-                report.mismatches.append((str(fingerprint(c)), lb.total, brute))
-        report.configs_checked += len(configs)
-        if walk_policy == "exhaustive":
-            report.formula_s += time.perf_counter() - t2
+        _compare(report, configs, formulas, _searches(tree, gold, configs, local))
     report.elapsed = time.perf_counter() - t0
     return report
+
+
+def _census(tree, gold, strategy, bounds, report):
+    """The exhaustive policy on one tree: every class of its state graph,
+    formula against sunk junk plus the class's future, added to report
+    with the graph's size and the two phases' times."""
+    t1 = time.perf_counter()
+    _, configs, sunk_of, back, term = _exhaustive_graph(tree, gold, strategy, bounds)
+    future = _batch_future(back, term)
+    t2 = time.perf_counter()
+    report.graph_s += t2 - t1
+    report.classes += len(configs)
+    report.edges += sum(map(len, back))
+    if None in future:
+        raise RuntimeError(
+            "no terminal configuration reachable from"
+            f" {fingerprint(configs[future.index(None)])};"
+            " the legality guards are suspect"
+        )
+    _compare(report, configs, losses(configs, gold), map(operator.add, sunk_of, future))
+    report.formula_s += time.perf_counter() - t2
+
+
+def _compare(report, configs, formulas, brutes):
+    """Add each configuration's formula total against its brute-force
+    total to report."""
+    for c, lb, brute in zip(configs, formulas, brutes):
+        if lb.total != brute:
+            report.mismatches.append((str(fingerprint(c)), lb.total, brute))
+    report.configs_checked += len(configs)

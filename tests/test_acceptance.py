@@ -9,8 +9,6 @@ import random
 import time
 from collections import Counter
 
-import pytest
-
 from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN, replay
 from oracle_lab.cli import main
 from oracle_lab.evaluation import arity_breakdown, prf

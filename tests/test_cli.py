@@ -19,7 +19,7 @@ from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
 import oracle_lab.cli
 from oracle_lab.cli import build_parser, main
 from oracle_lab.oracle import OracleViolation
-from oracle_lab.trees import load_corpus, parse_bracketed, serialize, synthetic_corpus
+from oracle_lab.trees import load_corpus, serialize, synthetic_corpus
 from oracle_lab.verify import SearchBounds, sweep
 
 ROOT = Path(__file__).resolve().parent.parent

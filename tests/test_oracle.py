@@ -408,6 +408,7 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     moves = legal_transitions(c, ("D", "X", "Y"))
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
     want = loss(c, gold), [loss(apply(c, m), gold).total for m in moves]
+    gold.forget()
     calls.clear()
     assert _move_losses(c, gold, moves) == want
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
@@ -456,35 +457,91 @@ def assert_holds_only_what_i_reads(gold, i):
     assert all(r > i for r in ends), (i, sorted(ends))
 
 
-def test_public_calls_leave_the_gold_with_no_tries(monkeypatch):
-    """`loss`, `losses` and `optimal_transitions` leave the gold with no
-    trie, and so does a `losses` batch that raises partway through: a
-    public call's trie lives for that call alone.  So repeating a call
-    computes the same layers again, where a trie kept across calls would
-    let the repeat compute none."""
+def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
+    """Between public calls the last top-down gold they read keeps its
+    trie.  So `optimal_transitions` after `loss` on one configuration
+    computes none of that configuration's layers again, and a repeated
+    call computes none at all.  A public call on another top-down gold
+    drops the first one's trie; one on an in-order gold, which builds
+    none, leaves it.  A `losses` batch that raises partway through leaves
+    the layers it computed, and later calls read them exactly."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
-    gold = GoldReference.from_tree(t, TOP_DOWN)
-    calls = _layer_calls(monkeypatch)
+    alphabet = ("D", "X", "Y")
     c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
+    moves = legal_transitions(c, alphabet)
     configs = [initial_config(t.tokens, TOP_DOWN)]
     for g_t in gold_sequence(t, TOP_DOWN):
         configs.append(apply(configs[-1], g_t))
-    for call in (
-        lambda: loss(c, gold),
-        lambda: losses(configs, gold),
-        lambda: optimal_transitions(c, gold, ("D", "X", "Y")),
+    ref = GoldReference.from_tree(t, TOP_DOWN)
+    want = loss(c, ref), optimal_transitions(c, ref, alphabet), losses(configs, ref)
+    assert ref._trie is not None
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    calls = _layer_calls(monkeypatch)
+    assert loss(c, gold) == want[0]
+    assert ref._trie is None
+    assert optimal_transitions(c, gold, alphabet) == want[1]
+    nodes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
+    assert_each_layer_once(calls, nodes)
+    for call, answer in (
+        (lambda: loss(c, gold), want[0]),
+        (lambda: optimal_transitions(c, gold, alphabet), want[1]),
+        (lambda: losses(configs, gold), want[2]),
     ):
-        layers = []
-        for _ in range(2):
-            calls.clear()
-            call()
-            assert gold._trie is None and not gold._held
-            layers.append(list(calls))
-        assert layers[0] and layers[0] == layers[1]
+        assert call() == answer
+        computed = len(calls)
+        assert call() == answer and len(calls) == computed
     calls.clear()
+    root = gold._trie
+    io_gold = GoldReference.from_tree(t, IN_ORDER)
+    io = initial_config(t.tokens, IN_ORDER)
+    loss(io, io_gold)
+    losses([io], io_gold)
+    optimal_transitions(io, io_gold, alphabet)
+    assert io_gold._trie is None and gold._trie is root
+    assert loss(c, gold) == want[0] and not calls
+
+    other = GoldReference.from_tree(t, TOP_DOWN)
     with pytest.raises(ValueError, match="strategy mismatch"):
-        losses(configs + [initial_config(t.tokens, IN_ORDER)] + configs, gold)
-    assert calls and gold._trie is None and not gold._held
+        losses(configs + [io] + configs, other)
+    assert calls and gold._trie is None and not gold._held and other._trie is not None
+    calls.clear()
+    assert losses(configs, other) == want[2] and not calls
+    assert (loss(c, other), optimal_transitions(c, other, alphabet)) == want[:2]
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_shared_tries_give_every_fresh_answer(strategy):
+    """Seeded walks on two gold trees at once, advancing one or the other
+    at random, with `loss`, `optimal_transitions` and a `losses` batch on
+    each configuration reached: the top-down golds take turns holding a
+    trie and share it across runs of calls, and every answer equals the
+    one a gold no earlier call has read gives."""
+    rng = random.Random(f"shared|{strategy}")
+    alphabet = ("D", "X", "Y")
+    checked = 0
+    for _ in range(30):
+        walks = []
+        for _ in range(2):
+            t = random_tree(rng.randint(4, 20), ["X", "Y"], rng.randrange(1 << 30))
+            c = initial_config(t.tokens, strategy, max_consecutive_nt=rng.randint(1, 3))
+            walk = _random_walk(c, alphabet, rng, 4 * c.n)
+            want = []
+            for c in walk:
+                fresh = [GoldReference.from_tree(t, strategy) for _ in range(2)]
+                want.append((loss(c, fresh[0]), optimal_transitions(c, fresh[1], alphabet)))
+            walks.append((GoldReference.from_tree(t, strategy), walk, want, iter(range(len(walk)))))
+        while walks:
+            gold, walk, want, steps = rng.choice(walks)
+            k = next(steps, None)
+            if k is None:
+                walks = [w for w in walks if w[0] is not gold]
+                continue
+            c = walk[k]
+            assert (loss(c, gold), optimal_transitions(c, gold, alphabet)) == want[k], c
+            lo = max(0, k - 3)
+            assert losses(walk[lo : k + 1], gold) == [lb for lb, _ in want[lo : k + 1]]
+            checked += 1
+    assert checked >= 1_500, checked
 
 
 def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
@@ -585,8 +642,8 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
     queries give the same move totals, and the moves whose total keeps
     the configuration's are the set a fresh `optimal_transitions` call
     gives, and the loss-preserving moves.  The fresh calls use a gold of
-    their own, as they drop the whole trie.  The path takes random moves,
-    about half of them optimal."""
+    their own, whose trie no path has shaped.  The path takes random
+    moves, about half of them optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
