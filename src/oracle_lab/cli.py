@@ -74,7 +74,6 @@ def cmd_oracle_trace(args):
             c = initial_config(tree.tokens, args.strategy)
             for step, t in enumerate(gold_sequence(tree, args.strategy), start=1):
                 c = apply(c, t)
-                gold.forget_before(c.i)
                 lb = _move_losses(c, gold, ())[0]
                 out.write(
                     f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"

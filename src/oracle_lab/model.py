@@ -330,16 +330,13 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     pass raises `OracleViolation`, naming the sentence and the moves
     taken.
 
-    The oracle calls of one pass read and extend the gold's top-down
-    trie, as the calls of one `losses` batch do: each step drops what
-    the path has shifted past, and the pass drops the rest at its end
-    (`GoldReference`'s rule).  With audit, each step's two `loss` calls
-    are public calls on the path's own gold, so they read and extend the
-    path's trie and drop nothing."""
+    The oracle calls of one pass, and with audit each step's two `loss`
+    calls, read and extend the gold's top-down trie, as the calls of one
+    `losses` batch do.  The trie lasts until another gold makes one
+    (`GoldReference`'s rule), such as the next sentence's gold."""
     c = initial_config(tokens, gold.strategy)
     if seq is None:
         cap = _step_cap(c.n, c.max_consecutive_nt)
-        gold.forget_before(c.i)  # the path starts
         total = _move_losses(c, gold, ())[0].total  # the path's loss so far
     else:
         cap = len(seq)
@@ -384,8 +381,6 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
             move = table[target]
         c = _construct(c, move)
         path.append(move)
-        gold.forget_before(c.i)
-    gold.forget()
     if seq is None and is_terminal(c):
         built = Counter(map(tuple, c.built))  # keyed as gold.count is
         hamming = len(c.built) + gold.size - 2 * (built & gold.count).total()

@@ -94,25 +94,20 @@ pre-pass nor a trie key builds one per call.  The matched spans, the gold
 counts at i and past it and the forced junk are added per configuration.
 
 So the configurations of one `losses` call share layers, and so do a
-configuration and the successors `_move_losses` judges.  A path walked
-through private calls (a dynamic training pass, `model._train_sentence`,
-or `oracle-trace`) shares them from step to step, as each step reads the
-layers the step before built, and a deep stack adds one layer per SHIFT
-or NT rather than one per open.  Along a path i never goes down, so the
-path drops what no later step reads: the sub-tries left of its position,
-and the nodes keyed by an entry alone whose first target end it has
-reached.  Consecutive public calls on one gold share its trie too, so
-`optimal_transitions` after `loss` on one configuration computes none of
-that configuration's layers again.  Of the golds public calls read, at
-most one keeps a trie between calls, the last top-down one: memory is
-bounded by one gold, never the corpus (`GoldReference` gives the rule).
+configuration and the successors `_move_losses` judges.  Every call on
+one gold reads and extends the same trie: the steps of a path (a
+dynamic training pass, `model._train_sentence`, or `oracle-trace`) share
+layers from step to step, so a deep stack adds one layer per SHIFT or NT
+rather than one per open, and `optimal_transitions` after `loss` on one
+configuration computes none of that configuration's layers again.  One
+rule bounds the memory by one gold, never the corpus: when a gold makes
+a trie, the gold that made the one before drops it (`GoldReference`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 from weakref import ref
@@ -132,6 +127,7 @@ from .transitions import (
 from .trees import constituent_set
 
 _UNSEEN = float("inf")  # a running minimum before its first arrival
+_last_gold = None  # a weak reference to the gold that made the last trie
 
 
 class GoldReference:
@@ -164,18 +160,12 @@ class GoldReference:
     open's target entry and its relation to the buffer position, and the
     parts that read the position itself sit in sub-tries per position.
     The trie is exact for this gold whoever reads it, so its lifetime is
-    a matter of memory alone.  The rule: of the golds that public calls
-    (`loss`, `losses`, `optimal_transitions`) read, at most one keeps a
-    trie between calls, the last top-down one, whether its call returned
-    or raised.  A public call on another top-down gold first drops that
-    one's trie with `forget()`; in-order golds build none and leave it in
-    place.  The module holds that gold by a weak reference, so its trie
-    dies with it.  This is not thread-safe, and gold tries never were.  A
-    caller that walks a path through private calls says where the path
-    is with `forget_before(i)` before each step's calls, from the first
-    on, which drops what the path has passed, and drops the rest with
-    `forget()` at the path's end if the gold outlives the path.  A public
-    call on the path's own gold reads and extends the path's trie.
+    a matter of memory alone, and one rule sets it: a gold keeps its trie
+    until another gold makes one, whichever oracle call makes it.  So at
+    most one gold holds a trie at a time, and in-order golds, which make
+    none, never take its place.  The module holds the gold by a weak
+    reference, so its trie dies with it.  This is not thread-safe, and
+    gold tries never were.
     """
 
     def __init__(self, strategy, constituents):
@@ -212,43 +202,11 @@ class GoldReference:
         else:
             self.ends = ends
             self.spans_at = spans_at
-        # the top-down trie's root, made when first read; and while a path
-        # is walked, position p -> the (node, key) pairs to drop once the
-        # path passes p, and those p, a heap
-        self._trie = self._held = self._passes = None
+        self._trie = None  # the top-down trie's root, made when first read
 
     @classmethod
     def from_tree(cls, tree, strategy):
         return cls(strategy, constituent_set(tree))
-
-    def _hold(self, p, node, key):
-        """Let `forget_before` drop node[key] once a path is right of p."""
-        held = self._held.get(p)
-        if held is None:
-            self._held[p] = [(node, key)]
-            heappush(self._passes, p)
-        else:
-            held.append((node, key))
-
-    def forget_before(self, i):
-        """A path is at i: drop the parts of the trie that no configuration
-        at or right of i reads, namely the sub-tries at the positions left
-        of i, and the nodes keyed by an entry alone whose first target end
-        is at or left of i, with all below them.  The first call starts
-        the path: from then on, until `forget()`, the trie notes each part
-        it makes under the last position that reads it.  Off a path the
-        trie notes nothing, and public calls keep it whole until a public
-        call reads another top-down gold."""
-        passes = self._passes
-        if passes is None:
-            self._held, self._passes = {}, []
-        while passes and passes[0] < i:
-            for node, key in self._held.pop(heappop(passes)):
-                del node[key]
-
-    def forget(self):
-        """Drop the whole trie and end the path."""
-        self._trie = self._held = self._passes = None
 
     def capped(self, i, cap):
         """Gold spans right of i that the cap can never open: top-down opens
@@ -360,38 +318,42 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
     least: the first cheapest assignment in that order.  This fixes the
     split between unreachable spans and out-of-order junk.
 
-    Each layer and close is read from the gold's trie, whose lifetime
-    `GoldReference` rules (the module docstring says why its key is
-    exact).  Each node is a dict that holds its layer under None.  From
-    the root, an open left of i whose targets all end past i, with no
-    open below it keyed by i, is the child under its entry alone, and the
-    node holds its sub-trie at each position p under p.  The first other
-    open enters the sub-trie at i: a node with the same layer, whose
-    children are keyed by entry and whose closes by headroom, as all of
-    them read i itself.  Only what is missing is computed, by `_td_layer`
-    and `_td_close`.
+    Each layer and close is read from the gold's trie (the module
+    docstring says why its key is exact).  The root is made here, when
+    the gold has none, and that is the moment the gold that made the
+    trie before drops its own: `GoldReference`'s one lifetime rule.  Each
+    node is a dict that holds its layer under None.  From the root, an
+    open left of i whose targets all end past i, with no open below it
+    keyed by i, is the child under its entry alone, and the node holds
+    its sub-trie at each position p under p.  The first other open enters
+    the sub-trie at i: a node with the same layer, whose children are
+    keyed by entry and whose closes by headroom, as all of them read i
+    itself.  Only what is missing is computed, by `_td_layer` and
+    `_td_close`.
     """
+    global _last_gold
     searched, forced_junk = targets
     node = gold._trie
     if node is None:
+        last = _last_gold and _last_gold()
+        if last is not None:
+            last._trie = None
+        _last_gold = ref(gold)
         node = gold._trie = {None: {(n, n + 1, ()): (0, 0)}}
-    on_path = gold._held is not None
     pl = None  # the left index of the open below
     pinned = False  # whether node is keyed by the position i
     for entry in searched:
         # an open left of i with no target end at i reads i only as
         # "left of it", while no open below it is keyed by i
         if not pinned and not entry[1] < i < entry[2][0]:
-            node, pinned = _sub_trie(gold, node, i), True
+            node, pinned = _sub_trie(node, i), True
         child = node.get(entry)
         if child is None:
             child = node[entry] = {None: _td_layer(entry, i, node[None], pl)}
-            if on_path and not pinned:  # keyed so only while i is left of its first target end
-                gold._hold(entry[2][0] - 1, node, entry)
         node = child
         pl = entry[1]
     if not pinned:
-        node = _sub_trie(gold, node, i)
+        node = _sub_trie(node, i)
     avail = max(0, cap - nt_run)
     found = node.get(avail)
     if found is None:  # pl == i: the last searched open sits at i
@@ -438,17 +400,13 @@ def _td_targets(gold, taken, stack, n, i, E):
     return searched, opens - len(searched)
 
 
-def _sub_trie(gold, node, i):
+def _sub_trie(node, i):
     """node's sub-trie at position i, made on first use: a node with
     node's layer, whose children and closes are keyed by entry and
-    headroom alone, as they all read i itself.  The gold lists node under
-    i, so that on a path `GoldReference.forget_before` can drop the
-    sub-trie."""
+    headroom alone, as they all read i itself."""
     sub = node.get(i)
     if sub is None:
         sub = node[i] = {None: node[None]}
-        if gold._held is not None:
-            gold._hold(i, node, i)
     return sub
 
 
@@ -607,33 +565,14 @@ def _in_order_analysis(gold, taken, matched, stack, i):
     return lost, fa, ooo
 
 
-_last_gold = None  # a weak reference to the last top-down gold a public call read
-
-
-def _public(gold):
-    """Start a public call on gold: if it is a top-down gold other than the
-    last one a public call read, drop that one's trie and hold this one in
-    its place (`GoldReference`'s rule).  Not thread-safe."""
-    global _last_gold
-    if gold.strategy == TOP_DOWN:
-        last = _last_gold and _last_gold()
-        if last is not gold:
-            if last is not None:
-                last.forget()
-            _last_gold = ref(gold)
-
-
 def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
     """Minimum achievable Hamming loss from this configuration, decomposed."""
-    _public(gold)
     return _move_losses(config, gold, ())[0]
 
 
 def losses(configs, gold: GoldReference) -> list:
     """The `LossBreakdown` of each configuration of one gold tree, in order.
-    The top-down analyses share the gold's trie, which this call leaves to
-    the next public call on the same gold."""
-    _public(gold)
+    The top-down analyses share the gold's trie."""
     return [_move_losses(config, gold, ())[0] for config in configs]
 
 
@@ -773,7 +712,6 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     if label_alphabet is None:
         label_alphabet = gold.labels
     moves = legal_transitions(config, label_alphabet)
-    _public(gold)
     breakdown, totals = _move_losses(config, gold, moves)
     base = breakdown.total
     return [t for t, total in zip(moves, totals) if total == base]
@@ -787,9 +725,7 @@ def _move_losses(config, gold, moves):
     move; the strategy's analysis then runs on the configuration and on
     each move's successor fields.  A terminal or finished configuration
     has no legal moves, and its loss is the junk built plus the gold spans
-    not built.  The top-down totals read and extend the gold's tries, and
-    leave them in place for the caller to drop by `GoldReference`'s
-    rule."""
+    not built.  The top-down totals read and extend the gold's trie."""
     taken, sunk = _tally(config, gold)
     matched = len(config.built) - sunk
     if not moves and (is_terminal(config) or config.finished):
@@ -808,7 +744,7 @@ def _move_totals(config, gold, moves):
     in config: `_move_losses` without the configuration's own analysis,
     for a caller that already knows its total, as a dynamic training pass
     does.  The successors are judged exactly as there, from the same tally
-    and strategy functions, and the gold's tries are left the same way."""
+    and strategy functions, and read the gold's trie the same way."""
     taken, sunk = _tally(config, gold)
     matched = len(config.built) - sunk
     if config.strategy == TOP_DOWN:

@@ -76,8 +76,13 @@ class ConformanceReport:
 
     def summary(self):
         status = "PASS" if self.passed else "FAIL"
+        return f"{status}: {self._details()}"
+
+    def _details(self):
+        """The summary without its status: what was checked, in how long,
+        and the first mismatches."""
         lines = [
-            f"{status}: {self.configs_checked} configurations checked,"
+            f"{self.configs_checked} configurations checked,"
             f" {len(self.mismatches)} mismatches, {self.elapsed:.2f}s"
         ]
         if self.classes:
@@ -487,34 +492,41 @@ def sweep(
     The trees need not be derivable under bounds.max_consecutive_nt: the
     loss is exact under any cap, and a gold span the cap cannot build is
     lost on both sides.  Only the gold-prefix policy replays the gold
-    derivation, so only it needs a derivable tree."""
+    derivation, so only it needs a derivable tree.
+
+    A ValueError from a tree, such as a search that runs out of its
+    class budget, is raised again with what was checked before it."""
     if walk_policy not in WALK_POLICIES:
         raise ValueError(f"unknown policy {walk_policy!r}")
     bounds = bounds or SearchBounds()
     report = ConformanceReport()
     t0 = time.perf_counter()
-    for idx, tree in enumerate(corpus):
-        gold = GoldReference.from_tree(tree, strategy)
-        local = replace(bounds, label_alphabet=bounds.label_alphabet or default_alphabet(gold))
-        if walk_policy == "exhaustive":
-            # one pause per tree: the graph dies with the call, before the
-            # collector resumes
+    try:
+        for idx, tree in enumerate(corpus):
+            gold = GoldReference.from_tree(tree, strategy)
+            local = replace(bounds, label_alphabet=bounds.label_alphabet or default_alphabet(gold))
+            if walk_policy == "exhaustive":
+                # one pause per tree: the graph dies with the call, before the
+                # collector resumes
+                with _collector_paused():
+                    _census(tree, gold, strategy, local, report)
+                continue
+            start = initial_config(tree.tokens, strategy, local.max_consecutive_nt)
+            if walk_policy == "gold-prefix":
+                configs = list(accumulate(gold_sequence(tree, strategy), apply, initial=start))
+            else:
+                configs = []
+                for w in range(walks):
+                    rng = random.Random(f"{seed}|walk|{idx}|{strategy}|{w}")
+                    configs += _random_walk(start, local.label_alphabet, rng, local.max_steps)
+            # deepest states first so shallower searches can reuse their answers
+            configs.reverse()
             with _collector_paused():
-                _census(tree, gold, strategy, local, report)
-            continue
-        start = initial_config(tree.tokens, strategy, local.max_consecutive_nt)
-        if walk_policy == "gold-prefix":
-            configs = list(accumulate(gold_sequence(tree, strategy), apply, initial=start))
-        else:
-            configs = []
-            for w in range(walks):
-                rng = random.Random(f"{seed}|walk|{idx}|{strategy}|{w}")
-                configs += _random_walk(start, local.label_alphabet, rng, local.max_steps)
-        # deepest states first so shallower searches can reuse their answers
-        configs.reverse()
-        with _collector_paused():
-            formulas = losses(configs, gold)
-        _compare(report, configs, formulas, _searches(tree, gold, configs, local))
+                formulas = losses(configs, gold)
+            _compare(report, configs, formulas, _searches(tree, gold, configs, local))
+    except ValueError as e:
+        report.elapsed = time.perf_counter() - t0
+        raise ValueError(f"{e}\nbefore that: {report._details()}") from e
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -542,8 +554,14 @@ def _census(tree, gold, strategy, bounds, report):
 
 def _compare(report, configs, formulas, brutes):
     """Add each configuration's formula total against its brute-force
-    total to report."""
-    for c, lb, brute in zip(configs, formulas, brutes):
-        if lb.total != brute:
-            report.mismatches.append((str(fingerprint(c)), lb.total, brute))
+    total to report.  A search that raises leaves the configurations
+    compared before it counted."""
+    done = 0
+    try:
+        for done, (c, lb, brute) in enumerate(zip(configs, formulas, brutes), 1):
+            if lb.total != brute:
+                report.mismatches.append((str(fingerprint(c)), lb.total, brute))
+    except ValueError:
+        report.configs_checked += done
+        raise
     report.configs_checked += len(configs)

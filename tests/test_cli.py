@@ -19,7 +19,7 @@ from conftest import EXAMPLE_TREE, EXAMPLE_IN_ORDER, EXAMPLE_TOP_DOWN
 import oracle_lab.cli
 from oracle_lab.cli import build_parser, main
 from oracle_lab.oracle import OracleViolation
-from oracle_lab.trees import load_corpus, serialize, synthetic_corpus
+from oracle_lab.trees import load_corpus, parse_bracketed, serialize, synthetic_corpus
 from oracle_lab.verify import SearchBounds, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,7 +157,8 @@ def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strate
     """A search that outgrows its budget ends in an input error that names
     the budget and the gold tree, not in a traceback: the brute-force
     search and the state graph share one class budget, patched down to 2.
-    The first tree's search is the first to run out."""
+    The first tree's search is the first to run out.  The error's second
+    line says what was checked before it."""
     monkeypatch.setattr(oracle_lab.verify, "_CLASS_LIMIT", 2)
     args = ["check", "--strategy", strategy, "--generate", "3", "--max-tokens", "4",
             "--policy", policy]
@@ -168,8 +169,49 @@ def test_check_exits_2_when_a_search_budget_runs_out(monkeypatch, capsys, strate
     assert "(verify._CLASS_LIMIT)" in captured.err
     first = serialize(synthetic_corpus(3, ["X", "Y", "Z"], seed=0, max_tokens=4)[0])
     assert first in captured.err
+    error, before = captured.err.splitlines()
     if policy == "random-walk":
-        assert captured.err.endswith(f", in the gold tree {first}\n")
+        assert error.endswith(f", in the gold tree {first}")
+    assert re.fullmatch(r"before that: \d+ configurations checked, 0 mismatches, .*s", before)
+
+
+@pytest.mark.parametrize(
+    "strategy, policy, limit",
+    [("top-down", "random-walk", 20), ("in-order", "random-walk", 10), ("in-order", "exhaustive", 40)],
+)
+def test_check_names_what_it_checked_before_a_search_budget_runs_out(
+    tmp_path, monkeypatch, capsys, strategy, policy, limit
+):
+    """A later tree whose search outgrows the class budget, after an
+    earlier tree fit in it, still exits 2, and the error goes on to say
+    what was checked before it: every configuration of the earlier tree,
+    and under a walk policy those of the later tree whose searches fit,
+    with every mismatch found among them.  The formula is one off
+    everywhere, so every configuration checked is a mismatch."""
+    small, big = "(X w0 w1)", "(X (Y w0 w1) (X w2 w3) w4)"
+    monkeypatch.setattr(oracle_lab.verify, "_CLASS_LIMIT", limit)
+    first = sweep([parse_bracketed(small)], strategy, walk_policy=policy).configs_checked
+    real = oracle_lab.verify.losses
+
+    def one_off(configs, gold):
+        return [lb._replace(total=lb.total + 1) for lb in real(configs, gold)]
+
+    monkeypatch.setattr(oracle_lab.verify, "losses", one_off)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{small}\n{big}\n", encoding="utf-8")
+    assert main(["check", "--strategy", strategy, str(corpus), "--policy", policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("oracle-lab: class budget exhausted: ")
+    assert big in lines[0] and "(verify._CLASS_LIMIT)" in lines[0]
+    head = re.fullmatch(r"before that: (\d+) configurations checked, (\d+) mismatches, .*s", lines[1])
+    checked = int(head.group(1))
+    assert int(head.group(2)) == checked >= first > 0
+    if policy == "exhaustive":
+        assert checked == first
+    shown = [line for line in lines if line.startswith("  mismatch: formula=")]
+    assert len(shown) == min(checked, 20)
 
 
 def test_check_rejects_conflicting_sources(example_corpus, capsys):

@@ -574,6 +574,33 @@ def test_static_training_audits_every_gold_move(strategy):
         assert got == seq + seq
 
 
+@pytest.mark.parametrize(
+    "p_explore, audited, holders",
+    [(0.3, False, 1), (0.0, True, 1), (0.0, False, 0)],
+    ids=["dynamic", "static-audited", "static"],
+)
+def test_training_leaves_a_trie_on_one_gold_at_most(monkeypatch, p_explore, audited, holders):
+    """A gold keeps its top-down trie only until another gold makes one,
+    so training on many trees leaves a trie on one gold at most, the last
+    whose oracle calls made one.  Dynamic training and static training's
+    audit calls make tries; static training alone asks the oracle
+    nothing."""
+    made = []
+    real = GoldReference.from_tree.__func__
+
+    def recorded(cls, tree, strategy):
+        made.append(real(cls, tree, strategy))
+        return made[-1]
+
+    monkeypatch.setattr(GoldReference, "from_tree", classmethod(recorded))
+    corpus = synthetic_corpus(8, ["X", "Y"], seed=4, min_tokens=2, max_tokens=8)
+    audit = (lambda *args: None) if audited else None
+    policy = ExplorationPolicy(p_explore=p_explore, seed=1)
+    train(corpus, TOP_DOWN, policy, epochs=2, audit=audit)
+    assert len(made) == len(corpus)
+    assert len([g for g in made if g._trie is not None]) == holders
+
+
 def in_order_unary_chain(depth):
     """(X (X ... (X w0))), depth X nodes over one word."""
     text = "(X w0)"

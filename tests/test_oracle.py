@@ -332,7 +332,6 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     assert root[0][entry][None] != root[entry][None]
     # each close's (cost, junk), under the headroom max(0, 2 - nt_run)
     assert [root[0][entry][1], root[entry][1][1], root[entry][1][0]] == [(0, 0), (-1, 0), (0, 0)]
-    gold.forget()
 
     t = parse_bracketed("(X w0)")
     gold = GoldReference.from_tree(t, TOP_DOWN)
@@ -408,14 +407,14 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     moves = legal_transitions(c, ("D", "X", "Y"))
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
     want = loss(c, gold), [loss(apply(c, m), gold).total for m in moves]
-    gold.forget()
+    gold = GoldReference.from_tree(t, TOP_DOWN)  # no trie yet
     calls.clear()
     assert _move_losses(c, gold, moves) == want
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
     assert_each_layer_once(calls, prefixes)
     assert len(calls) < sum(len(_prefixes(apply(c, m), gold)) for m in moves)
-    gold.forget()
 
+    gold = GoldReference.from_tree(t, TOP_DOWN)
     configs = [initial_config(t.tokens, TOP_DOWN)]
     for g_t in gold_sequence(t, TOP_DOWN):
         configs.append(apply(configs[-1], g_t))
@@ -430,12 +429,11 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     assert len(calls) < len(per_position)
 
 
-def _trie_parts(gold):
-    """(the positions of the sub-tries, the first target ends of the nodes
-    keyed by entry alone) in the gold's trie.  A node keyed by entry
-    alone holds its sub-tries under positions and its children under
-    entries; a sub-trie is not entered."""
-    positions, ends = set(), []
+def _trie_positions(gold):
+    """The positions of the sub-tries in the gold's trie.  A node keyed by
+    entry alone holds its sub-tries under positions and its children
+    under entries; a sub-trie is not entered."""
+    positions = set()
     todo = [] if gold._trie is None else [gold._trie]
     while todo:
         node = todo.pop()
@@ -443,28 +441,23 @@ def _trie_parts(gold):
             if type(key) is int:
                 positions.add(key)
             elif key is not None:
-                ends.append(key[2][0])
                 todo.append(child)
-    return positions, ends
+    return positions
 
 
-def assert_holds_only_what_i_reads(gold, i):
-    """A path at i holds no sub-trie but those at i and i + 1, and no node
-    keyed by entry alone whose first target end is at or left of i, as
-    such a node is read only while i is left of that end."""
-    positions, ends = _trie_parts(gold)
-    assert positions <= {i, i + 1}, (i, sorted(positions))
-    assert all(r > i for r in ends), (i, sorted(ends))
+def _holders(golds):
+    """The golds that hold a trie."""
+    return [g for g in golds if g._trie is not None]
 
 
 def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
-    """Between public calls the last top-down gold they read keeps its
-    trie.  So `optimal_transitions` after `loss` on one configuration
-    computes none of that configuration's layers again, and a repeated
-    call computes none at all.  A public call on another top-down gold
-    drops the first one's trie; one on an in-order gold, which builds
-    none, leaves it.  A `losses` batch that raises partway through leaves
-    the layers it computed, and later calls read them exactly."""
+    """A gold keeps its trie until another gold makes one.  So
+    `optimal_transitions` after `loss` on one configuration computes none
+    of that configuration's layers again, and a repeated call computes
+    none at all.  A call on an in-order gold, which makes no trie, leaves
+    it; a call on another top-down gold, public or a private query,
+    drops it.  A `losses` batch that raises partway through leaves the
+    layers it computed, and later calls read them exactly."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     alphabet = ("D", "X", "Y")
     c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
@@ -503,10 +496,17 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     other = GoldReference.from_tree(t, TOP_DOWN)
     with pytest.raises(ValueError, match="strategy mismatch"):
         losses(configs + [io] + configs, other)
-    assert calls and gold._trie is None and not gold._held and other._trie is not None
+    assert calls and gold._trie is None and other._trie is not None
     calls.clear()
     assert losses(configs, other) == want[2] and not calls
     assert (loss(c, other), optimal_transitions(c, other, alphabet)) == want[:2]
+
+    after = [loss(apply(c, m), ref).total for m in moves]
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    assert _move_totals(c, gold, moves) == after
+    assert _holders([ref, other, gold]) == [gold]
+    assert _move_losses(c, other, ())[0] == want[0]
+    assert _holders([ref, other, gold]) == [other]
 
 
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
@@ -515,12 +515,14 @@ def test_shared_tries_give_every_fresh_answer(strategy):
     at random, with `loss`, `optimal_transitions` and a `losses` batch on
     each configuration reached: the top-down golds take turns holding a
     trie and share it across runs of calls, and every answer equals the
-    one a gold no earlier call has read gives."""
+    one a gold no earlier call has read gives.  After every call at most
+    one of the golds holds a trie."""
     rng = random.Random(f"shared|{strategy}")
     alphabet = ("D", "X", "Y")
     checked = 0
     for _ in range(30):
         walks = []
+        golds = []  # every gold of this round
         for _ in range(2):
             t = random_tree(rng.randint(4, 20), ["X", "Y"], rng.randrange(1 << 30))
             c = initial_config(t.tokens, strategy, max_consecutive_nt=rng.randint(1, 3))
@@ -528,8 +530,11 @@ def test_shared_tries_give_every_fresh_answer(strategy):
             want = []
             for c in walk:
                 fresh = [GoldReference.from_tree(t, strategy) for _ in range(2)]
+                golds += fresh
                 want.append((loss(c, fresh[0]), optimal_transitions(c, fresh[1], alphabet)))
-            walks.append((GoldReference.from_tree(t, strategy), walk, want, iter(range(len(walk)))))
+                assert len(_holders(golds)) <= 1
+            golds.append(GoldReference.from_tree(t, strategy))
+            walks.append((golds[-1], walk, want, iter(range(len(walk)))))
         while walks:
             gold, walk, want, steps = rng.choice(walks)
             k = next(steps, None)
@@ -537,17 +542,20 @@ def test_shared_tries_give_every_fresh_answer(strategy):
                 walks = [w for w in walks if w[0] is not gold]
                 continue
             c = walk[k]
-            assert (loss(c, gold), optimal_transitions(c, gold, alphabet)) == want[k], c
+            assert loss(c, gold) == want[k][0], c
+            assert len(_holders(golds)) <= 1
+            assert optimal_transitions(c, gold, alphabet) == want[k][1], c
+            assert len(_holders(golds)) <= 1
             lo = max(0, k - 3)
             assert losses(walk[lo : k + 1], gold) == [lb for lb, _ in want[lo : k + 1]]
+            assert len(_holders(golds)) <= 1
             checked += 1
     assert checked >= 1_500, checked
 
 
 def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     """`oracle-trace` on a top-down tree computes the layer of each
-    distinct trie node along its derivation exactly once, and holds only
-    what the configuration's position reads."""
+    distinct trie node along its derivation exactly once."""
     text = "(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))"
     path = tmp_path / "tree.txt"
     path.write_text(text + "\n", encoding="utf-8")
@@ -555,7 +563,6 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     real = cli._move_losses
 
     def recorded(c, gold, moves):
-        assert_holds_only_what_i_reads(gold, c.i)
         seen.append((c, gold))
         return real(c, gold, moves)
 
@@ -595,10 +602,10 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     path reads the gold's trie.  The pass reads the initial
     configuration's loss once, with `_move_losses`, which finds no trie;
     every later call is a `_move_totals` query that finds the sub-trie at
-    its i that the calls before built.  Before every call the trie holds
-    only what the configuration's position reads, and the pass leaves no
-    trie.  Without exploration the pass follows a zero-loss
-    path; with it, every wrong guess is taken."""
+    its i that the calls before built.  The pass leaves the trie on its
+    gold, which keeps it until another gold makes one.  Without
+    exploration the pass follows a zero-loss path; with it, every wrong
+    guess is taken."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     alphabet = ("D", "X", "Y")
@@ -606,8 +613,7 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
 
     def recorder(query, real):
         def recorded(c, gold, moves):
-            assert_holds_only_what_i_reads(gold, c.i)
-            steps.append((query, c, moves, c.i in _trie_parts(gold)[0]))
+            steps.append((query, c, moves, c.i in _trie_positions(gold)))
             return real(c, gold, moves)
 
         return recorded
@@ -621,7 +627,7 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     assert [(q, warm) for q, _, _, warm in steps] == (
         [("losses", False)] + [("totals", True)] * (len(steps) - 1)
     )
-    assert gold._trie is None and not gold._held
+    assert gold._trie is not None
     # the layers each call reads: the first its configuration's, every
     # other its moves' successors'
     read = [_prefixes(steps[0][1], gold)] + [
@@ -631,38 +637,44 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     assert len(calls) < sum(map(len, read))  # a trie per call computes these
     totals = [lb.total for lb in losses([c for _, c, _, _ in steps], gold)]
     assert (max(totals) > 0) == explored
+    other = GoldReference.from_tree(t, TOP_DOWN)
+    loss(initial_config(t.tokens, TOP_DOWN), other)
+    assert gold._trie is None and other._trie is not None
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
     """The gold's trie read by `_move_losses` and `_move_totals` along a
-    whole path, with each position's sub-tries dropped once the path has
-    shifted past it, as a training pass drops them: at every step both
-    queries give the same move totals, and the moves whose total keeps
-    the configuration's are the set a fresh `optimal_transitions` call
-    gives, and the loss-preserving moves.  The fresh calls use a gold of
-    their own, whose trie no path has shaped.  The path takes random
-    moves, about half of them optimal."""
+    whole path, as a training pass reads it: at every step both queries
+    give the same move totals, and the moves whose total keeps the
+    configuration's are the set a fresh `optimal_transitions` call gives,
+    and the loss-preserving moves.  The path is walked on its gold alone,
+    so that every step reads the one trie the steps before built (for
+    top-down, the same root throughout), and the fresh calls come after
+    the walk, on a gold of their own, whose trie no path has shaped.
+    The path takes random moves, about half of them optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
         t = random_tree(rng.randint(1, 12), labels, rng.randrange(1 << 30))
         gold = GoldReference.from_tree(t, strategy)
-        ref = GoldReference.from_tree(t, strategy)
         alphabet = sorted(labels + ["D"])
         c = initial_config(t.tokens, strategy, max_consecutive_nt=cap)
-        path = []
+        steps = []  # (configuration, the moves whose total keeps its own)
+        path = []  # the moves taken
         for _ in range(8 * c.n + 2 * cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
-            gold.forget_before(c.i)
             breakdown, totals = _move_losses(c, gold, moves)
+            if not steps:
+                root = gold._trie
+                assert (root is not None) == (strategy == TOP_DOWN)
             assert _move_totals(c, gold, moves) == totals
+            assert gold._trie is root
             got = [m for m, total in zip(moves, totals) if total == breakdown.total]
-            fresh = optimal_transitions(c, ref, alphabet)
-            assert got == fresh == loss_preserving_moves(c, ref, alphabet), (t, path)
+            steps.append((c, got))
             if rng.random() < 0.5:
                 m = rng.choice(got)
             else:
@@ -670,6 +682,10 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
                 m = rng.choice([m for m in moves if m.kind == pick])
             path.append(str(m))
             c = apply(c, m)
+        ref = GoldReference.from_tree(t, strategy)
+        for k, (c, got) in enumerate(steps):
+            fresh = optimal_transitions(c, ref, alphabet)
+            assert got == fresh == loss_preserving_moves(c, ref, alphabet), (t, path[:k])
 
 
 @given(trees(max_tokens=4, labels=("X", "Y")), st.integers(0, 999),
