@@ -51,8 +51,9 @@ analysis reads besides the tally:
 - FINISH leaves a finished configuration, whose loss is `sunk` plus the
   gold spans not yet built.
 - REDUCE builds the one constituent `transitions._reduce_target` names: it
-  adds one to `taken` if that span is missing, else one to `sunk`.  That
-  delta is applied for the successor's analysis and undone after.
+  adds one to `taken` if that span is missing, else one to `sunk`.  The
+  successor's analysis reads a copy of `taken` with that delta, so the
+  tally the query keeps (below) is left as it is.
 - SHIFT and NT leave the tally as it is; the strategy's analysis runs on
   the successor's fields.
 
@@ -98,10 +99,23 @@ configuration and the successors `_move_losses` judges.  Every call on
 one gold reads and extends the same trie: the steps of a path (a
 dynamic training pass, `model._train_sentence`, or `oracle-trace`) share
 layers from step to step, so a deep stack adds one layer per SHIFT or NT
-rather than one per open, and `optimal_transitions` after `loss` on one
-configuration computes none of that configuration's layers again.  One
-rule bounds the memory by one gold, never the corpus: when a gold makes
-a trie, the gold that made the one before drops it (`GoldReference`).
+rather than one per open.  One rule bounds the memory by one gold, never
+the corpus: when a gold makes a trie, the gold that made the one before
+drops it (`GoldReference`).
+
+A query asked twice in a row is answered once.  The module keeps one
+slot (`_Slot`) with what the last query learnt: its tally, the
+configuration's own parts once computed, and for top-down the pre-pass
+targets it read.  The slot is keyed by identity, the configuration
+object itself and its gold, which it holds by a weak reference, as it
+holds the gold of the last trie.  A query on another configuration
+object or gold, even an equal one, takes the slot over.  So
+`optimal_transitions` after `loss` on one configuration tallies it,
+runs its pre-pass and analyses it once, and a dynamic training step
+that asks for every move after the guess's reads the guess's tally.
+The slot holds one configuration, never one per gold or per corpus, and
+a gold the caller drops dies while the slot still names it.  Like the
+trie, it is not thread-safe.
 """
 
 from __future__ import annotations
@@ -166,6 +180,11 @@ class GoldReference:
     none, never take its place.  The module holds the gold by a weak
     reference, so its trie dies with it.  This is not thread-safe, and
     gold tries never were.
+
+    The module's query slot (`_Slot`) names at most one gold too: the
+    gold of the last query, of either strategy, keyed by identity with
+    that query's configuration object and held by a weak reference, so
+    it never keeps a gold alive.  It is not thread-safe either.
     """
 
     def __init__(self, strategy, constituents):
@@ -227,7 +246,8 @@ class OracleViolation(Exception):
     """A loss total that breaks the equation the exact loss satisfies: at
     a configuration with moves, the least successor total is its own
     total, and at a terminal one, the total is the Hamming loss of what
-    it built.  It is a defect of the program, not of its input, so it is
+    it built.  A check that gets fewer totals than configurations raises
+    it too.  It is a defect of the program, not of its input, so it is
     no ValueError."""
 
 
@@ -576,33 +596,88 @@ def losses(configs, gold: GoldReference) -> list:
     return [_move_losses(config, gold, ())[0] for config in configs]
 
 
-def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
-    """The configuration's (unreachable, false opens, out of order), None
-    unless own, and each move's successor total, for top-down:
-    `_top_down_analysis` on each one's targets, buffer position, NT run
-    and matched count."""
+class _Slot:
+    """What the oracle learnt about the configuration it was last asked
+    about, in the module's one slot, `_asked`.  It is keyed by identity:
+    `config` is that configuration object, and `gold` a weak reference to
+    its gold, as `_last_gold` holds one.  `taken`, `sunk` and `matched`
+    are the configuration's tally; `parts` its own (unreachable, false
+    opens, out of order), None until computed; and `later` (top-down)
+    the targets of the opens below a SHIFT or NT successor, None until
+    read.  Nothing in it changes until another query takes it over, so a
+    repeated query reads what a fresh one would compute.  The one object
+    is filled again on every miss, which costs less than making one."""
+
+    __slots__ = ("config", "gold", "taken", "sunk", "matched", "parts", "later")
+
+    def __init__(self):
+        self.config = self.taken = self.sunk = self.matched = None
+        self.parts = self.later = None
+        self.gold = lambda: None  # read as a dead reference: no gold yet
+
+
+_asked = _Slot()
+
+
+def _ask(config, gold):
+    """The slot, holding this configuration object and gold: if it holds
+    another, the configuration's tally takes its place, and its parts and
+    later targets are unknown."""
+    asked = _asked
+    if asked.config is not config or asked.gold() is not gold:
+        taken, sunk = _tally(config, gold)  # it raises before the slot changes
+        if asked.gold() is not gold:  # a batch on one gold keeps its reference
+            asked.gold = ref(gold)
+        asked.config = config
+        asked.taken = taken
+        asked.sunk = sunk
+        asked.matched = len(config.built) - sunk
+        asked.parts = asked.later = None
+    return asked
+
+
+def _parts(config, gold, asked):
+    """The configuration's own (unreachable, false opens, out of order):
+    the slot's when known, else computed and kept there.  A terminal or
+    finished configuration has lost the gold spans not built.  A top-down
+    configuration with an open on top searches its opens from E = i + 1,
+    as a SHIFT or NT successor searches those below it, so its pre-pass
+    is kept as the slot's `later`."""
+    parts = asked.parts
+    if parts is None:
+        stack, i = config.stack, config.i
+        if is_terminal(config) or config.finished:
+            parts = (gold.size - asked.matched, 0, 0)
+        elif config.strategy == TOP_DOWN:
+            n, cap, nt_run = config.n, config.max_consecutive_nt, config.nt_run
+            # E: i with a completed item on top, else i + 1
+            E = i if stack and type(stack[-1]) is Completed else i + 1
+            targets = _td_targets(gold, asked.taken, stack, n, i, E)
+            if E > i:
+                asked.later = targets
+            parts = _top_down_analysis(gold, targets, asked.matched, n, cap, i, nt_run)
+        else:
+            parts = _in_order_analysis(gold, asked.taken, asked.matched, stack, i)
+        asked.parts = parts
+    return parts
+
+
+def _top_down_move_losses(config, gold, asked, moves):
+    """Each move's successor total, for top-down: `_top_down_analysis` on
+    each one's targets, buffer position, NT run and matched count."""
     stack, i, n = config.stack, config.i, config.n
     cap, nt_run = config.max_consecutive_nt, config.nt_run
-    # E: i with a completed item on top, else i + 1
-    E = i if stack and type(stack[-1]) is Completed else i + 1
+    taken, sunk, matched = asked.taken, asked.sunk, asked.matched
     # later: the targets of the opens below a SHIFT or NT successor, at
-    # E = i + 1, found when first needed.  With an open on top they are the
-    # configuration's own, as nothing built ends past i.  Neither move is
-    # legal at i = n
-    parts = later = None
-    if own:
-        targets = _td_targets(gold, taken, stack, n, i, E)
-        parts = _top_down_analysis(gold, targets, matched, n, cap, i, nt_run)
-        if not moves:
-            return parts, []
-        if E > i:
-            later = targets
+    # E = i + 1, the slot's or found when first needed and kept there.
+    # Neither move is legal at i = n
+    later = asked.later
     pushed = {}  # the pushed open's target entries -> the NT successor's total
     totals = []
     for t in moves:
         kind = t.kind
         if kind != "reduce" and later is None:
-            later = _td_targets(gold, taken, stack, n, i, i + 1)
+            later = asked.later = _td_targets(gold, taken, stack, n, i, i + 1)
         if kind == "shift":
             total = sunk + sum(_top_down_analysis(gold, later, matched, n, cap, i + 1, 0))
         elif kind == "reduce":
@@ -610,14 +685,12 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
             key = (lab, l, r)
             had = taken.get(key, 0)
             v = gold.count.get(key, 0) - had  # still missing
-            if v:
-                taken[key] = had + 1
             # one more gold span matched, or one more junk built; a
-            # completed item is on top, so E = i
-            succ = _td_targets(gold, taken, stack[:cut], n, i, i)
+            # completed item is on top, so E = i.  The slot's tally is
+            # left as it is
+            succ = _td_targets(gold, {**taken, key: had + 1} if v else taken, stack[:cut], n, i, i)
             total = sunk + (not v)
             total += sum(_top_down_analysis(gold, succ, matched + bool(v), n, cap, i, 0))
-            taken[key] = had
         else:  # nt
             # the pushed open's entry, as `_td_targets` would make it: the
             # gold spans at (label, i) from the earliest end it searches
@@ -640,19 +713,16 @@ def _top_down_move_losses(config, gold, taken, sunk, matched, moves, own):
                 )
             total = pushed[entry]
         totals.append(total)
-    return parts, totals
+    return totals
 
 
-def _in_order_move_losses(config, gold, taken, sunk, matched, moves, own):
-    """The configuration's (unreachable, false opens, out of order), None
-    unless own, and each move's successor total, for in-order; the module
-    docstring says how the NT totals follow from the configuration's own
-    analysis.  The successor's new item is built as
-    `transitions._construct` builds it, with tuple.__new__."""
+def _in_order_move_losses(config, gold, asked, moves):
+    """Each move's successor total, for in-order; the module docstring
+    says how the NT totals follow from the configuration's own analysis.
+    The successor's new item is built as `transitions._construct` builds
+    it, with tuple.__new__."""
     stack, i = config.stack, config.i
-    parts = _in_order_analysis(gold, taken, matched, stack, i) if own else None
-    if not moves:
-        return parts, []
+    taken, sunk, matched = asked.taken, asked.sunk, asked.matched
     totals = []
     nt_junk = None  # the total with a pushed open that costs one
     for t in moves:
@@ -667,20 +737,18 @@ def _in_order_move_losses(config, gold, taken, sunk, matched, moves, own):
             key = (lab, l, r)
             had = taken.get(key, 0)
             v = gold.count.get(key, 0) - had  # still missing
-            if v:
-                taken[key] = had + 1
             succ = stack[:cut] + (_new(Completed, (lab, l, r, False)),)
             total = sunk + (not v)
-            total += sum(_in_order_analysis(gold, taken, matched + bool(v), succ, i))
-            taken[key] = had
+            # the slot's tally is left as it is
+            succ_taken = {**taken, key: had + 1} if v else taken
+            total += sum(_in_order_analysis(gold, succ_taken, matched + bool(v), succ, i))
         else:  # nt
             if nt_junk is None:
                 innermost = _innermost_labels(gold, taken, stack[-1][1], i)
-                base = parts if own else _in_order_analysis(gold, taken, matched, stack, i)
-                nt_junk = sunk + sum(base) + 1
+                nt_junk = sunk + sum(_parts(config, gold, asked)) + 1
             total = nt_junk - (t.label in innermost)
         totals.append(total)
-    return parts, totals
+    return totals
 
 
 def _innermost_labels(gold, taken, b, i):
@@ -706,35 +774,33 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     successor loss is the one `loss(apply(config, move))` gives, and so is
     the verdict.  The NT labels share the analysis of everything below the
     pushed open: their successors differ only in its label.  The
-    configuration's total and every move's come from one `_move_losses`
-    query, which also checks the strategies.
+    configuration's total and every move's come from one query, which
+    also checks the strategies; after `loss` on the same configuration
+    object it reads the tally and total that `loss` left in the slot.
     """
     if label_alphabet is None:
         label_alphabet = gold.labels
     moves = legal_transitions(config, label_alphabet)
-    breakdown, totals = _move_losses(config, gold, moves)
-    base = breakdown.total
-    return [t for t, total in zip(moves, totals) if total == base]
+    asked = _ask(config, gold)
+    base = asked.sunk + sum(_parts(config, gold, asked))
+    return [t for t, total in zip(moves, _totals(config, gold, asked, moves)) if total == base]
 
 
 def _move_losses(config, gold, moves):
     """(loss(config), [loss(apply(config, t)).total for t in moves]), for
     moves all legal in config: the oracle's one query per configuration.
-    It tallies the built constituents once (`_tally`, which checks that
+    It reads the slot (`_Slot`) for this configuration object and gold,
+    or tallies the built constituents once (`_tally`, which checks that
     config and gold share a strategy), for the configuration and every
-    move; the strategy's analysis then runs on the configuration and on
-    each move's successor fields.  A terminal or finished configuration
-    has no legal moves, and its loss is the junk built plus the gold spans
-    not built.  The top-down totals read and extend the gold's trie."""
-    taken, sunk = _tally(config, gold)
-    matched = len(config.built) - sunk
-    if not moves and (is_terminal(config) or config.finished):
-        parts, totals = (gold.size - matched, 0, 0), []
-    elif config.strategy == TOP_DOWN:
-        parts, totals = _top_down_move_losses(config, gold, taken, sunk, matched, moves, True)
-    else:
-        parts, totals = _in_order_move_losses(config, gold, taken, sunk, matched, moves, True)
-    unreachable, fa, ooo = parts
+    move; the strategy's analysis then runs on the configuration, unless
+    the slot holds its parts, and on each move's successor fields.  A
+    terminal or finished configuration has no legal moves, and its loss
+    is the junk built plus the gold spans not built.  The top-down totals
+    read and extend the gold's trie."""
+    asked = _ask(config, gold)
+    unreachable, fa, ooo = _parts(config, gold, asked)
+    sunk = asked.sunk
+    totals = _totals(config, gold, asked, moves) if moves else []
     # unreachable, false constituents, false opens, out of order, total
     return _new(LossBreakdown, (unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)), totals
 
@@ -743,10 +809,14 @@ def _move_totals(config, gold, moves):
     """[loss(apply(config, t)).total for t in moves], for moves all legal
     in config: `_move_losses` without the configuration's own analysis,
     for a caller that already knows its total, as a dynamic training pass
-    does.  The successors are judged exactly as there, from the same tally
+    does.  The successors are judged exactly as there, from the same slot
     and strategy functions, and read the gold's trie the same way."""
-    taken, sunk = _tally(config, gold)
-    matched = len(config.built) - sunk
+    return _totals(config, gold, _ask(config, gold), moves)
+
+
+def _totals(config, gold, asked, moves):
+    """Each move's successor total, by the strategy's rules, from the
+    slot for config and gold."""
     if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, taken, sunk, matched, moves, False)[1]
-    return _in_order_move_losses(config, gold, taken, sunk, matched, moves, False)[1]
+        return _top_down_move_losses(config, gold, asked, moves)
+    return _in_order_move_losses(config, gold, asked, moves)

@@ -205,18 +205,21 @@ def is_terminal(config: Configuration) -> bool:
 def _move_flags(config: Configuration):
     """Why each of (finish, reduce, shift, nt) is illegal, in _KIND_ORDER's
     order: None for a legal move, else the name of the failed side
-    condition.  One pass over the stack; NT legality never depends on the
-    label."""
+    condition.  Every verdict reads only whether the stack holds no, one
+    or at least two open NTs, so the count scans from the top and stops
+    at two; NT legality never depends on the label."""
     if is_terminal(config):
         return ("configuration is terminal",) * 4
     strategy, tokens, stack, i, finished, _, nt_run, _, cap = config
     if finished:
         return ("finish flag already set",) * 4
     top = stack[-1] if stack else None
-    opens = 0
-    for e in stack:
+    opens = 0  # 2 stands for two or more
+    for e in reversed(stack):
         if type(e) is OpenNT:
             opens += 1
+            if opens == 2:
+                break
     top_done = type(top) is Completed
     n = len(tokens)
     nt_ok = None

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .oracle import GoldReference, losses
+from .oracle import GoldReference, OracleViolation, losses
 from .oracle import loss  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     TOP_DOWN,
@@ -554,14 +554,20 @@ def _census(tree, gold, strategy, bounds, report):
 
 def _compare(report, configs, formulas, brutes):
     """Add each configuration's formula total against its brute-force
-    total to report.  A search that raises leaves the configurations
-    compared before it counted."""
+    total to report, and count the configurations compared, also when a
+    search raises.  Fewer formula or brute-force totals than
+    configurations is a defect of the program: it raises
+    `OracleViolation`, and the configurations left without a total are
+    not counted."""
     done = 0
     try:
         for done, (c, lb, brute) in enumerate(zip(configs, formulas, brutes), 1):
             if lb.total != brute:
                 report.mismatches.append((str(fingerprint(c)), lb.total, brute))
-    except ValueError:
+    finally:
         report.configs_checked += done
-        raise
-    report.configs_checked += len(configs)
+    if done < len(configs):
+        raise OracleViolation(
+            f"{len(configs) - done} of {len(configs)} configurations got no total to compare,"
+            f" the first {fingerprint(configs[done])}"
+        )

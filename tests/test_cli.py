@@ -143,6 +143,17 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
         assert lines[-1] == f"  ... and {checked - 20} more"
 
 
+def test_check_exits_1_on_a_short_formula_batch(tmp_path, monkeypatch, capsys):
+    """A formula batch one total short is a defect of the program, which
+    the exit-code contract gives 1, never an input error or a pass."""
+    real = oracle_lab.verify.losses
+    monkeypatch.setattr(oracle_lab.verify, "losses", lambda configs, gold: real(configs, gold)[:-1])
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("(X (Y w0 w1) w2)\n", encoding="utf-8")
+    assert main(["check", "--strategy", "top-down", str(corpus)]) == 1
+    assert "configurations got no total to compare" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "policy, message",
     [

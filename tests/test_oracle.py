@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 from bisect import bisect_right
 from collections import Counter
 
@@ -456,8 +459,10 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     of that configuration's layers again, and a repeated call computes
     none at all.  A call on an in-order gold, which makes no trie, leaves
     it; a call on another top-down gold, public or a private query,
-    drops it.  A `losses` batch that raises partway through leaves the
-    layers it computed, and later calls read them exactly."""
+    drops it.  A query the slot holds reads no trie, so each call that
+    shows a drop asks about a configuration and gold the slot does not
+    hold.  A `losses` batch that raises partway through leaves the layers
+    it computed, and later calls read them exactly."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     alphabet = ("D", "X", "Y")
     c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
@@ -494,6 +499,7 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     assert loss(c, gold) == want[0] and not calls
 
     other = GoldReference.from_tree(t, TOP_DOWN)
+    assert oracle._asked.gold() is gold
     with pytest.raises(ValueError, match="strategy mismatch"):
         losses(configs + [io] + configs, other)
     assert calls and gold._trie is None and other._trie is not None
@@ -503,8 +509,10 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
 
     after = [loss(apply(c, m), ref).total for m in moves]
     gold = GoldReference.from_tree(t, TOP_DOWN)
+    assert oracle._asked.config is not c
     assert _move_totals(c, gold, moves) == after
     assert _holders([ref, other, gold]) == [gold]
+    assert oracle._asked.gold() is gold
     assert _move_losses(c, other, ())[0] == want[0]
     assert _holders([ref, other, gold]) == [other]
 
@@ -551,6 +559,111 @@ def test_shared_tries_give_every_fresh_answer(strategy):
             assert len(_holders(golds)) <= 1
             checked += 1
     assert checked >= 1_500, checked
+
+
+def _repeat_cases(strategy):
+    """(tree, configuration) for every class of the n <= 2 census, then
+    for conftest.walk_configs' seeded walks."""
+    bounds = SearchBounds(label_alphabet=("D", "X", "Y"))
+    for t in [t for n in (1, 2) for t in enumerate_trees(n, ["X", "Y"])]:
+        for c in _exhaustive_graph(t, GoldReference.from_tree(t, strategy), strategy, bounds)[1]:
+            yield t, c
+    for s in range(12):
+        t = random_tree(4 + s, ["X", "Y"], s)
+        for c in walk_configs(t, strategy, ("D", "X", "Y"), s, steps=40):
+            yield t, c
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_a_repeated_query_answers_as_a_fresh_one(monkeypatch, strategy):
+    """`loss`, `optimal_transitions`, `loss` again and `_move_totals` on
+    one configuration object and a fresh gold: the later calls read the
+    slot the first left, and every answer equals the one an equal but
+    distinct configuration gives on another fresh gold.  Judging a REDUCE
+    leaves the slot's tally as `_tally` makes it.  `optimal_transitions`
+    after `loss` tallies the configuration, and runs its own pre-pass or
+    analysis, once in all."""
+    alphabet = ("D", "X", "Y")
+    own = []  # one entry per tally, pre-pass or analysis of the configuration asked about
+    asked = [None]
+
+    def counted(name, fn, is_own):
+        def wrapper(*args):
+            if is_own(asked[0], *args):
+                own.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    counted("_tally", _tally, lambda c, config, gold: config is c)
+    # the own pre-pass searches from E = i, or i + 1 with an open on top
+    counted(
+        "_td_targets",
+        _td_targets,
+        lambda c, g, tk, stack, n, i, E: stack is c.stack
+        and E == i + (not stack or type(stack[-1]) is not Completed),
+    )
+    counted(
+        "_in_order_analysis",
+        oracle._in_order_analysis,
+        lambda c, g, tk, m, stack, i: stack is c.stack and i == c.i,
+    )
+    checked = reduced = 0
+    for t, c in _repeat_cases(strategy):
+        moves = legal_transitions(c, alphabet)
+        gold, fresh = (GoldReference.from_tree(t, strategy) for _ in range(2))
+        asked[0] = c
+        # each reference call asks about a new configuration object, on a
+        # gold of its own
+        want = (
+            loss(c._replace(), fresh),
+            optimal_transitions(c._replace(), fresh, alphabet),
+            _move_totals(c._replace(), fresh, moves),
+        )
+        own.clear()
+        assert loss(c, gold) == want[0]
+        assert optimal_transitions(c, gold, alphabet) == want[1], c
+        # the own analysis runs only where there are moves to judge
+        assert sorted(own) == sorted(
+            ["_tally"] + ([] if not moves else ["_td_targets"] if strategy == TOP_DOWN else ["_in_order_analysis"])
+        )
+        assert loss(c, gold) == want[0]
+        assert _move_totals(c, gold, moves) == want[2]
+        assert len(own) == 1 + bool(moves)
+        slot = oracle._asked
+        assert slot.config is c and slot.gold() is gold
+        assert (slot.taken, slot.sunk) == _tally(c, gold)
+        checked += 1
+        reduced += any(m.kind == "reduce" for m in moves)
+    assert checked >= 2_000 and reduced >= 1_000, (checked, reduced)
+
+
+def test_the_slot_holds_the_last_query_and_its_gold_weakly(monkeypatch):
+    """The slot holds the configuration last asked about, by a strong
+    reference that the next query releases, and its gold by a weak one:
+    a gold its caller dropped is collected while it is the slot's, and a
+    new gold equal to it misses the slot and tallies afresh."""
+    t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
+    c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
+    d = apply(c, legal_transitions(c, ("X",))[0])
+    want = loss(c, GoldReference.from_tree(t, TOP_DOWN))
+    gold = GoldReference.from_tree(t, TOP_DOWN)
+    loss(d, gold)
+    held = sys.getrefcount(c)
+    assert loss(c, gold) == want
+    now = sys.getrefcount(c)
+    assert oracle._asked.config is c and now == held + 1
+    gone = weakref.ref(gold)
+    del gold
+    gc.collect()
+    assert gone() is None and oracle._asked.gold() is None
+    tallies = []
+    monkeypatch.setattr(oracle, "_tally", lambda *a: tallies.append(None) or _tally(*a))
+    again = GoldReference.from_tree(t, TOP_DOWN)
+    assert loss(c, again) == want and len(tallies) == 1
+    loss(d, again)
+    now = sys.getrefcount(c)
+    assert oracle._asked.config is d and now == held
 
 
 def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import replay, walk_configs
-from oracle_lab.oracle import GoldReference, loss
+from oracle_lab.oracle import GoldReference, LossBreakdown, OracleViolation, loss
 from oracle_lab.transitions import (
     IN_ORDER,
     TOP_DOWN,
@@ -27,6 +27,7 @@ from oracle_lab.trees import (
     serialize,
 )
 from oracle_lab.verify import (
+    WALK_POLICIES,
     ConformanceReport,
     SearchBounds,
     _Successors,
@@ -462,10 +463,17 @@ def test_walks_visit_the_pinned_configurations(monkeypatch):
     """The configurations of sweep's walk policies on criterion 1's trees
     (the gold prefixes only of those derivable under cap 3) and of
     conftest.walk_configs over fixed seeds, in order.  sweep's loss batch
-    is replaced by a recorder that returns no totals, so nothing is
-    searched."""
+    is replaced by a recorder, and its searches by a stub, that give one
+    placeholder total per configuration, so nothing is searched."""
     seen = []
-    monkeypatch.setattr(verify_mod, "losses", lambda configs, gold: seen.extend(configs) or [])
+    placeholder = LossBreakdown(0, 0, 0, 0, 0)
+
+    def recorded(configs, gold):
+        seen.extend(configs)
+        return [placeholder] * len(configs)
+
+    monkeypatch.setattr(verify_mod, "losses", recorded)
+    monkeypatch.setattr(verify_mod, "_searches", lambda tree, gold, configs, bounds: [0] * len(configs))
     trees = [random_tree(1 + s % 6, ["X", "Y", "Z"], s) for s in range(200)]
     derivable = []
     for t in trees:
@@ -487,6 +495,24 @@ def test_walks_visit_the_pinned_configurations(monkeypatch):
         walked += walk_configs(t, (TOP_DOWN, IN_ORDER)[s % 2], ("D", "X", "Y"), s, steps=40)
     got["walk_configs"] = _walk_digest(walked)
     assert got == WALK_PINS
+
+
+@pytest.mark.parametrize("policy", WALK_POLICIES)
+def test_a_short_formula_batch_fails_the_sweep(monkeypatch, policy):
+    """A `losses` batch one total short is a defect of the program: sweep
+    raises OracleViolation under every policy, and the configuration left
+    without a total is not counted as checked."""
+    real = verify_mod.losses
+    monkeypatch.setattr(verify_mod, "losses", lambda configs, gold: real(configs, gold)[:-1])
+    tree = parse_bracketed("(X (Y w0 w1) w2)")
+    with pytest.raises(OracleViolation, match=r"^1 of \d+ configurations got no total to compare"):
+        sweep([tree], TOP_DOWN, walk_policy=policy)
+    gold = GoldReference.from_tree(tree, TOP_DOWN)
+    configs = walk_configs(tree, TOP_DOWN, ("D", "X", "Y"), 0, steps=20)
+    report = ConformanceReport()
+    with pytest.raises(OracleViolation):
+        verify_mod._compare(report, configs, real(configs, gold)[:-1], [0] * len(configs))
+    assert report.configs_checked == len(configs) - 1
 
 
 def test_sweep_rejects_unknown_policy(example_tree):
