@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 from .evaluation import arity_breakdown, prf, render_report
 from .model import ExplorationPolicy, Model, parse_with_info, train
-from .oracle import GoldReference, OracleViolation, _move_losses
+from .oracle import GoldReference, OracleViolation, loss
 from .transitions import STRATEGIES, OpenNT, apply, initial_config
 from .trees import (
     TreeError,
@@ -74,7 +74,7 @@ def cmd_oracle_trace(args):
             c = initial_config(tree.tokens, args.strategy)
             for step, t in enumerate(gold_sequence(tree, args.strategy), start=1):
                 c = apply(c, t)
-                lb = _move_losses(c, gold, ())[0]
+                lb = loss(c, gold)
                 out.write(
                     f"{step}\t{t}\t{_stack_column(c.stack, summaries)}\t{c.i}\t{lb.total}"
                     f"\t{lb.unreachable}\t{lb.false_constituents}"

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .oracle import GoldReference, OracleViolation, _move_losses, _move_totals, loss
+from .oracle import GoldReference, OracleViolation, _move_totals, loss
 from .oracle import optimal_transitions  # noqa: F401 -- a module attribute the benchmark's tracer wraps
 from .transitions import (
     OpenNT,
@@ -331,13 +331,12 @@ def _train_sentence(tokens, gold, seq, alphabet, learner, explore, audit):
     taken.
 
     The oracle calls of one pass, and with audit each step's two `loss`
-    calls, read and extend the gold's top-down trie, as the calls of one
-    `losses` batch do.  The trie lasts until another gold makes one
-    (`GoldReference`'s rule), such as the next sentence's gold."""
+    calls, read and extend the gold's top-down trie; `GoldReference`
+    says how long it lasts."""
     c = initial_config(tokens, gold.strategy)
     if seq is None:
         cap = _step_cap(c.n, c.max_consecutive_nt)
-        total = _move_losses(c, gold, ())[0].total  # the path's loss so far
+        total = loss(c, gold).total  # the path's loss so far
     else:
         cap = len(seq)
     table = move_table(alphabet)

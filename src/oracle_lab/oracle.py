@@ -32,28 +32,26 @@ right ends at or past i that an analysis reads, only those at i itself can
 have been built.  So the cost of a call follows the stack and the built
 constituents, not the size of the gold tree.
 
-The oracle answers one query per configuration, `_move_losses`: the
-configuration's `LossBreakdown` and, for each of the legal moves it is
-given, the successor's loss total.  `loss` and `losses` ask it with no
-moves; `optimal_transitions` keeps the moves whose total equals the
-breakdown's.  A caller that already knows the configuration's total asks
-`_move_totals`, the same query without the configuration's own analysis.
-A dynamic training pass is such a caller: it carries its path's total,
-since each step's successor total is the next configuration's, and asks
-for the guess's total first and for every move's only when the guess
-loses loss.  The query judges every move without building a successor or
-calling `loss` per move (in the spirit of Goldberg & Nivre 2013, who
-derive move costs without recomputing the loss).  The built constituents
-are tallied once; each move's successor loss is then worked out from the
-successor's stack, buffer position and NT run alone, which is all an
-analysis reads besides the tally:
+The oracle answers three questions about a configuration, one function
+each: `loss`, its `LossBreakdown`; `_move_totals`, the loss total of each
+legal move's successor; and `optimal_transitions`, the legal moves whose
+successor keeps the configuration's total.  A dynamic training pass asks
+`loss` once and then carries its path's total, since each step's
+successor total is the next configuration's: it asks `_move_totals` for
+the guess's total first and for every move's only when the guess loses
+loss.  Every move is judged without building a successor or calling
+`loss` per move (in the spirit of Goldberg & Nivre 2013, who derive move
+costs without recomputing the loss).  The built constituents are tallied
+once; each move's successor loss is then worked out from the successor's
+stack, buffer position and NT run alone, which is all an analysis reads
+besides the tally:
 
 - FINISH leaves a finished configuration, whose loss is `sunk` plus the
   gold spans not yet built.
 - REDUCE builds the one constituent `transitions._reduce_target` names: it
   adds one to `taken` if that span is missing, else one to `sunk`.  The
   successor's analysis reads a copy of `taken` with that delta, so the
-  tally the query keeps (below) is left as it is.
+  tally the slot keeps (below) is left as it is.
 - SHIFT and NT leave the tally as it is; the strategy's analysis runs on
   the successor's fields.
 
@@ -90,32 +88,24 @@ the configuration's own pass below the first open whose entry differs.
 The opens below an NT's pushed one search from E = i + 1, as the SHIFT
 successor's do, so their targets are found once for every label.  The
 entries themselves are interned: a top-down gold keeps each suffix of each
-open's targets as one tuple, built when first read, so neither the
-pre-pass nor a trie key builds one per call.  The matched spans, the gold
-counts at i and past it and the forced junk are added per configuration.
+open's targets as one tuple, built when the pre-pass (`_td_targets`) first
+reads it, so neither the pre-pass nor a trie key builds one per call.  The
+matched spans, the gold counts at i and past it and the forced junk are
+added per configuration.
 
-So the configurations of one `losses` call share layers, and so do a
-configuration and the successors `_move_losses` judges.  Every call on
-one gold reads and extends the same trie: the steps of a path (a
-dynamic training pass, `model._train_sentence`, or `oracle-trace`) share
-layers from step to step, so a deep stack adds one layer per SHIFT or NT
-rather than one per open.  One rule bounds the memory by one gold, never
-the corpus: when a gold makes a trie, the gold that made the one before
-drops it (`GoldReference`).
+Every call on one gold reads and extends the same trie, so a
+configuration and the successors `_move_totals` judges share layers, and
+so do the configurations of one gold that a census checks.  The steps of
+a path (a dynamic training pass, `model._train_sentence`, or
+`oracle-trace`) share layers from step to step, so a deep stack adds one
+layer per SHIFT or NT rather than one per open.  `GoldReference` gives
+the rule that bounds the trie's memory by one gold.
 
-A query asked twice in a row is answered once.  The module keeps one
-slot (`_Slot`) with what the last query learnt: its tally, the
-configuration's own parts once computed, and for top-down the pre-pass
-targets it read.  The slot is keyed by identity, the configuration
-object itself and its gold, which it holds by a weak reference, as it
-holds the gold of the last trie.  A query on another configuration
-object or gold, even an equal one, takes the slot over.  So
-`optimal_transitions` after `loss` on one configuration tallies it,
-runs its pre-pass and analyses it once, and a dynamic training step
-that asks for every move after the guess's reads the guess's tally.
-The slot holds one configuration, never one per gold or per corpus, and
-a gold the caller drops dies while the slot still names it.  Like the
-trie, it is not thread-safe.
+Questions asked in a row about one configuration object share one tally
+and one analysis, through the module's one slot (`_Slot`, which gives
+its rule).  So `loss` and then `optimal_transitions` on one configuration
+tally it, run its pre-pass and analyse it once, and a dynamic training
+step that asks for every move after the guess's reads the guess's tally.
 """
 
 from __future__ import annotations
@@ -150,7 +140,8 @@ class GoldReference:
 
     `count` is the multiset, keyed (label, l, r), and `labels` its labels.
     The index is built from it once, here, and holds only gold facts.
-    Each strategy keeps only what its analysis reads:
+    `n` is the sentence length, the root's right end.  Each strategy keeps
+    only what its analysis reads:
 
     - `targets[(label, l)]` (top-down): the target entry (label, l, rs[k:],
       ms[k:]) of each suffix k of the distinct right ends rs of the gold
@@ -180,11 +171,6 @@ class GoldReference:
     none, never take its place.  The module holds the gold by a weak
     reference, so its trie dies with it.  This is not thread-safe, and
     gold tries never were.
-
-    The module's query slot (`_Slot`) names at most one gold too: the
-    gold of the last query, of either strategy, keyed by identity with
-    that query's configuration object and held by a weak reference, so
-    it never keeps a gold alive.  It is not thread-safe either.
     """
 
     def __init__(self, strategy, constituents):
@@ -206,7 +192,7 @@ class GoldReference:
             else:
                 spans_at[l] = [(r, lab, cnt)]
                 right_ends[l] = [r] * cnt
-        n = rows[-1][0] if rows else 0  # the last right end
+        self.n = n = rows[-1][0] if rows else 0  # the sentence length: the root's right end
         starts = [0] * (n + 1)  # gold spans per left end
         for l, rs in right_ends.items():
             starts[l] = len(rs)
@@ -253,9 +239,9 @@ class OracleViolation(Exception):
 
 class LossBreakdown(NamedTuple):
     """The loss of a configuration and its four addends, read by name.
-    `_move_losses` builds one per query with tuple.__new__, as
-    `transitions` builds its tuples, which skips the named tuple's own
-    Python-level __new__."""
+    `loss` builds one per call with tuple.__new__, as `transitions`
+    builds its tuples, which skips the named tuple's own Python-level
+    __new__."""
 
     unreachable: int
     false_constituents: int
@@ -276,11 +262,16 @@ def _tally(config: Configuration, gold: GoldReference):
     """(taken, sunk): how often each gold span (label, l, r) has been built,
     up to its gold count, and how many built constituents are wrong.  Every
     oracle query starts here, so this is where it checks that config and
-    gold share a strategy."""
+    gold share a strategy and a sentence length."""
     if config.strategy != gold.strategy:
         raise ValueError(
             f"strategy mismatch: configuration is {config.strategy},"
             f" gold is {gold.strategy}"
+        )
+    if len(config.tokens) != gold.n:
+        raise ValueError(
+            f"sentence length mismatch: configuration has {config.n} tokens,"
+            f" gold has {gold.n}"
         )
     count = gold.count
     taken = {}
@@ -340,16 +331,15 @@ def _top_down_analysis(gold, targets, matched, n, cap, i, nt_run):
 
     Each layer and close is read from the gold's trie (the module
     docstring says why its key is exact).  The root is made here, when
-    the gold has none, and that is the moment the gold that made the
-    trie before drops its own: `GoldReference`'s one lifetime rule.  Each
-    node is a dict that holds its layer under None.  From the root, an
-    open left of i whose targets all end past i, with no open below it
-    keyed by i, is the child under its entry alone, and the node holds
-    its sub-trie at each position p under p.  The first other open enters
-    the sub-trie at i: a node with the same layer, whose children are
-    keyed by entry and whose closes by headroom, as all of them read i
-    itself.  Only what is missing is computed, by `_td_layer` and
-    `_td_close`.
+    the gold has none, and so this is where `GoldReference`'s lifetime
+    rule is kept.  Each node is a dict that holds its layer under None.
+    From the root, an open left of i whose targets all end past i, with
+    no open below it keyed by i, is the child under its entry alone, and
+    the node holds its sub-trie at each position p under p.  The first
+    other open enters the sub-trie at i: a node with the same layer,
+    whose children are keyed by entry and whose closes by headroom, as
+    all of them read i itself.  Only what is missing is computed, by
+    `_td_layer` and `_td_close`.
     """
     global _last_gold
     searched, forced_junk = targets
@@ -389,7 +379,9 @@ def _td_targets(gold, taken, stack, n, i, E):
     number without one.  The targets are the missing gold spans with the
     open's label and left index that end at or past E, or at n for the
     bottom open.  Built spans end at or before i, so only an end at i can
-    have fewer missing than gold."""
+    have fewer missing than gold.  It is the one place that interns an
+    entry past a row's first (`GoldReference.targets`); an NT successor
+    reads the first, or runs this on its pushed open alone."""
     searched = []
     opens = 0
     targets = gold.targets
@@ -585,28 +577,23 @@ def _in_order_analysis(gold, taken, matched, stack, i):
     return lost, fa, ooo
 
 
-def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
-    """Minimum achievable Hamming loss from this configuration, decomposed."""
-    return _move_losses(config, gold, ())[0]
-
-
-def losses(configs, gold: GoldReference) -> list:
-    """The `LossBreakdown` of each configuration of one gold tree, in order.
-    The top-down analyses share the gold's trie."""
-    return [_move_losses(config, gold, ())[0] for config in configs]
-
-
 class _Slot:
     """What the oracle learnt about the configuration it was last asked
     about, in the module's one slot, `_asked`.  It is keyed by identity:
     `config` is that configuration object, and `gold` a weak reference to
-    its gold, as `_last_gold` holds one.  `taken`, `sunk` and `matched`
-    are the configuration's tally; `parts` its own (unreachable, false
-    opens, out of order), None until computed; and `later` (top-down)
-    the targets of the opens below a SHIFT or NT successor, None until
-    read.  Nothing in it changes until another query takes it over, so a
-    repeated query reads what a fresh one would compute.  The one object
-    is filled again on every miss, which costs less than making one."""
+    its gold, as `_last_gold` holds one.  A question about another
+    configuration object or gold, even an equal one, takes the slot
+    over.  So it holds one configuration, never one per gold or per
+    corpus, and it never keeps a gold alive: a gold the caller drops dies
+    while the slot still names it.  Like the trie, it is not thread-safe.
+
+    `taken`, `sunk` and `matched` are the configuration's tally; `parts`
+    its own (unreachable, false opens, out of order), None until
+    computed; and `later` (top-down) the targets of the opens below a
+    SHIFT or NT successor, None until read.  Nothing in it changes until
+    another question takes it over, so a repeated question reads what a
+    fresh one would compute.  The one object is filled again on every
+    miss, which costs less than making one."""
 
     __slots__ = ("config", "gold", "taken", "sunk", "matched", "parts", "later")
 
@@ -626,7 +613,7 @@ def _ask(config, gold):
     asked = _asked
     if asked.config is not config or asked.gold() is not gold:
         taken, sunk = _tally(config, gold)  # it raises before the slot changes
-        if asked.gold() is not gold:  # a batch on one gold keeps its reference
+        if asked.gold() is not gold:  # calls on one gold keep its reference
             asked.gold = ref(gold)
         asked.config = config
         asked.taken = taken
@@ -662,7 +649,7 @@ def _parts(config, gold, asked):
     return parts
 
 
-def _top_down_move_losses(config, gold, asked, moves):
+def _top_down_move_totals(config, gold, asked, moves):
     """Each move's successor total, for top-down: `_top_down_analysis` on
     each one's targets, buffer position, NT run and matched count."""
     stack, i, n = config.stack, config.i, config.n
@@ -692,22 +679,20 @@ def _top_down_move_losses(config, gold, asked, moves):
             total = sunk + (not v)
             total += sum(_top_down_analysis(gold, succ, matched + bool(v), n, cap, i, 0))
         else:  # nt
-            # the pushed open's entry, as `_td_targets` would make it: the
-            # gold spans at (label, i) from the earliest end it searches
-            # (n for the bottom open, else E = i + 1), none of them built.
-            # The labels without one (forced junk) share a total.
-            key = (t.label, i)
-            row = gold.targets.get(key)
-            entry = None  # forced junk
-            if row is not None:
-                _, _, rs, ms = row[0]
-                k = bisect_left(rs, i + 1 if later[0] or later[1] else n)
-                if k < len(rs):
-                    entry = row[k]
-                    if entry is None:
-                        entry = row[k] = key + (rs[k:], ms[k:])
+            # the pushed open's entry, as the pre-pass finds it.  Above
+            # another open it searches from E = i + 1, and every gold span
+            # at (label, i) ends past i with none built: the row's first
+            # entry.  The bottom open must close the sentence, so the
+            # pre-pass of that open alone finds it.  The labels without
+            # one (forced junk) share a total
+            if later[0] or later[1]:
+                row = gold.targets.get((t.label, i))
+                own = [row[0]] if row else []
+            else:
+                own = _td_targets(gold, taken, (_new(OpenNT, (t.label, i)),), n, i, i + 1)[0]
+            entry = own[0] if own else None
             if entry not in pushed:
-                succ = (later[0] + [entry], later[1]) if entry else (later[0], later[1] + 1)
+                succ = (later[0] + own, later[1] + (not own))
                 pushed[entry] = sunk + sum(
                     _top_down_analysis(gold, succ, matched, n, cap, i, nt_run + 1)
                 )
@@ -716,7 +701,7 @@ def _top_down_move_losses(config, gold, asked, moves):
     return totals
 
 
-def _in_order_move_losses(config, gold, asked, moves):
+def _in_order_move_totals(config, gold, asked, moves):
     """Each move's successor total, for in-order; the module docstring
     says how the NT totals follow from the configuration's own analysis.
     The successor's new item is built as `transitions._construct` builds
@@ -763,6 +748,31 @@ def _innermost_labels(gold, taken, b, i):
     }
 
 
+def loss(config: Configuration, gold: GoldReference) -> LossBreakdown:
+    """Minimum achievable Hamming loss from this configuration, decomposed.
+    It reads the slot (`_Slot`) for this configuration object and gold,
+    or tallies the built constituents (`_tally`, which checks that config
+    and gold agree), and runs the strategy's analysis unless the slot
+    holds its parts.  A terminal or finished configuration's loss is the
+    junk built plus the gold spans not built."""
+    asked = _ask(config, gold)
+    unreachable, fa, ooo = _parts(config, gold, asked)
+    sunk = asked.sunk
+    # unreachable, false constituents, false opens, out of order, total
+    return _new(LossBreakdown, (unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo))
+
+
+def _move_totals(config, gold, moves):
+    """[loss(apply(config, t)).total for t in moves], for moves all legal
+    in config, by the strategy's rules (the module docstring), from the
+    slot for config and gold.  It runs no analysis of config itself
+    except for in-order NT moves, whose totals follow from it."""
+    asked = _ask(config, gold)
+    if config.strategy == TOP_DOWN:
+        return _top_down_move_totals(config, gold, asked, moves)
+    return _in_order_move_totals(config, gold, asked, moves)
+
+
 def optimal_transitions(config: Configuration, gold: GoldReference, label_alphabet=None):
     """Legal transitions that keep the minimum achievable loss unchanged, in
     the fixed tie-break order.
@@ -774,49 +784,14 @@ def optimal_transitions(config: Configuration, gold: GoldReference, label_alphab
     successor loss is the one `loss(apply(config, move))` gives, and so is
     the verdict.  The NT labels share the analysis of everything below the
     pushed open: their successors differ only in its label.  The
-    configuration's total and every move's come from one query, which
-    also checks the strategies; after `loss` on the same configuration
-    object it reads the tally and total that `loss` left in the slot.
+    configuration's total and every move's come from one tally, which
+    also checks that config and gold agree; after `loss` on the same
+    configuration object it reads the tally and total that `loss` left in
+    the slot (`_Slot`).
     """
     if label_alphabet is None:
         label_alphabet = gold.labels
     moves = legal_transitions(config, label_alphabet)
     asked = _ask(config, gold)
     base = asked.sunk + sum(_parts(config, gold, asked))
-    return [t for t, total in zip(moves, _totals(config, gold, asked, moves)) if total == base]
-
-
-def _move_losses(config, gold, moves):
-    """(loss(config), [loss(apply(config, t)).total for t in moves]), for
-    moves all legal in config: the oracle's one query per configuration.
-    It reads the slot (`_Slot`) for this configuration object and gold,
-    or tallies the built constituents once (`_tally`, which checks that
-    config and gold share a strategy), for the configuration and every
-    move; the strategy's analysis then runs on the configuration, unless
-    the slot holds its parts, and on each move's successor fields.  A
-    terminal or finished configuration has no legal moves, and its loss
-    is the junk built plus the gold spans not built.  The top-down totals
-    read and extend the gold's trie."""
-    asked = _ask(config, gold)
-    unreachable, fa, ooo = _parts(config, gold, asked)
-    sunk = asked.sunk
-    totals = _totals(config, gold, asked, moves) if moves else []
-    # unreachable, false constituents, false opens, out of order, total
-    return _new(LossBreakdown, (unreachable, sunk, fa, ooo, unreachable + sunk + fa + ooo)), totals
-
-
-def _move_totals(config, gold, moves):
-    """[loss(apply(config, t)).total for t in moves], for moves all legal
-    in config: `_move_losses` without the configuration's own analysis,
-    for a caller that already knows its total, as a dynamic training pass
-    does.  The successors are judged exactly as there, from the same slot
-    and strategy functions, and read the gold's trie the same way."""
-    return _totals(config, gold, _ask(config, gold), moves)
-
-
-def _totals(config, gold, asked, moves):
-    """Each move's successor total, by the strategy's rules, from the
-    slot for config and gold."""
-    if config.strategy == TOP_DOWN:
-        return _top_down_move_losses(config, gold, asked, moves)
-    return _in_order_move_losses(config, gold, asked, moves)
+    return [t for t, total in zip(moves, _move_totals(config, gold, moves)) if total == base]

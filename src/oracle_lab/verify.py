@@ -17,8 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .oracle import GoldReference, OracleViolation, losses
-from .oracle import loss  # noqa: F401 -- a module attribute the benchmark's tracer wraps
+from .oracle import GoldReference, OracleViolation, loss
 from .transitions import (
     TOP_DOWN,
     Completed,
@@ -522,7 +521,7 @@ def sweep(
             # deepest states first so shallower searches can reuse their answers
             configs.reverse()
             with _collector_paused():
-                formulas = losses(configs, gold)
+                formulas = [loss(c, gold) for c in configs]
             _compare(report, configs, formulas, _searches(tree, gold, configs, local))
     except ValueError as e:
         report.elapsed = time.perf_counter() - t0
@@ -548,7 +547,8 @@ def _census(tree, gold, strategy, bounds, report):
             f" {fingerprint(configs[future.index(None)])};"
             " the legality guards are suspect"
         )
-    _compare(report, configs, losses(configs, gold), map(operator.add, sunk_of, future))
+    formulas = [loss(c, gold) for c in configs]
+    _compare(report, configs, formulas, map(operator.add, sunk_of, future))
     report.formula_s += time.perf_counter() - t2
 
 

@@ -119,12 +119,13 @@ def test_check_exhaustive_policy(capsys):
 def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, policy):
     """A formula one off everywhere fails every configuration checked,
     under every policy, and each mismatch names the state's fingerprint."""
-    real = oracle_lab.verify.losses
+    real = oracle_lab.verify.loss
 
-    def one_off(configs, gold):
-        return [lb._replace(total=lb.total + 1) for lb in real(configs, gold)]
+    def one_off(c, gold):
+        lb = real(c, gold)
+        return lb._replace(total=lb.total + 1)
 
-    monkeypatch.setattr(oracle_lab.verify, "losses", one_off)
+    monkeypatch.setattr(oracle_lab.verify, "loss", one_off)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("(X (Y w0 w1) w2)\n(Y w0)\n", encoding="utf-8")
     args = ["check", "--strategy", strategy, str(corpus), "--policy", policy]
@@ -144,10 +145,15 @@ def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys, strategy, po
 
 
 def test_check_exits_1_on_a_short_formula_batch(tmp_path, monkeypatch, capsys):
-    """A formula batch one total short is a defect of the program, which
-    the exit-code contract gives 1, never an input error or a pass."""
-    real = oracle_lab.verify.losses
-    monkeypatch.setattr(oracle_lab.verify, "losses", lambda configs, gold: real(configs, gold)[:-1])
+    """A formula list one total short, as the comparison gets it, is a
+    defect of the program, which the exit-code contract gives 1, never an
+    input error or a pass."""
+    real = oracle_lab.verify._compare
+
+    def short(report, configs, formulas, brutes):
+        return real(report, configs, formulas[:-1], brutes)
+
+    monkeypatch.setattr(oracle_lab.verify, "_compare", short)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("(X (Y w0 w1) w2)\n", encoding="utf-8")
     assert main(["check", "--strategy", "top-down", str(corpus)]) == 1
@@ -202,12 +208,13 @@ def test_check_names_what_it_checked_before_a_search_budget_runs_out(
     small, big = "(X w0 w1)", "(X (Y w0 w1) (X w2 w3) w4)"
     monkeypatch.setattr(oracle_lab.verify, "_CLASS_LIMIT", limit)
     first = sweep([parse_bracketed(small)], strategy, walk_policy=policy).configs_checked
-    real = oracle_lab.verify.losses
+    real = oracle_lab.verify.loss
 
-    def one_off(configs, gold):
-        return [lb._replace(total=lb.total + 1) for lb in real(configs, gold)]
+    def one_off(c, gold):
+        lb = real(c, gold)
+        return lb._replace(total=lb.total + 1)
 
-    monkeypatch.setattr(oracle_lab.verify, "losses", one_off)
+    monkeypatch.setattr(oracle_lab.verify, "loss", one_off)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{small}\n{big}\n", encoding="utf-8")
     assert main(["check", "--strategy", strategy, str(corpus), "--policy", policy]) == 2
@@ -703,7 +710,7 @@ def test_train_names_an_oracle_violation(tmp_path, capsys, monkeypatch, strategy
     corpus.write_text("(X (Y w0 w1) w2)\n", encoding="utf-8")
     out = tmp_path / "m.model"
     args = ["train", "--strategy", strategy, str(corpus), "--out", str(out), "--explore-p", "0.1"]
-    real_totals, real_losses = oracle_lab.model._move_totals, oracle_lab.model._move_losses
+    real_totals, real_loss = oracle_lab.model._move_totals, oracle_lab.model.loss
     monkeypatch.setattr(
         oracle_lab.model, "_move_totals", lambda c, g, m: [t + 1 for t in real_totals(c, g, m)]
     )
@@ -715,11 +722,11 @@ def test_train_names_an_oracle_violation(tmp_path, capsys, monkeypatch, strategy
     )
     assert captured.out == "" and not out.exists()
 
-    def one_too_high(c, g, m):
-        breakdown, totals = real_losses(c, g, m)
-        return breakdown._replace(total=breakdown.total + 1), totals
+    def one_too_high(c, g):
+        breakdown = real_loss(c, g)
+        return breakdown._replace(total=breakdown.total + 1)
 
-    monkeypatch.setattr(oracle_lab.model, "_move_losses", one_too_high)
+    monkeypatch.setattr(oracle_lab.model, "loss", one_too_high)
     assert main(args) == 1
     err = capsys.readouterr().err
     path = {"top-down": "NT_X NT_Y SH SH RE SH RE", "in-order": "SH NT_Y SH RE NT_X SH RE FI"}

@@ -250,14 +250,14 @@ def test_dynamic_pass_asks_for_every_move_only_when_the_guess_loses(monkeypatch,
     queries = []  # (query, configuration, moves, answer) per oracle call
 
     def recorder(query, real):
-        def recorded(c, gold, moves):
-            answer = real(c, gold, moves)
-            queries.append((query, c, tuple(moves), answer))
+        def recorded(c, gold, *moves):  # loss takes no moves
+            answer = real(c, gold, *moves)
+            queries.append((query, c, tuple(*moves), answer))
             return answer
 
         return recorded
 
-    monkeypatch.setattr(model, "_move_losses", recorder("losses", model._move_losses))
+    monkeypatch.setattr(model, "loss", recorder("loss", model.loss))
     monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
     rng = random.Random(f"guess-first|{strategy}")
     alphabet = ("A", "B", "C", "D")
@@ -269,8 +269,8 @@ def test_dynamic_pass_asks_for_every_move_only_when_the_guess_loses(monkeypatch,
         ref = GoldReference.from_tree(t, strategy)  # for the public calls
         queries.clear()
         _train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
-        query, c, moves, (breakdown, _) = queries[0]
-        assert (query, c, moves) == ("losses", initial_config(t.tokens, strategy), ())
+        query, c, moves, breakdown = queries[0]
+        assert (query, c, moves) == ("loss", initial_config(t.tokens, strategy), ())
         carried = breakdown.total
         k = 1
         while k < len(queries):

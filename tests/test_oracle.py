@@ -16,13 +16,11 @@ from oracle_lab.oracle import (
     LossBreakdown,
     _innermost_labels,
     _missing_from,
-    _move_losses,
     _move_totals,
     _tally,
     _td_targets,
     _top_down_analysis,
     loss,
-    losses,
     optimal_transitions,
 )
 from oracle_lab.transitions import (
@@ -71,11 +69,39 @@ def test_optimal_transitions_rejects_a_strategy_mismatch(example_tree, strategy,
 
 
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
+def test_a_sentence_length_mismatch_is_rejected(strategy):
+    """A configuration over more tokens than the gold's sentence is an
+    input error that names both lengths, whichever question asks.  On the
+    initial configuration the loss would read 0 with no optimal move,
+    and after some shifts the analysis would read past the gold's
+    positions.  The slot keeps what it held before."""
+    t = parse_bracketed("(X a b)")
+    gold = GoldReference.from_tree(t, strategy)
+    assert gold.n == t.n == 2
+    loss(initial_config(t.tokens, strategy), gold)
+    held = oracle._asked.config
+    tokens = tuple("abcdefg")
+    shifts = "NT_X SH SH SH SH" if strategy == TOP_DOWN else "SH NT_X SH NT_X SH NT_X SH"
+    want = "^sentence length mismatch: configuration has 7 tokens, gold has 2$"
+    for c in (initial_config(tokens, strategy), replay(tokens, strategy, shifts)):
+        moves = legal_transitions(c, gold.labels)
+        assert moves
+        for ask in (
+            lambda: loss(c, gold),
+            lambda: _move_totals(c, gold, moves),
+            lambda: optimal_transitions(c, gold),
+        ):
+            with pytest.raises(ValueError, match=want):
+                ask()
+            assert oracle._asked.config is held
+
+
+@pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_move_losses_of_terminal_configurations(strategy):
-    """A terminal configuration's query gives its loss and no moves, and
-    that loss is the Hamming distance between the built multiset and the
-    gold one: every terminal class of the n <= 2 census, with a
-    distractor label, so that some of them built junk."""
+    """A terminal configuration has no moves to judge, and its loss is
+    the Hamming distance between the built multiset and the gold one:
+    every terminal class of the n <= 2 census, with a distractor label,
+    so that some of them built junk."""
     alphabet = ("D", "X", "Y")
     bounds = SearchBounds(label_alphabet=alphabet)
     totals = []
@@ -86,7 +112,7 @@ def test_move_losses_of_terminal_configurations(strategy):
                 continue
             built = Counter(c.built)
             hamming = sum((built - gold.count).values()) + sum((gold.count - built).values())
-            assert _move_losses(c, gold, ()) == (loss(c, gold), [])
+            assert not legal_transitions(c, alphabet) and _move_totals(c, gold, ()) == []
             assert loss(c, gold).total == hamming, c.built
             totals.append(hamming)
     assert 0 in totals and max(totals) > 1
@@ -270,11 +296,12 @@ def _most_opens_at_one_index(c):
 
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_losses_match_loss_one_by_one(strategy):
-    """One `losses` batch per gold tree against one `loss` call per
-    configuration, field for field: the exhaustive classes of every tree
-    over at most two tokens and of every 27th three-token tree, under caps
-    1-3 in one batch, and walks on 10-40 token trees that stack opens up
-    to the cap."""
+    """One pass of `loss` over each gold tree's configurations, which
+    makes and extends the gold's trie, against a second pass in reverse
+    order, which reads it, field for field: the exhaustive classes of
+    every tree over at most two tokens and of every 27th three-token
+    tree, under caps 1-3 in one pass, and walks on 10-40 token trees that
+    stack opens up to the cap."""
     alphabet = ("X", "Y")
     batches = []
     for t in [t for n in (1, 2, 3) for t in list(enumerate_trees(n, ["X", "Y"]))[:: 27 if n == 3 else 1]]:
@@ -298,7 +325,8 @@ def test_losses_match_loss_one_by_one(strategy):
                 stacked += _most_opens_at_one_index(c) >= 2
         batches.append((gold, configs))
     for gold, configs in batches:
-        assert losses(configs, gold) == [loss(c, gold) for c in configs]
+        first = [loss(c, gold) for c in configs]
+        assert [loss(c, gold) for c in reversed(configs)] == first[::-1]
     assert census >= (140_000 if strategy == TOP_DOWN else 18_000), census
     if strategy == TOP_DOWN:
         assert stacked >= 1_000, stacked
@@ -323,10 +351,11 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
         replay(t.tokens, TOP_DOWN, names, cap=2)
         for names in ("NT_X", "NT_X SH NT_Y", "NT_X SH NT_Y NT_Y")
     ]
-    assert losses(configs, gold) == [loss(c, gold) for c in configs]
-    assert [lb.total for lb in losses(configs, gold)] == [0, 1, 3]
+    first = [loss(c, gold) for c in configs]
+    assert [loss(c, gold) for c in reversed(configs)] == first[::-1]
+    assert [lb.total for lb in first] == [0, 1, 3]
     entry = ("X", 0, (3,), (1,))
-    for c in configs:  # the three read the gold's trie, as in one `losses` call
+    for c in configs:  # the three read the gold's trie, as the calls above did
         taken, sunk = _tally(c, gold)
         targets = _td_targets(gold, taken, c.stack, c.n, c.i, c.i + 1)
         assert targets[0] == [entry]
@@ -339,8 +368,9 @@ def test_losses_key_on_the_position_and_the_nt_headroom():
     t = parse_bracketed("(X w0)")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     configs = [replay(t.tokens, TOP_DOWN, names) for names in ("NT_X", "NT_X SH")]
-    for order in (configs, configs[::-1]):
-        assert losses(order, gold) == [loss(c, gold) for c in order]
+    want = [loss(c, GoldReference.from_tree(t, TOP_DOWN)) for c in configs]  # a gold each
+    for order in (slice(None), slice(None, None, -1)):
+        assert [loss(c, gold) for c in configs[order]] == want[order]
     entry = ("X", 0, (1,), (1,))
     for c in configs:
         taken, sunk = _tally(c, gold)
@@ -396,11 +426,12 @@ def assert_each_layer_once(calls, nodes):
 
 
 def test_each_layer_is_computed_once_per_call(monkeypatch):
-    """Within one `_move_losses` call and within one `losses` call, the
-    layer of each distinct trie node is computed exactly once: the base,
-    every successor and every configuration read one trie.  Along the
-    gold derivation, the opens left of i keep their nodes from one
-    position to the next."""
+    """Within `loss` and then `_move_totals` on one configuration object,
+    the built constituents are tallied once and the layer of each
+    distinct trie node is computed exactly once: the configuration and
+    every successor read one trie.  So are the layers of the `loss` calls
+    along the gold derivation, where the opens left of i keep their nodes
+    from one position to the next."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     gold = GoldReference.from_tree(t, TOP_DOWN)
     calls = _layer_calls(monkeypatch)
@@ -411,8 +442,11 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     assert {m.kind for m in moves} == {"shift", "reduce", "nt"}
     want = loss(c, gold), [loss(apply(c, m), gold).total for m in moves]
     gold = GoldReference.from_tree(t, TOP_DOWN)  # no trie yet
+    tallied = []
+    monkeypatch.setattr(oracle, "_tally", lambda *a: tallied.append(a[0]) or _tally(*a))
     calls.clear()
-    assert _move_losses(c, gold, moves) == want
+    assert (loss(c, gold), _move_totals(c, gold, moves)) == want
+    assert tallied == [c]
     prefixes = _prefixes(c, gold).union(*(_prefixes(apply(c, m), gold) for m in moves))
     assert_each_layer_once(calls, prefixes)
     assert len(calls) < sum(len(_prefixes(apply(c, m), gold)) for m in moves)
@@ -422,7 +456,7 @@ def test_each_layer_is_computed_once_per_call(monkeypatch):
     for g_t in gold_sequence(t, TOP_DOWN):
         configs.append(apply(configs[-1], g_t))
     calls.clear()
-    assert [lb.total for lb in losses(configs, gold)] == [0] * len(configs)
+    assert [loss(c, gold).total for c in configs] == [0] * len(configs)
     nodes = set().union(*(_prefixes(c, gold) for c in configs))
     assert_each_layer_once(calls, nodes)
     # a trie per position would compute each (i, target prefix) anew
@@ -461,8 +495,8 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     it; a call on another top-down gold, public or a private query,
     drops it.  A query the slot holds reads no trie, so each call that
     shows a drop asks about a configuration and gold the slot does not
-    hold.  A `losses` batch that raises partway through leaves the layers
-    it computed, and later calls read them exactly."""
+    hold.  A run of `loss` calls that raises partway through leaves the
+    layers it computed, and later calls read them exactly."""
     t = parse_bracketed("(X (X (Y w0 w1) (X w2 w3)) (Y (X w4) w5))")
     alphabet = ("D", "X", "Y")
     c = replay(t.tokens, TOP_DOWN, "NT_X NT_X NT_Y SH SH", cap=4)
@@ -471,7 +505,7 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     for g_t in gold_sequence(t, TOP_DOWN):
         configs.append(apply(configs[-1], g_t))
     ref = GoldReference.from_tree(t, TOP_DOWN)
-    want = loss(c, ref), optimal_transitions(c, ref, alphabet), losses(configs, ref)
+    want = loss(c, ref), optimal_transitions(c, ref, alphabet), [loss(d, ref) for d in configs]
     assert ref._trie is not None
     gold = GoldReference.from_tree(t, TOP_DOWN)
     calls = _layer_calls(monkeypatch)
@@ -483,7 +517,7 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     for call, answer in (
         (lambda: loss(c, gold), want[0]),
         (lambda: optimal_transitions(c, gold, alphabet), want[1]),
-        (lambda: losses(configs, gold), want[2]),
+        (lambda: [loss(d, gold) for d in configs], want[2]),
     ):
         assert call() == answer
         computed = len(calls)
@@ -493,7 +527,7 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     io_gold = GoldReference.from_tree(t, IN_ORDER)
     io = initial_config(t.tokens, IN_ORDER)
     loss(io, io_gold)
-    losses([io], io_gold)
+    _move_totals(io, io_gold, legal_transitions(io, alphabet))
     optimal_transitions(io, io_gold, alphabet)
     assert io_gold._trie is None and gold._trie is root
     assert loss(c, gold) == want[0] and not calls
@@ -501,10 +535,10 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     other = GoldReference.from_tree(t, TOP_DOWN)
     assert oracle._asked.gold() is gold
     with pytest.raises(ValueError, match="strategy mismatch"):
-        losses(configs + [io] + configs, other)
+        [loss(d, other) for d in configs + [io] + configs]
     assert calls and gold._trie is None and other._trie is not None
     calls.clear()
-    assert losses(configs, other) == want[2] and not calls
+    assert [loss(d, other) for d in configs] == want[2] and not calls
     assert (loss(c, other), optimal_transitions(c, other, alphabet)) == want[:2]
 
     after = [loss(apply(c, m), ref).total for m in moves]
@@ -513,18 +547,18 @@ def test_public_calls_on_one_gold_share_its_trie(monkeypatch):
     assert _move_totals(c, gold, moves) == after
     assert _holders([ref, other, gold]) == [gold]
     assert oracle._asked.gold() is gold
-    assert _move_losses(c, other, ())[0] == want[0]
+    assert loss(c, other) == want[0]
     assert _holders([ref, other, gold]) == [other]
 
 
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_shared_tries_give_every_fresh_answer(strategy):
     """Seeded walks on two gold trees at once, advancing one or the other
-    at random, with `loss`, `optimal_transitions` and a `losses` batch on
-    each configuration reached: the top-down golds take turns holding a
-    trie and share it across runs of calls, and every answer equals the
-    one a gold no earlier call has read gives.  After every call at most
-    one of the golds holds a trie."""
+    at random, with `loss` and `optimal_transitions` on each configuration
+    reached and `loss` again on it and the three before it: the top-down
+    golds take turns holding a trie and share it across runs of calls,
+    and every answer equals the one a gold no earlier call has read
+    gives.  After every call at most one of the golds holds a trie."""
     rng = random.Random(f"shared|{strategy}")
     alphabet = ("D", "X", "Y")
     checked = 0
@@ -555,7 +589,7 @@ def test_shared_tries_give_every_fresh_answer(strategy):
             assert optimal_transitions(c, gold, alphabet) == want[k][1], c
             assert len(_holders(golds)) <= 1
             lo = max(0, k - 3)
-            assert losses(walk[lo : k + 1], gold) == [lb for lb, _ in want[lo : k + 1]]
+            assert [loss(d, gold) for d in walk[lo : k + 1]] == [lb for lb, _ in want[lo : k + 1]]
             assert len(_holders(golds)) <= 1
             checked += 1
     assert checked >= 1_500, checked
@@ -673,13 +707,13 @@ def test_oracle_trace_computes_each_layer_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "tree.txt"
     path.write_text(text + "\n", encoding="utf-8")
     seen = []  # (configuration, gold) of each row
-    real = cli._move_losses
+    real = cli.loss
 
-    def recorded(c, gold, moves):
+    def recorded(c, gold):
         seen.append((c, gold))
-        return real(c, gold, moves)
+        return real(c, gold)
 
-    monkeypatch.setattr(cli, "_move_losses", recorded)
+    monkeypatch.setattr(cli, "loss", recorded)
     calls = _layer_calls(monkeypatch)
     assert cli.main(["oracle-trace", "--strategy", "top-down", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -713,7 +747,7 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     """Along one dynamic training pass over a sentence, the layer of each
     distinct trie node is computed exactly once: every oracle call on the
     path reads the gold's trie.  The pass reads the initial
-    configuration's loss once, with `_move_losses`, which finds no trie;
+    configuration's loss once, with `loss`, which finds no trie;
     every later call is a `_move_totals` query that finds the sub-trie at
     its i that the calls before built.  The pass leaves the trie on its
     gold, which keeps it until another gold makes one.  Without
@@ -725,20 +759,20 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     steps = []  # (query, configuration, moves, whether its i had a trie) per call
 
     def recorder(query, real):
-        def recorded(c, gold, moves):
-            steps.append((query, c, moves, c.i in _trie_positions(gold)))
-            return real(c, gold, moves)
+        def recorded(c, gold, *moves):  # loss takes no moves
+            steps.append((query, c, tuple(*moves), c.i in _trie_positions(gold)))
+            return real(c, gold, *moves)
 
         return recorded
 
-    monkeypatch.setattr(model, "_move_losses", recorder("losses", model._move_losses))
+    monkeypatch.setattr(model, "loss", recorder("loss", model.loss))
     monkeypatch.setattr(model, "_move_totals", recorder("totals", model._move_totals))
     calls = _layer_calls(monkeypatch)
     learner = model._Learner(len(move_table(alphabet)))
     model._train_sentence(t.tokens, gold, None, alphabet, learner, lambda: explored, None)
-    assert steps[0][:3] == ("losses", initial_config(t.tokens, TOP_DOWN), ())
+    assert steps[0][:3] == ("loss", initial_config(t.tokens, TOP_DOWN), ())
     assert [(q, warm) for q, _, _, warm in steps] == (
-        [("losses", False)] + [("totals", True)] * (len(steps) - 1)
+        [("loss", False)] + [("totals", True)] * (len(steps) - 1)
     )
     assert gold._trie is not None
     # the layers each call reads: the first its configuration's, every
@@ -748,7 +782,7 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
     ]
     assert_each_layer_once(calls, set().union(*read))
     assert len(calls) < sum(map(len, read))  # a trie per call computes these
-    totals = [lb.total for lb in losses([c for _, c, _, _ in steps], gold)]
+    totals = [loss(c, gold).total for _, c, _, _ in steps]
     assert (max(totals) > 0) == explored
     other = GoldReference.from_tree(t, TOP_DOWN)
     loss(initial_config(t.tokens, TOP_DOWN), other)
@@ -758,15 +792,15 @@ def test_each_layer_is_computed_once_per_path(monkeypatch, explored):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("strategy", [TOP_DOWN, IN_ORDER])
 def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
-    """The gold's trie read by `_move_losses` and `_move_totals` along a
-    whole path, as a training pass reads it: at every step both queries
-    give the same move totals, and the moves whose total keeps the
-    configuration's are the set a fresh `optimal_transitions` call gives,
-    and the loss-preserving moves.  The path is walked on its gold alone,
-    so that every step reads the one trie the steps before built (for
-    top-down, the same root throughout), and the fresh calls come after
-    the walk, on a gold of their own, whose trie no path has shaped.
-    The path takes random moves, about half of them optimal."""
+    """The gold's trie read by `loss` and `_move_totals` along a whole
+    path, as a training pass reads it: at every step a repeated
+    `_move_totals` gives the same move totals, and the moves whose total
+    keeps the configuration's are the set a fresh `optimal_transitions`
+    call gives, and the loss-preserving moves.  The path is walked on its
+    gold alone, so that every step reads the one trie the steps before
+    built (for top-down, the same root throughout), and the fresh calls
+    come after the walk, on a gold of their own, whose trie no path has
+    shaped.  The path takes random moves, about half of them optimal."""
     rng = random.Random(f"path|{strategy}|{cap}")
     for _ in range(60):
         labels = rng.sample(["A", "B", "C"], rng.randint(1, 3))
@@ -780,7 +814,7 @@ def test_one_memo_along_a_path_gives_every_optimal_set(strategy, cap):
             moves = legal_transitions(c, alphabet)
             if not moves:
                 break
-            breakdown, totals = _move_losses(c, gold, moves)
+            breakdown, totals = loss(c, gold), _move_totals(c, gold, moves)
             if not steps:
                 root = gold._trie
                 assert (root is not None) == (strategy == TOP_DOWN)
@@ -843,16 +877,19 @@ def loss_preserving_moves(c, gold, alphabet):
 
 
 def assert_move_losses_match(c, gold, alphabet):
-    """The optimal set, and also the configuration's whole loss breakdown
-    and each move's successor loss as the oracle derives it without
-    building the successor, against the reference."""
+    """The optimal set, and also each move's successor loss as the oracle
+    derives it without building the successor, against the reference,
+    and the configuration's loss breakdown, asked before and after the
+    move totals, against the least of them."""
     moves = legal_transitions(c, alphabet)
     if not moves:  # terminal or finished: nothing to judge
-        assert _move_losses(c, gold, moves) == (loss(c, gold), [])
+        assert _move_totals(c, gold, moves) == []
         assert optimal_transitions(c, gold, alphabet) == []
         return
     want = [loss(apply(c, m), gold).total for m in moves]
-    assert _move_losses(c, gold, moves) == (loss(c, gold), want), c.stack
+    breakdown = loss(c, gold)
+    assert _move_totals(c, gold, moves) == want, c.stack
+    assert loss(c, gold) == breakdown and breakdown.total == min(want), c.stack
     assert optimal_transitions(c, gold, alphabet) == loss_preserving_moves(c, gold, alphabet)
 
 

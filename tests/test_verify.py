@@ -462,17 +462,17 @@ WALK_PINS = {
 def test_walks_visit_the_pinned_configurations(monkeypatch):
     """The configurations of sweep's walk policies on criterion 1's trees
     (the gold prefixes only of those derivable under cap 3) and of
-    conftest.walk_configs over fixed seeds, in order.  sweep's loss batch
-    is replaced by a recorder, and its searches by a stub, that give one
+    conftest.walk_configs over fixed seeds, in order.  sweep's `loss` is
+    replaced by a recorder, and its searches by a stub, that give one
     placeholder total per configuration, so nothing is searched."""
     seen = []
     placeholder = LossBreakdown(0, 0, 0, 0, 0)
 
-    def recorded(configs, gold):
-        seen.extend(configs)
-        return [placeholder] * len(configs)
+    def recorded(c, gold):
+        seen.append(c)
+        return placeholder
 
-    monkeypatch.setattr(verify_mod, "losses", recorded)
+    monkeypatch.setattr(verify_mod, "loss", recorded)
     monkeypatch.setattr(verify_mod, "_searches", lambda tree, gold, configs, bounds: [0] * len(configs))
     trees = [random_tree(1 + s % 6, ["X", "Y", "Z"], s) for s in range(200)]
     derivable = []
@@ -499,11 +499,15 @@ def test_walks_visit_the_pinned_configurations(monkeypatch):
 
 @pytest.mark.parametrize("policy", WALK_POLICIES)
 def test_a_short_formula_batch_fails_the_sweep(monkeypatch, policy):
-    """A `losses` batch one total short is a defect of the program: sweep
-    raises OracleViolation under every policy, and the configuration left
-    without a total is not counted as checked."""
-    real = verify_mod.losses
-    monkeypatch.setattr(verify_mod, "losses", lambda configs, gold: real(configs, gold)[:-1])
+    """A formula list one total short, as `_compare` gets it, is a defect
+    of the program: sweep raises OracleViolation under every policy, and
+    the configuration left without a total is not counted as checked."""
+    real = verify_mod._compare
+
+    def short(report, configs, formulas, brutes):
+        return real(report, configs, formulas[:-1], brutes)
+
+    monkeypatch.setattr(verify_mod, "_compare", short)
     tree = parse_bracketed("(X (Y w0 w1) w2)")
     with pytest.raises(OracleViolation, match=r"^1 of \d+ configurations got no total to compare"):
         sweep([tree], TOP_DOWN, walk_policy=policy)
@@ -511,7 +515,7 @@ def test_a_short_formula_batch_fails_the_sweep(monkeypatch, policy):
     configs = walk_configs(tree, TOP_DOWN, ("D", "X", "Y"), 0, steps=20)
     report = ConformanceReport()
     with pytest.raises(OracleViolation):
-        verify_mod._compare(report, configs, real(configs, gold)[:-1], [0] * len(configs))
+        real(report, configs, [loss(c, gold) for c in configs][:-1], [0] * len(configs))
     assert report.configs_checked == len(configs) - 1
 
 
